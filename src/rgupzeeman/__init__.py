@@ -6,7 +6,9 @@ Library layout:
 - opalg: exact noncommutative operator polynomials and algebra checks
 - dispersion: deformed mass-shell root, series, nonrelativistic limit
 - fields: deformed magnetostatic field, vector potential, field tensor
-- oracle: hydrogen radial wavefunctions and quadrature expectations
+- oracle: hydrogen radial wavefunctions and quadrature expectations; the
+  only package module besides fields that needs numpy and scipy, loaded
+  when a quadrature runs
 - spectrum: per-regime shift breakdowns, spin-orbit shift, Zeeman lines
 - cli: the rgupz command
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import __version__, opalg
@@ -457,19 +459,35 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
     n, l, Z = args.n, args.l, args.Z if args.Z is not None else 1
-    moments = {}
-    for k in range(-3, 3):
-        if k == -3 and l == 0:
-            continue
-        moments[str(k)] = radial_expectation(n, l, Z, k, n_nodes=args.nodes)
-    payload = {
-        "n": n, "l": l, "Z": Z, "nodes": args.nodes,
-        "r_moments_cm^k": moments,
-        "p2": p2_expectation_exact(n, l, Z, n_nodes=args.nodes),
-        "p2_closed_form": p2_closed_form(n, Z),
-        "p4": p4_expectation_exact(n, l, Z, n_nodes=args.nodes),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.nodes < 1:
+        raise CLIUsageError(f"--nodes must be >= 1, got {args.nodes}")
+    try:
+        # a degenerate rule (too many nodes) also trips numpy overflow
+        # warnings; the one failure line below reports it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            moments = {}
+            for k in range(-3, 3):
+                if k == -3 and l == 0:
+                    continue
+                moments[str(k)] = radial_expectation(n, l, Z, k, n_nodes=args.nodes)
+            payload = {
+                "n": n, "l": l, "Z": Z, "nodes": args.nodes,
+                "r_moments_cm^k": moments,
+                "p2": p2_expectation_exact(n, l, Z, n_nodes=args.nodes),
+                "p2_closed_form": p2_closed_form(n, Z),
+                "p4": p4_expectation_exact(n, l, Z, n_nodes=args.nodes),
+            }
+    except RuntimeError as exc:  # the virial cross-check in p2_expectation_exact
+        failure = str(exc)
+    else:
+        values = (*moments.values(), payload["p2"], payload["p4"])
+        failure = None if all(map(math.isfinite, values)) else \
+            f"quadrature on {args.nodes} nodes gave a non-finite value"
+    if failure is not None:
+        print(f"rgupz: verification failure: {failure}", file=sys.stderr)
+        return 4
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

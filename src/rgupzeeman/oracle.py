@@ -17,6 +17,10 @@ positive normal double, and the order-doubled 240-node rule (used by the
 convergence checks) is still NaN-free.  Past ~250 nodes the
 double-precision Laguerre recurrence degenerates, and the integrands here
 are polynomials of degree < 40, so more nodes buy nothing.
+
+numpy and scipy are imported inside the quadrature functions, not at
+module level: the package imports this module for the pure-Python closed
+forms, and only a quadrature should pay for loading them.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-from scipy.special import eval_genlaguerre, roots_laguerre
+from typing import TYPE_CHECKING
 
 from .units import ConstantsTable, DEFAULT_CONSTANTS, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_NODES = 120
 
@@ -44,6 +49,8 @@ def _check_qn(n: int, l: int, Z: int) -> None:
 
 @lru_cache(maxsize=16)
 def _laguerre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_laguerre
+
     x, w = roots_laguerre(n_nodes)
     return x, w
 
@@ -84,6 +91,9 @@ def _stripped_parts(n: int, l: int, x: np.ndarray, scale: float):
     R'  = s e^{-x/2} (G' - G/2)
     R'' = s^2 e^{-x/2} (G'' - G' + G/4).
     """
+    import numpy as np
+    from scipy.special import eval_genlaguerre
+
     k = n - l - 1
     A = _norm_constant(n, l, scale)
     L = eval_genlaguerre(k, 2 * l + 1, x)
@@ -102,6 +112,9 @@ def _stripped_parts(n: int, l: int, x: np.ndarray, scale: float):
 def radial_wavefunction(n: int, l: int, Z: int, r,
                         constants: ConstantsTable | None = None) -> float | np.ndarray:
     """Normalized Coulomb radial function R_nl(r), r in cm."""
+    import numpy as np
+    from scipy.special import eval_genlaguerre
+
     _check_qn(n, l, Z)
     table = constants if constants is not None else DEFAULT_CONSTANTS
     r_arr = np.asarray(r, dtype=float)
@@ -118,6 +131,8 @@ def radial_expectation(n: int, l: int, Z: int, k: int,
                        constants: ConstantsTable | None = None,
                        n_nodes: int = DEFAULT_NODES) -> float:
     """<r^k> by quadrature, k in -3..2 (k = -3 requires l >= 1)."""
+    import numpy as np
+
     _check_qn(n, l, Z)
     if not -3 <= k <= 2:
         raise ValidationError("k", f"moment order must be in -3..2, got {k!r}")
@@ -188,8 +203,10 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
 
     The radial Laplacian is d^2/dr^2 + (2/r) d/dr - l(l+1)/r^2.  The
     quadrature value must agree with the virial identity to 1e-8; a
-    disagreement signals a broken grid and raises.
+    disagreement (NaN included) signals a broken grid and raises.
     """
+    import numpy as np
+
     _check_qn(n, l, Z)
     table = constants if constants is not None else DEFAULT_CONSTANTS
     grid = make_grid(n, Z, table, n_nodes)
@@ -197,7 +214,7 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
     # R Lap(R) r^2 dr = e^{-x} G * (s^2 Q) * (x^2/s^2) * dx/s with Q x^2 = lap_x2
     value = -table.hbar**2 * float(np.sum(grid.weights * G * lap_x2)) / grid.scale
     virial = p2_closed_form(n, Z, table)
-    if abs(value - virial) > 1e-8 * virial:
+    if not abs(value - virial) <= 1e-8 * virial:
         raise RuntimeError(
             f"<p^2> quadrature {value!r} disagrees with virial identity {virial!r}")
     return value
@@ -207,6 +224,8 @@ def p4_expectation_exact(n: int, l: int, Z: int = 1,
                          constants: ConstantsTable | None = None,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^4> = ||p^2 psi||^2 = hbar^4 int (Lap R)^2 r^2 dr by quadrature."""
+    import numpy as np
+
     _check_qn(n, l, Z)
     table = constants if constants is not None else DEFAULT_CONSTANTS
     grid = make_grid(n, Z, table, n_nodes)
@@ -226,6 +245,8 @@ def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
     Both exponentials combine to e^{-u} at the averaged scale, so the
     integrand is again weight times polynomial and the rule stays exact.
     """
+    import numpy as np
+
     _check_qn(n1, l, Z)
     _check_qn(n2, l, Z)
     table = constants if constants is not None else DEFAULT_CONSTANTS

@@ -173,6 +173,40 @@ def test_oracle_cli_json():
     assert payload["r_moments_cm^k"]["0"] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("--nodes", "0"), 2),
+    (("--n", "8", "--l", "0", "--nodes", "8"), 4),   # too few nodes: virial mismatch
+    (("--nodes", "400"), 4),                         # degenerate rule: NaN everywhere
+], ids=("zero-nodes", "too-few-nodes", "too-many-nodes"))
+def test_oracle_cli_bad_quadrature_exit_code(argv, code):
+    proc = run_cli("oracle", "--n", "2", "--l", "1", *argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_oracle_cli_non_finite_value_is_exit_4(monkeypatch, capsys):
+    from rgupzeeman import cli
+    monkeypatch.setattr(cli, "p4_expectation_exact", lambda *a, **k: float("inf"))
+    assert cli.main(["oracle", "--n", "2", "--l", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rgupz: verification failure: quadrature on 120 nodes gave a non-finite value\n"
+
+
+def test_only_oracle_loads_numpy_and_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import rgupzeeman, rgupzeeman.cli\n"
+        "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rgupzeeman.cli.main(['oracle', '--n', '2', '--l', '1']) == 0\n"
+        "assert 'numpy' in sys.modules and 'scipy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_precedence_flags_env_file_builtin(tmp_path):
     config = tmp_path / "defaults.cfg"
     config.write_text("params.b_tesla = 2.0\n# comment line\n")

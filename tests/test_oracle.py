@@ -18,6 +18,8 @@ from rgupzeeman.units import DEFAULT_CONSTANTS as C
 from rgupzeeman.units import ValidationError
 
 ALL_NL = [(n, l) for n in range(1, 6) for l in range(n)]
+# <r^-3> diverges for l = 0
+R_MOMENTS = [(k, n, l) for n, l in ALL_NL for k in range(-3, 3) if k > -3 or l > 0]
 
 
 def test_ground_state_at_origin():
@@ -40,11 +42,8 @@ def test_grid_weights_positive():
     assert grid.n_nodes == 120
 
 
-@pytest.mark.parametrize("n,l", ALL_NL)
-@pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2])
-def test_r_moments_match_closed_forms(n, l, k):
-    if k == -3 and l == 0:
-        pytest.skip("divergent moment")
+@pytest.mark.parametrize("k,n,l", R_MOMENTS)
+def test_r_moments_match_closed_forms(k, n, l):
     got = radial_expectation(n, l, 1, k)
     want = closed_form_r_expectation(n, l, 1, k)
     assert got == pytest.approx(want, rel=1e-8)
@@ -78,6 +77,13 @@ def test_p2_reference_values():
     unit = (C.hbar / C.r0) ** 2
     assert p2_expectation_exact(1, 0, 1) == pytest.approx(unit, rel=1e-8)
     assert p2_expectation_exact(2, 1, 1) == pytest.approx(unit / 4.0, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_p2_virial_guard_rejects_nan():
+    # past ~250 nodes the Laguerre rule degenerates and every sum is NaN
+    with pytest.raises(RuntimeError):
+        p2_expectation_exact(2, 1, 1, n_nodes=400)
 
 
 def test_angular_p2_overestimates_2p_by_factor_eight():
