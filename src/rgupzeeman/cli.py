@@ -116,7 +116,8 @@ def _parse_float(text: str, what: str) -> float:
         raise CLIUsageError(f"{what}: expected a number, got {text!r}") from None
 
 
-def _params_from(args, cfg: RunConfig):
+def _param_values(args, cfg: RunConfig) -> tuple[float, float, float | None, int]:
+    """(B in tesla, epsilon, gamma or None for planck, Z) from flags and config."""
     b_tesla = args.B_tesla if getattr(args, "B_tesla", None) is not None \
         else _parse_float(cfg.resolve("params.b_tesla"), "params.b_tesla")
     epsilon = args.epsilon if getattr(args, "epsilon", None) is not None \
@@ -125,12 +126,19 @@ def _params_from(args, cfg: RunConfig):
         else cfg.resolve("params.gamma")
     Z = args.Z if getattr(args, "Z", None) is not None \
         else int(_parse_float(cfg.resolve("params.z"), "params.z"))
-    if gamma_text == "planck":
-        return make_params(B=b_tesla * GAUSS_PER_TESLA, epsilon=epsilon,
-                           gamma_mode="planck", Z=Z)
-    gamma = _parse_float(gamma_text, "--gamma")
+    gamma = None if gamma_text == "planck" else _parse_float(gamma_text, "--gamma")
+    return b_tesla, epsilon, gamma, Z
+
+
+def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: int,
+                 m: float | None = None):
     return make_params(B=b_tesla * GAUSS_PER_TESLA, epsilon=epsilon,
-                       gamma_mode="explicit", gamma=gamma, Z=Z)
+                       gamma_mode="planck" if gamma is None else "explicit",
+                       gamma=gamma, m=m, Z=Z)
+
+
+def _params_from(args, cfg: RunConfig):
+    return _make_params(*_param_values(args, cfg))
 
 
 def _state_from(args, l: int | None = None, n: int | None = None,
@@ -183,7 +191,7 @@ def cmd_constants(args, cfg: RunConfig) -> int:
         for line in constants_dump(table).splitlines():
             name, value, unit = line.split(" ")
             rows[name] = {"value": float(value), "unit": unit}
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        print(json.dumps(rows, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(constants_dump(table))
     return 0
@@ -215,7 +223,7 @@ def cmd_shift(args, cfg: RunConfig) -> int:
             "total_erg": breakdown.total_erg,
             "total_eV": convert_energy(breakdown.total_erg, "erg", "eV"),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
     if fmt == "csv":
@@ -293,42 +301,53 @@ def _sweep_spec(args, cfg: RunConfig) -> SweepSpec:
                      unit=_unit_from(args, cfg))
 
 
+def _sweep_records(spec: SweepSpec, args, param_values):
+    """Yield (value, params, state) for each grid point.
+
+    Only the swept record is built per row; the fixed one is built on the
+    first row and reused.  Params come before the state within a row, so the
+    first bad row raises what the matching `shift` call would.
+    """
+    b_tesla, epsilon, gamma, Z = param_values
+    params = state = None
+    for value in spec.values:
+        if spec.param == "B":
+            params = _make_params(value, epsilon, gamma, Z)
+        elif spec.param == "epsilon":
+            params = _make_params(b_tesla, value, gamma, Z)
+        elif params is None:
+            params = _make_params(b_tesla, epsilon, gamma, Z)
+        if spec.param == "mj":
+            state = _state_from(args, mj=value)
+        elif spec.param in ("l", "n"):
+            if not value.is_integer():
+                raise ValidationError(spec.param, f"swept {spec.param} must be an "
+                                                  f"integer, got {value!r}")
+            state = _state_from(args, **{spec.param: int(value)})
+        elif state is None:
+            state = _state_from(args)
+        yield value, params, state
+
+
 def cmd_sweep(args, cfg: RunConfig) -> int:
     spec = _sweep_spec(args, cfg)
-    regime, mode, unit = spec.regime, spec.mode, spec.unit
+    regime, mode = spec.regime, spec.mode
+    param_values = _param_values(args, cfg)
+    # validate the whole grid before the first write, keeping nothing, so a
+    # bad grid point prints no partial CSV and a long sweep stays streamed
+    for _ in _sweep_records(spec, args, param_values):
+        pass
 
     labels = REGIME_TERM_LABELS[regime]
+    per_erg = convert_energy(1.0, "erg", spec.unit)  # same bits as per-value calls
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([_SWEEP_COLUMN[spec.param], "regime", *labels, "total"])
-
-    for value in spec.values:
-        shift_args = argparse.Namespace(**vars(args))
-        state_kwargs = {}
-        if spec.param == "B":
-            shift_args.B_tesla = value
-        elif spec.param == "epsilon":
-            shift_args.epsilon = value
-        elif spec.param == "l":
-            if value != int(value):
-                raise ValidationError("l", f"swept l must be an integer, got {value!r}")
-            state_kwargs["l"] = int(value)
-            if args.n is None:
-                state_kwargs["n"] = int(value) + 1
-        elif spec.param == "n":
-            if value != int(value):
-                raise ValidationError("n", f"swept n must be an integer, got {value!r}")
-            state_kwargs["n"] = int(value)
-        elif spec.param == "mj":
-            state_kwargs["mj"] = value
-        params = _params_from(shift_args, cfg)
-        state = _state_from(shift_args, **state_kwargs)
+    for value, params, state in _sweep_records(spec, args, param_values):
         breakdown = energy_shift_B(state, params, regime, mode)
         present = {t.label: t.value_erg for t in breakdown.terms}
-        row = [repr(value), regime.value]
-        for label in labels:
-            row.append(repr(convert_energy(present.get(label, 0.0), "erg", unit)))
-        row.append(repr(convert_energy(breakdown.total_erg, "erg", unit)))
-        writer.writerow(row)
+        writer.writerow([repr(value), regime.value,
+                         *[repr(present.get(label, 0.0) * per_erg) for label in labels],
+                         repr(breakdown.total_erg * per_erg)])
     return 0
 
 
@@ -356,7 +375,7 @@ def cmd_lines(args, cfg: RunConfig) -> int:
                 for ln in lines
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
     print(f"lines ({len(lines)}), regime {regime.value}, unit {unit}")
@@ -383,7 +402,7 @@ def cmd_verify_algebra(args, cfg: RunConfig) -> int:
              ]}
             for r in reports
         ]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for report in reports:
             print(f"case {report.case}: {'PASS' if report.passed else 'FAIL'}")
@@ -402,14 +421,21 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
         mc = args.mc
         eps_gamma2 = args.eps_gamma2 if args.eps_gamma2 is not None else 0.0
     else:
-        table = load_constants()
-        m = args.m_grams if args.m_grams is not None else table.m_e
-        epsilon = args.epsilon if args.epsilon is not None else 1.0
         gamma = _parse_float(args.gamma, "--gamma") if args.gamma not in (None, "planck") \
-            else table.gamma_planck
-        mc = m * table.c
-        eps_gamma2 = epsilon * gamma * gamma
+            else None
+        # make_params holds the rules for m, epsilon and gamma
+        params = _make_params(0.0, args.epsilon if args.epsilon is not None else 1.0,
+                              gamma, 1, m=args.m_grams)
+        mc = params.m * params.constants.c
+        eps_gamma2 = params.eps_gamma2
+    if not (mc > 0.0 and math.isfinite(mc)):
+        raise ValidationError("mc", f"must be finite and > 0, got {mc!r}")
+    if not (eps_gamma2 >= 0.0 and math.isfinite(eps_gamma2)):
+        raise ValidationError("eps_gamma2", f"must be finite and >= 0, got {eps_gamma2!r}")
     solution = solve_mass_shell(mc, eps_gamma2, order=args.order)
+    if not all(map(math.isfinite, (solution.exact_root, solution.series_root,
+                                   solution.residual))):
+        raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
 
     if _output_format(args, cfg) == "json":
         print(json.dumps({
@@ -417,7 +443,7 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
             "exact_root": solution.exact_root,
             "series_root": solution.series_root,
             "residual": solution.residual,
-        }, indent=2, sort_keys=True))
+        }, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"mc          {mc!r}")
         print(f"eps_gamma2  {eps_gamma2!r}")
@@ -443,7 +469,7 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
             ],
             "agreements": list(report.agreements),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
     print(f"differences ({len(report.differences)}):")
@@ -542,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add_parser("constants", help="dump the constants table")
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_constants)
 
     sub = add_parser("shift", help="energy-shift breakdown for one state")
     _add_state_flags(sub)
@@ -550,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_shift)
 
     sub = add_parser("sweep", help="sweep one parameter, emit CSV")
     sub.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
@@ -564,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
     sub.add_argument("--unit", choices=("eV", "erg", "cm-1", "Hz"), default=None)
-    sub.set_defaults(func=cmd_sweep)
 
     sub = add_parser("lines", help="allowed Zeeman lines between two levels")
     sub.add_argument("--upper-n", dest="upper_n", type=int, default=None)
@@ -579,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
     _add_output_flags(sub, csv_flag=False)
-    sub.set_defaults(func=cmd_lines)
 
     sub = add_parser("verify-algebra",
                               help="machine-verify the deformed commutator algebras")
@@ -589,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'quoted' checks the printed special-case cross "
                           "coefficient a1 and fails by the known factor 2")
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_verify_algebra)
 
     sub = add_parser("dispersion", help="deformed mass-shell root")
     sub.add_argument("--mc", type=float, default=None,
@@ -601,33 +622,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gamma", default=None)
     sub.add_argument("--order", type=int, choices=(1, 2), default=1)
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_dispersion)
 
     sub = add_parser("discrepancy",
                               help="derived vs as-published per-term comparison")
     _add_state_flags(sub)
     _add_params_flags(sub)
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_discrepancy)
 
     sub = add_parser("oracle", help="hydrogen radial expectation values (JSON)")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--Z", type=int, default=None)
     sub.add_argument("--nodes", type=int, default=120)
-    sub.set_defaults(func=cmd_oracle)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser holds no per-call state, so one per process serves every call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = RunConfig.load(getattr(args, "config", None))
         if getattr(args, "banner", False):
             print(f"rgupz {__version__}")
-        return args.func(args, cfg)
+        # looked up at call time, so a replaced cmd_* attribute is the one run
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, cfg)
     except CLIUsageError as exc:
         print(f"rgupz: error: {exc}", file=sys.stderr)
         return 2

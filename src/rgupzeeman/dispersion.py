@@ -78,8 +78,9 @@ def solve_mass_shell(mc: float, eps_gamma2: float,
     """Exact root, series root, and the residual of the exact root."""
     exact = p0sq_exact(mc, eps_gamma2)
     series = p0sq_series(mc, eps_gamma2, order)
-    raw = 2.0 * eps_gamma2 * exact * exact + exact + mc * mc
-    residual = raw / (mc * mc) if mc != 0.0 else raw
+    mc2 = mc * mc
+    raw = 2.0 * eps_gamma2 * exact * exact + exact + mc2
+    residual = raw / mc2 if mc2 != 0.0 else raw
     return DispersionSolution(exact_root=exact, series_root=series,
                               residual=residual, order=order)
 

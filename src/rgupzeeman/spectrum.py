@@ -58,7 +58,8 @@ class Mode(Enum):
 
 def _is_half_odd(value: float) -> bool:
     doubled = 2.0 * value
-    return doubled == round(doubled) and int(round(doubled)) % 2 != 0
+    return math.isfinite(doubled) and doubled == round(doubled) \
+        and int(round(doubled)) % 2 != 0
 
 
 @dataclass(frozen=True)
@@ -223,12 +224,13 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     hbar = C.hbar
     B = params.B
     base = C.e * B / (2.0 * C.m_e * C.c)
-    jz = exp_jz(state.mj, C)
-    sz = exp_sz(state.l, state.branch, state.mj, C)
+    sgn = 1.0 if state.branch is Branch.PLUS else -1.0
+    # exp_jz / exp_sz without their re-validation: QuantumState already holds
+    jz = state.mj * hbar
+    sz = sgn * state.mj * hbar / (2 * state.l + 1)
     p2 = exp_p2_angular(state.l, radius, C)
     p4 = p2 * p2
     scale = params.correction_scale
-    sgn = 1.0 if state.branch is Branch.PLUS else -1.0
     ll = state.l * (state.l + 1)
     plus_factor = 1.0 + sgn / (2 * state.l + 1)
     minus_factor = 1.0 - sgn / (2 * state.l + 1)

@@ -1,5 +1,6 @@
 """CLI contract: golden bytes, exit codes, config precedence, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -256,3 +257,160 @@ def test_unit_flag_changes_table_not_csv_schema():
     csv_ev = run_cli(*base, "--csv", "--unit", "eV").stdout
     csv_cm = run_cli(*base, "--csv", "--unit", "cm-1").stdout
     assert csv_ev == csv_cm  # stable CSV schema carries erg + eV always
+
+
+# -- in-process: cli.main called repeatedly in one interpreter ---------------------
+
+@pytest.fixture
+def main(monkeypatch, capsys):
+    """cli.main with RGUPZ_* cleared; returns (exit code, stdout, stderr)."""
+    from rgupzeeman import cli
+    for name in list(os.environ):
+        if name.startswith("RGUPZ_"):
+            monkeypatch.delenv(name)
+
+    def call(*argv):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+    return call
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--param", "mj", "--values", "0.5,0.7", "--l", "1"), 3),
+    (("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--gamma", "abc"), 2),
+    (("--param", "l", "--values", "1,inf", "--mj", "0.5"), 3),
+    (("--param", "mj", "--values", "0.5,nan", "--l", "1"), 3),
+], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj"))
+def test_sweep_prints_all_or_nothing(main, argv, code):
+    status, out, err = main("sweep", *argv)
+    assert status == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mc", "nan", "--eps-gamma2", "0.01"),
+    ("--mc", "inf"),
+    ("--mc", "1", "--eps-gamma2", "nan"),
+    ("--mc", "1", "--eps-gamma2", "inf"),
+    ("--m-grams", "nan"),
+    ("--m-grams", "inf"),
+    ("--epsilon", "nan"),
+    ("--epsilon", "inf"),
+    ("--gamma", "nan"),
+    ("--gamma", "inf"),
+    ("--mc", "0"),
+    ("--mc", "-1"),
+    ("--m-grams", "0"),
+    ("--m-grams=-1e-27",),
+    ("--mc", "1", "--eps-gamma2", "-5"),
+    ("--epsilon", "-1"),
+    ("--gamma=-1e-20",),
+    ("--mc", "1e200"),
+], ids=("nan-mc", "inf-mc", "nan-eps-gamma2", "inf-eps-gamma2", "nan-m-grams",
+        "inf-m-grams", "nan-epsilon", "inf-epsilon", "nan-gamma", "inf-gamma",
+        "zero-mc", "negative-mc", "zero-m-grams", "negative-m-grams",
+        "negative-eps-gamma2", "negative-epsilon", "negative-gamma",
+        "overflowing-root"))
+def test_dispersion_rejects_non_physical_input(main, argv):
+    status, out, err = main("dispersion", *argv, "--json")
+    assert status == 3
+    assert out == ""
+    assert err.startswith("rgupz: domain error: ")
+
+
+def test_dispersion_json_is_strict(main):
+    status, out, _ = main("dispersion", "--m-grams", "1e-27", "--gamma", "1e-20", "--json")
+    assert status == 0
+
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["exact_root"] < 0.0
+
+
+def test_parser_reuse_keeps_no_state_between_calls(main, monkeypatch, tmp_path):
+    from rgupzeeman import cli
+    shift = ("shift", "--l", "1", "--branch", "plus", "--mj", "0.5")
+    status, out, _ = main(*shift, "--json")
+    assert status == 0 and json.loads(out)["regime"] == "lande"
+    status, out, _ = main(*shift)
+    assert status == 0 and out.startswith("regime           lande\n")
+
+    config = tmp_path / "defaults.cfg"
+    config.write_text("params.b_tesla = 2.0\n")
+    _, out, _ = main(*shift, "--config", str(config), "--json")
+    assert json.loads(out)["params"]["B_gauss"] == 2e4
+    _, out, _ = main(*shift, "--json")
+    assert json.loads(out)["params"]["B_gauss"] == 1e4
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_constants", lambda args, cfg: calls.append(args) or 0)
+    status, out, _ = main("constants")
+    assert status == 0 and out == "" and len(calls) == 1
+
+
+def _library_sweep_row(value, param, fixed, regime, mode, unit):
+    """One sweep row rebuilt through make_params / QuantumState / energy_shift_B."""
+    from rgupzeeman import spectrum, units
+    point = dict(fixed, **{param: value})
+    gamma = point["gamma"]
+    params = units.make_params(
+        B=point["B"] * units.GAUSS_PER_TESLA, epsilon=point["epsilon"],
+        gamma_mode="planck" if gamma == "planck" else "explicit",
+        gamma=None if gamma == "planck" else float(gamma))
+    l = int(point["l"])
+    state = spectrum.QuantumState(n=int(point["n"]) if point["n"] else l + 1, l=l,
+                                  branch=spectrum.Branch(point["branch"]), mj=point["mj"])
+    breakdown = spectrum.energy_shift_B(state, params, regime, mode)
+    present = {t.label: t.value_erg for t in breakdown.terms}
+    cells = [repr(value), regime.value]
+    cells += [repr(units.convert_energy(present.get(label, 0.0), "erg", unit))
+              for label in spectrum.REGIME_TERM_LABELS[regime]]
+    cells.append(repr(units.convert_energy(breakdown.total_erg, "erg", unit)))
+    return ",".join(cells)
+
+
+_SWEEP_GRIDS = {
+    "B": "2.5,0,0.3,17",
+    "epsilon": "0,1,0.25,40",
+    "l": "0,1,2,3",
+    "n": "2,3,5,8",
+    "mj": "-1.5,-0.5,0.5,1.5",
+}
+
+
+@pytest.mark.parametrize("param", sorted(_SWEEP_GRIDS))
+def test_sweep_rows_match_the_library_byte_for_byte(main, param):
+    from rgupzeeman.spectrum import Mode, Regime
+    units = ("eV", "erg", "cm-1", "Hz")
+    for k, (regime, mode, gamma) in enumerate(
+            (r, m, g) for r in Regime for m in Mode for g in ("planck", "1e16")):
+        unit = units[k % len(units)]
+        fixed = {"B": 0.8, "epsilon": 2.0, "gamma": gamma, "l": 1, "n": None,
+                 "branch": "plus", "mj": 0.5}
+        argv = ["sweep", "--param", param, "--values=" + _SWEEP_GRIDS[param],
+                "--regime", regime.value, "--mode", mode.value, "--unit", unit,
+                "--branch", "plus", "--gamma", gamma]
+        for name, flag in (("B", "--B-tesla"), ("epsilon", "--epsilon"), ("l", "--l"),
+                           ("mj", "--mj")):
+            if name != param:
+                argv += [flag, str(fixed[name])]
+        status, out, err = main(*argv)
+        assert status == 0, err
+        rows = out.splitlines()[1:]
+        values = sorted(float(v) for v in _SWEEP_GRIDS[param].split(","))
+        assert rows == [_library_sweep_row(v, param, fixed, regime, mode, unit)
+                        for v in values], (regime, mode, unit)
+
+
+def test_large_sweep_output_is_pinned(main):
+    # sha256 of the same command's stdout before the sweep loop was hoisted
+    status, out, _ = main("sweep", "--param", "B", "--from", "0", "--to", "10",
+                          "--steps", "2000", "--l", "2", "--branch", "minus",
+                          "--mj", "0.5", "--regime", "rgup", "--gamma", "1e18",
+                          "--unit", "cm-1")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "62281618f02912b01580d5203f5f681e45bdb8c0c35e21c4d79e9375594e0908"

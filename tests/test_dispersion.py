@@ -105,3 +105,10 @@ def test_nonrel_limit_note_is_constant_and_substitutes():
     assert note_a.substitute_mass_shell(2.0, 3.0) == -6.0
     assert note_a.substitute_mass_shell(0.0, 3.0) == 0.0
     assert not math.copysign(1.0, note_a.substitute_mass_shell(0.0, 3.0)) < 0
+
+
+def test_residual_of_an_underflowing_mc_squared_is_finite():
+    # mc != 0 but (mc)^2 underflows to 0: the residual must not divide by it
+    solution = solve_mass_shell(1e-200, 0.0)
+    assert solution.residual == 0.0
+    assert solution.exact_root == 0.0

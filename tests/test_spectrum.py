@@ -63,6 +63,29 @@ def test_state_validation():
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=1)
 
 
+@pytest.mark.parametrize("mj", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_mj(mj):
+    with pytest.raises(ValidationError):
+        QuantumState(n=2, l=1, branch=Branch.PLUS, mj=mj)
+
+
+def test_inlined_jz_sz_match_exp_jz_exp_sz_bit_for_bit():
+    # energy_shift_B computes <Jz> and <Sz> from the validated state; the
+    # public exp_jz / exp_sz must give the same bits for every state
+    states = [state for n in range(1, 9) for l in range(n)
+              for branch in Branch if not (branch is Branch.MINUS and l == 0)
+              for state in level_states(n, l, branch)]
+    assert len(states) == 408
+    for params in (PLANCK, params_with_scale(0.05, B=3.7e4)):
+        base = C.e * params.B / (2.0 * C.m_e * C.c)
+        for state in states:
+            expected = -base * (exp_jz(state.mj) + exp_sz(state.l, state.branch, state.mj)) + 0.0
+            for regime in Regime:
+                for mode in Mode:
+                    got = energy_shift_B(state, params, regime, mode)
+                    assert got.term("jz_plus_sz").value_erg == expected
+
+
 def test_exp_sz_values():
     assert exp_sz(0, Branch.PLUS, 0.5) == 0.5 * C.hbar
     assert exp_sz(1, Branch.PLUS, 1.5) == 0.5 * C.hbar
