@@ -1,5 +1,6 @@
 """Shift breakdowns, spin-orbit shift, lines, and mode comparison."""
 
+import hashlib
 import math
 import random
 
@@ -84,6 +85,33 @@ def test_inlined_jz_sz_match_exp_jz_exp_sz_bit_for_bit():
                 for mode in Mode:
                     got = energy_shift_B(state, params, regime, mode)
                     assert got.term("jz_plus_sz").value_erg == expected
+
+
+def test_breakdowns_are_pinned():
+    # sha256 over every breakdown and discrepancy report of the 408 states
+    # with n <= 8, taken before the term catalogue became one table; the
+    # explicit gamma = 1e-160 makes eps gamma^2 nonzero while the rgup scale
+    # underflows to 0, so the rgup and gup gates disagree there
+    states = [state for n in range(1, 9) for l in range(n)
+              for branch in Branch if not (branch is Branch.MINUS and l == 0)
+              for state in level_states(n, l, branch)]
+    assert len(states) == 408
+    digest = hashlib.sha256()
+    for params in (PLANCK, params_zero_gamma(), params_with_scale(0.05, B=3.7e4),
+                   make_params(B=1e4, gamma_mode="explicit", gamma=1e-160)):
+        for state in states:
+            for regime in Regime:
+                for mode in Mode:
+                    got = energy_shift_B(state, params, regime, mode)
+                    digest.update(repr((got.correction_scale, [
+                        (t.label, t.expression, t.value_erg, t.tags)
+                        for t in got.terms])).encode())
+            report = discrepancy_report(state, params)
+            digest.update(repr(([
+                (d.regime.value, d.label, d.derived_erg, d.published_erg, d.ratio, d.tags)
+                for d in report.differences], report.agreements)).encode())
+    assert digest.hexdigest() == \
+        "9356cf041827d5d3906e23cab4d6aca4408e10c403f2e424fa3571f3efccbb8e"
 
 
 def test_exp_sz_values():
