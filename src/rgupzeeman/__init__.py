@@ -4,12 +4,12 @@ Library layout:
 
 - units: Gaussian-CGS constants, parameter records, energy conversion
 - opalg: exact noncommutative operator polynomials and algebra checks
-- dispersion: deformed mass-shell root, series, nonrelativistic limit
-- fields: deformed magnetostatic field, vector potential, field tensor
+- dispersion: deformed mass-shell root and its series
 - oracle: hydrogen radial wavefunctions and quadrature expectations; the
-  only package module besides fields that needs numpy and scipy, loaded
-  when a quadrature runs
-- spectrum: per-regime shift breakdowns, spin-orbit shift, Zeeman lines
+  only package module that needs numpy and scipy, loaded when a
+  quadrature runs
+- spectrum: the term table, per-regime shift breakdowns, spin-orbit
+  shift, Zeeman lines
 - cli: the rgupz command
 
 The derived expectation expression is authoritative; the quoted
@@ -28,7 +28,6 @@ from .units import (
 from .dispersion import (
     DispersionSolution,
     TransPlanckianMassError,
-    nonrel_limit_note,
     p0sq_exact,
     p0sq_series,
     solve_mass_shell,
@@ -72,7 +71,6 @@ __all__ = [
     "level_states",
     "load_constants",
     "make_params",
-    "nonrel_limit_note",
     "p0sq_exact",
     "p0sq_series",
     "solve_mass_shell",

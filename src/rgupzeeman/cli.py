@@ -335,8 +335,15 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     param_values = _param_values(args, cfg)
     # validate the whole grid before the first write, keeping nothing, so a
     # bad grid point prints no partial CSV and a long sweep stays streamed
-    for _ in _sweep_records(spec, args, param_values):
-        pass
+    first = last = None
+    for last in _sweep_records(spec, args, param_values):
+        if first is None:
+            first = last
+    # each term is monotone in the swept B, epsilon, l or |mj| (and |mj| peaks
+    # at an end of the sorted grid), so if both end rows stay inside double
+    # precision every row does
+    for _, params, state in (first, last):
+        energy_shift_B(state, params, regime, mode)
 
     labels = REGIME_TERM_LABELS[regime]
     per_erg = convert_energy(1.0, "erg", spec.unit)  # same bits as per-value calls
@@ -417,7 +424,13 @@ def cmd_verify_algebra(args, cfg: RunConfig) -> int:
 
 
 def cmd_dispersion(args, cfg: RunConfig) -> int:
+    if args.mc is None and args.eps_gamma2 is not None:
+        raise CLIUsageError("--eps-gamma2 pairs with --mc")
     if args.mc is not None:
+        for flag, value in (("--m-grams", args.m_grams), ("--epsilon", args.epsilon),
+                            ("--gamma", args.gamma)):
+            if value is not None:
+                raise CLIUsageError(f"{flag} does not combine with --mc")
         mc = args.mc
         eps_gamma2 = args.eps_gamma2 if args.eps_gamma2 is not None else 0.0
     else:
@@ -483,10 +496,15 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
     return 0
 
 
+#: the Gauss-Laguerre rule degenerates (exit 4) from ~400 nodes on, and a
+#: rule of 10^8 nodes is still being built after 20 s, before any check runs
+MAX_ORACLE_NODES = 1000
+
+
 def cmd_oracle(args, cfg: RunConfig) -> int:
     n, l, Z = args.n, args.l, args.Z if args.Z is not None else 1
-    if args.nodes < 1:
-        raise CLIUsageError(f"--nodes must be >= 1, got {args.nodes}")
+    if not 1 <= args.nodes <= MAX_ORACLE_NODES:
+        raise CLIUsageError(f"--nodes must be in [1, {MAX_ORACLE_NODES}], got {args.nodes}")
     try:
         # a degenerate rule (too many nodes) also trips numpy overflow
         # warnings; the one failure line below reports it instead
@@ -633,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--Z", type=int, default=None)
-    sub.add_argument("--nodes", type=int, default=120)
+    sub.add_argument("--nodes", type=int, default=120,
+                     help=f"quadrature nodes, 1 to {MAX_ORACLE_NODES}")
 
     return parser
 

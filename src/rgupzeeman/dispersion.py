@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import PhysicalParams
-
 
 class TransPlanckianMassError(ValueError):
     """No real mass-shell root: 8 eps gamma^2 (mc)^2 exceeds 1."""
@@ -83,38 +81,3 @@ def solve_mass_shell(mc: float, eps_gamma2: float,
     residual = raw / mc2 if mc2 != 0.0 else raw
     return DispersionSolution(exact_root=exact, series_root=series,
                               residual=residual, order=order)
-
-
-def solve_from_params(params: PhysicalParams, order: int = 1) -> DispersionSolution:
-    mc = params.m * params.constants.c
-    return solve_mass_shell(mc, params.eps_gamma2, order)
-
-
-@dataclass(frozen=True)
-class NonRelLimitNote:
-    """Documentation record for the nonrelativistic limit of p0.p0.
-
-    In the c -> infinity limit the four-momentum scalar square reduces to
-    -hbar^2 grad^2, i.e. the operator -p^2.  Downstream, this justifies
-    replacing the (mc)^2 inside deformation factors by -<p^2> when forming
-    the nonrelativistic (GUP) versions of deformed quantities.
-    """
-
-    statement: str
-
-    def substitute_mass_shell(self, eps_gamma2: float, p2: float) -> float:
-        """Deformation scale after the replacement (mc)^2 -> -<p^2>."""
-        return -eps_gamma2 * p2 + 0.0  # +0.0 normalizes -0.0 away
-
-
-_NOTE = NonRelLimitNote(
-    statement=(
-        "c -> infinity: p0.p0 -> -hbar^2 grad^2, so the scalar (mc)^2 in "
-        "deformation factors becomes -<p^2> in the nonrelativistic limit."
-    )
-)
-
-
-def nonrel_limit_note() -> NonRelLimitNote:
-    """Return the (constant) nonrelativistic-limit substitution record."""
-    return _NOTE

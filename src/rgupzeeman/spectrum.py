@@ -1,25 +1,16 @@
 """Zeeman energy shifts per regime, spin-orbit shift, and line generation.
 
 The first-order shift of a strong-field level (j = l +- 1/2, magnetic
-number m_j) decomposes into labelled addends:
-
-    base part (all regimes):
-        jz_plus_sz       -(eB / 2 m_e c) <Jz + Sz>
-    relativistic additions (REL and up):
-        anomalous_sz     -(alpha' eB / 2 pi m_e c) <Sz>
-        p2_jz_minus_sz   +(eB / 4 m_e^3 c^3) <p^2> <Jz - Sz>
-    deformation bracket (RGUP), each times eps gamma^2 (mc)^2:
-        rgup_jz_plus_sz   +(eB / 2 m_e c) <Jz + Sz>
-        rgup_jz_minus_sz  +(eB / 2 m_e c) <Jz - Sz>
-        rgup_anomalous_sz +(alpha' eB / 2 pi m_e c) <Sz>
-        rgup_p2_level     -<p^2> / m_e            (field-independent)
-        rgup_p4_level     +<p^4> / 2 m_e^3 c^2    (field-independent)
-    nonrelativistic deformation limit (GUP), each times -eps gamma^2 <p^2>:
-        gup_p4            from the <p^2>/m_e addend
-        gup_cross         from the <Jz + Sz> addend
+number m_j) is a sum of labelled addends: the base part (all regimes), the
+relativistic additions (REL and up), the deformation bracket, each addend
+times eps gamma^2 (mc)^2 (RGUP), and its nonrelativistic limit, each
+addend times -eps gamma^2 <p^2> (GUP).  Every addend is one entry of the
+term table _TERMS below: its label, regimes, expressions, tags and known
+coefficient defect.  Breakdowns, REGIME_TERM_LABELS and the discrepancy
+report are all read from it.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
-authoritative one) evaluates the expectation expression above with
+authoritative one) evaluates the expectation expression with
 <Jz> = m_j hbar, <Sz> = +- m_j hbar/(2l+1), the angular-only
 <p^2> = hbar^2 l(l+1)/r^2 at r = r0, and <p^4> = <p^2>^2.  "as-published"
 evaluates the quoted closed-form coefficients literally, including their
@@ -33,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import oracle
-from .dispersion import nonrel_limit_note
 from .units import ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams, ValidationError
 
 
@@ -60,6 +51,30 @@ def _is_half_odd(value: float) -> bool:
     doubled = 2.0 * value
     return math.isfinite(doubled) and doubled == round(doubled) \
         and int(round(doubled)) % 2 != 0
+
+
+def _sign(branch: Branch) -> float:
+    """The +- of j = l +- 1/2, which every branch-dependent quantity carries."""
+    return 1.0 if branch is Branch.PLUS else -1.0
+
+
+def _j(l: int, sgn: float) -> float:
+    return l + 0.5 * sgn
+
+
+def _spin_factors(l: int, sgn: float) -> tuple[float, float]:
+    """(1 +- 1/(2l+1), 1 -+ 1/(2l+1)), upper signs for j = l + 1/2.
+
+    The first is the Lande g; <Jz + Sz> and <Jz - Sz> are m_j hbar times
+    the first and the second.
+    """
+    fraction = sgn / (2 * l + 1)
+    return 1.0 + fraction, 1.0 - fraction
+
+
+def _sz(l: int, sgn: float, mj: float, hbar: float) -> float:
+    """<Sz> = +- m_j hbar / (2l + 1)."""
+    return sgn * mj * hbar / (2 * l + 1)
 
 
 @dataclass(frozen=True)
@@ -95,14 +110,14 @@ class QuantumState:
 
     @property
     def j(self) -> float:
-        return self.l + 0.5 if self.branch is Branch.PLUS else self.l - 0.5
+        return _j(self.l, _sign(self.branch))
 
 
 def level_states(n: int, l: int, branch: Branch) -> tuple[QuantumState, ...]:
     """The full m_j multiplet of a level, ordered by increasing m_j."""
     if branch is Branch.MINUS and l == 0:
         raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
-    j = l + 0.5 if branch is Branch.PLUS else l - 0.5
+    j = _j(l, _sign(branch))
     count = int(round(2 * j)) + 1
     return tuple(QuantumState(n=n, l=l, branch=branch, mj=-j + k)
                  for k in range(count))
@@ -126,11 +141,11 @@ def exp_sz(l: int, branch: Branch, mj: float,
         raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
     if not _is_half_odd(mj):
         raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
-    j = l + 0.5 if branch is Branch.PLUS else l - 0.5
+    sgn = _sign(branch)
+    j = _j(l, sgn)
     if abs(mj) > j + 1e-12:
         raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
-    sign = 1.0 if branch is Branch.PLUS else -1.0
-    return sign * mj * table.hbar / (2 * l + 1)
+    return _sz(l, sgn, mj, table.hbar)
 
 
 def exp_ls(ml: int, ms: float, constants: ConstantsTable | None = None) -> float:
@@ -157,20 +172,182 @@ def exp_p2_angular(l: int, r: float | None = None,
     return table.hbar**2 * l * (l + 1) / radius**2
 
 
-# -- shift breakdowns ---------------------------------------------------------
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(what, f"{value!r} is outside double precision")
+    return value
+
+
+def _finite_sum(values, what: str) -> float:
+    """fsum of the values; ValidationError unless it is finite."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # an overflowing sum, or inf - inf
+        total = math.nan
+    return _finite(total, what)
+
+
+# -- the term table -------------------------------------------------------------
 
 LEVEL_SHIFT_TAGS = ("level-shift", "non-magnetic")
 
-#: per-regime term catalogue, in emission order (stable CSV schema)
-REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
-    Regime.LANDE: ("jz_plus_sz",),
-    Regime.REL: ("jz_plus_sz", "anomalous_sz", "p2_jz_minus_sz"),
-    Regime.RGUP: ("jz_plus_sz", "anomalous_sz", "p2_jz_minus_sz",
-                  "rgup_jz_plus_sz", "rgup_jz_minus_sz", "rgup_anomalous_sz",
-                  "rgup_p2_level", "rgup_p4_level"),
-    Regime.GUP: ("jz_plus_sz", "gup_p4", "gup_cross"),
-}
+_DEFORMED = (Regime.GUP, Regime.RGUP)
 
+
+class _Substitutions:
+    """Every quantity a term expression reads, computed once per breakdown.
+
+    scale is the regime's deformation scale: eps gamma^2 (mc)^2, or
+    -eps gamma^2 <p^2> in the nonrelativistic (GUP) limit.  radius
+    overrides the r0 of the angular <p^2> only.
+    """
+
+    __slots__ = ("e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l", "ll",
+                 "mj", "sgn", "jz", "sz", "plus", "minus", "p2", "p4", "scale",
+                 "eps_gamma2")
+
+    def __init__(self, state: QuantumState, params: PhysicalParams, regime: Regime,
+                 radius: float | None):
+        C = params.constants
+        self.e, self.m_e, self.c, self.hbar = C.e, C.m_e, C.c, C.hbar
+        self.alpha, self.r0 = C.alpha, C.r0
+        self.B = params.B
+        self.base = C.e * params.B / (2.0 * C.m_e * C.c)
+        self.l = state.l
+        self.ll = state.l * (state.l + 1)
+        self.mj = state.mj
+        self.sgn = sgn = _sign(state.branch)
+        self.jz = state.mj * C.hbar
+        self.sz = _sz(state.l, sgn, state.mj, C.hbar)
+        self.plus, self.minus = _spin_factors(state.l, sgn)
+        self.p2 = p2 = exp_p2_angular(state.l, radius, C)
+        self.p4 = p2 * p2
+        self.eps_gamma2 = eps_gamma2 = params.eps_gamma2
+        if regime is Regime.GUP:
+            # nonrelativistic limit: p0.p0 -> -hbar^2 grad^2 as c -> infinity,
+            # so the (mc)^2 of the deformation scale becomes -<p^2>
+            self.scale = -eps_gamma2 * p2 + 0.0  # +0.0 normalizes -0.0 away
+        else:
+            self.scale = params.correction_scale
+
+
+@dataclass(frozen=True)
+class _Term:
+    """One addend of the shift.
+
+    derived and published map the substitutions to erg; published is None
+    where the quoted form is the derived one.  A deformation addend is
+    gated as energy_shift_B describes.  ratio is the expected
+    published/derived ratio of a known coefficient defect, classified by
+    ratio_tags.
+    """
+
+    label: str
+    regimes: tuple[Regime, ...]
+    expression: str
+    derived: Callable[[_Substitutions], float]
+    published_expression: str | None = None
+    published: Callable[[_Substitutions], float] | None = None
+    tags: tuple[str, ...] = ()
+    deformation: bool = False
+    ratio: Callable[[ConstantsTable], float] | None = None
+    ratio_tags: tuple[str, ...] = ()
+
+
+_RGUP = (Regime.RGUP,)
+_GUP = (Regime.GUP,)
+
+#: every addend, in emission order (a regime's entries keep this order)
+_TERMS = (
+    _Term("jz_plus_sz", tuple(Regime),
+          "-(e B / 2 m_e c) <Jz + Sz>",
+          lambda s: -s.base * (s.jz + s.sz)),
+    _Term("anomalous_sz", (Regime.REL, Regime.RGUP),
+          "-(alpha' e B / 2 pi m_e c) <Sz>",
+          lambda s: -s.base * (s.alpha / math.pi) * s.sz),
+    _Term("p2_jz_minus_sz", (Regime.REL, Regime.RGUP),
+          "+(e B / 4 m_e^3 c^3) <p^2> <Jz - Sz>",
+          lambda s: (s.e * s.B / (4.0 * s.m_e**3 * s.c**3)) * s.p2 * (s.jz - s.sz),
+          "+(e B / 4 m_e^3 c^3) (mj hbar^2 / r0^2) l(l+1) (1 -+ 1/(2l+1))",
+          lambda s: (s.e * s.B / (4.0 * s.m_e**3 * s.c**3))
+          * (s.mj * s.hbar**2 / s.r0**2) * s.ll * s.minus,
+          ratio=lambda C: 1.0 / C.hbar, ratio_tags=("missing-hbar-power",)),
+    _Term("rgup_jz_plus_sz", _RGUP,
+          "scale * (e B / 2 m_e c) <Jz + Sz>",
+          lambda s: s.scale * s.base * (s.jz + s.sz),
+          "scale * (e B / 2 m_e c) mj hbar (1 +- 1/(2l+1))",
+          lambda s: s.scale * s.base * s.mj * s.hbar * s.plus,
+          deformation=True),
+    _Term("rgup_jz_minus_sz", _RGUP,
+          "scale * (e B / 2 m_e c) <Jz - Sz>",
+          lambda s: s.scale * s.base * (s.jz - s.sz),
+          "scale * (e B / 2 m_e c) mj hbar (1 -+ 1/(2l+1))",
+          lambda s: s.scale * s.base * s.mj * s.hbar * s.minus,
+          deformation=True),
+    _Term("rgup_anomalous_sz", _RGUP,
+          "scale * (alpha' e B / 2 pi m_e c) <Sz>",
+          lambda s: s.scale * s.base * (s.alpha / math.pi) * s.sz,
+          "scale * -+(alpha' e B / 2 pi m_e c) mj hbar / (2l+1)",
+          lambda s: -s.sgn * s.scale * s.base * (s.alpha / math.pi) * s.mj * s.hbar
+          / (2 * s.l + 1),
+          deformation=True, ratio=lambda C: -1.0, ratio_tags=("sign-of-alpha-term",)),
+    _Term("rgup_p2_level", _RGUP,
+          "scale * ( -<p^2> / m_e )",
+          lambda s: s.scale * (-s.p2 / s.m_e),
+          "scale * ( -hbar^2 l(l+1) / m_e )",
+          lambda s: s.scale * (-(s.hbar**2) * s.ll / s.m_e),
+          LEVEL_SHIFT_TAGS, deformation=True,
+          ratio=lambda C: C.r0**2, ratio_tags=("missing-r0-power",)),
+    _Term("rgup_p4_level", _RGUP,
+          "scale * ( +<p^4> / 2 m_e^3 c^2 )",
+          lambda s: s.scale * (s.p4 / (2.0 * s.m_e**3 * s.c**2)),
+          "scale * ( +hbar^4 (l(l+1))^2 / 2 m_e^3 c^2 r0^4 )",
+          lambda s: s.scale * (s.hbar**4 * s.ll * s.ll
+                               / (2.0 * s.m_e**3 * s.c**2 * s.r0**4)),
+          LEVEL_SHIFT_TAGS, deformation=True),
+    _Term("gup_p4", _GUP,
+          "-eps gamma^2 <p^2> * ( -<p^2> / m_e )",
+          lambda s: s.scale * (-s.p2 / s.m_e),
+          "(eps gamma^2 / m_e) hbar^4 (l(l+1))^2 / r0^4",
+          lambda s: (s.eps_gamma2 / s.m_e) * s.hbar**4 * s.ll * s.ll / s.r0**4,
+          LEVEL_SHIFT_TAGS, deformation=True),
+    _Term("gup_cross", _GUP,
+          "-eps gamma^2 <p^2> * (e B / 2 m_e c) <Jz + Sz>",
+          lambda s: s.scale * s.base * (s.jz + s.sz),
+          "-(eps gamma^2 / m_e) (e B mj / c) (hbar^2 / r0^2) l(l+1) (1 +- 1/(2l+1))",
+          lambda s: -(s.eps_gamma2 / s.m_e) * (s.e * s.B * s.mj / s.c)
+          * (s.hbar**2 / s.r0**2) * s.ll * s.plus,
+          deformation=True, ratio=lambda C: 2.0 / C.hbar,
+          ratio_tags=("factor-2", "missing-hbar-power")),
+)
+
+
+def _plan(regime: Regime, published: bool) -> tuple:
+    """(label, expression, value fn, tags, deformation) per term of the regime.
+
+    LANDE and REL ignore the mode: their terms always take the derived form.
+    """
+    quoted = published and regime in _DEFORMED
+    plan = []
+    for t in _TERMS:
+        if regime in t.regimes:
+            form = (t.published_expression, t.published) \
+                if quoted and t.published is not None else (t.expression, t.derived)
+            plan.append((t.label, *form, t.tags, t.deformation))
+    return tuple(plan)
+
+
+#: keyed by (regime, as-published?)
+_PLANS = {(regime, published): _plan(regime, published)
+          for regime in Regime for published in (False, True)}
+_TERM_BY_LABEL = {t.label: t for t in _TERMS}
+
+#: per-regime term labels, in emission order (stable CSV schema)
+REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
+    regime: tuple(entry[0] for entry in _PLANS[regime, False]) for regime in Regime}
+
+
+# -- shift breakdowns ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class ShiftTerm:
@@ -211,107 +388,41 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
 
     radius overrides the r0 used inside the angular <p^2> substitution
     (derived mode only; the quoted coefficients are tied to r0 as printed).
-    Deformation addends are emitted only when their scale is nonzero, so a
+    Deformation addends are emitted only while the regime's deformation is
+    on (RGUP: eps gamma^2 (mc)^2 != 0; GUP: eps gamma^2 != 0), so a
     gamma = 0 RGUP breakdown is term-for-term the REL one and a gamma = 0
-    GUP breakdown is the LANDE one.
+    GUP breakdown is the LANDE one.  Raises ValidationError when the scale,
+    a term or the total is not finite in double precision.
     """
     if not isinstance(regime, Regime):
         raise ValidationError("regime", f"unknown regime {regime!r}")
-    if regime in (Regime.GUP, Regime.RGUP) and params.epsilon < 0:
+    if regime in _DEFORMED and params.epsilon < 0:
         raise ValidationError("epsilon", "deformed regimes require epsilon >= 0")
 
-    C = params.constants
-    hbar = C.hbar
-    B = params.B
-    base = C.e * B / (2.0 * C.m_e * C.c)
-    sgn = 1.0 if state.branch is Branch.PLUS else -1.0
-    # exp_jz / exp_sz without their re-validation: QuantumState already holds
-    jz = state.mj * hbar
-    sz = sgn * state.mj * hbar / (2 * state.l + 1)
-    p2 = exp_p2_angular(state.l, radius, C)
-    p4 = p2 * p2
-    scale = params.correction_scale
-    ll = state.l * (state.l + 1)
-    plus_factor = 1.0 + sgn / (2 * state.l + 1)
-    minus_factor = 1.0 - sgn / (2 * state.l + 1)
+    subs = _Substitutions(state, params, regime, radius)
+    scale = _finite(subs.scale, "correction_scale")
+    deformed = (subs.eps_gamma2 if regime is Regime.GUP else scale) != 0.0
 
-    published = (mode is Mode.AS_PUBLISHED) and regime in (Regime.GUP, Regime.RGUP)
-
-    terms: list[ShiftTerm] = []
-
-    def add(label, expression, value, tags=()):
-        terms.append(ShiftTerm(label=label, expression=expression,
-                               value_erg=value + 0.0, tags=tuple(tags)))  # +0.0 drops -0.0
-
-    add("jz_plus_sz", "-(e B / 2 m_e c) <Jz + Sz>", -base * (jz + sz))
-
-    if regime in (Regime.REL, Regime.RGUP):
-        add("anomalous_sz", "-(alpha' e B / 2 pi m_e c) <Sz>",
-            -base * (C.alpha / math.pi) * sz)
-        if published:
-            add("p2_jz_minus_sz",
-                "+(e B / 4 m_e^3 c^3) (mj hbar^2 / r0^2) l(l+1) (1 -+ 1/(2l+1))",
-                (C.e * B / (4.0 * C.m_e**3 * C.c**3))
-                * (state.mj * hbar**2 / C.r0**2) * ll * minus_factor)
-        else:
-            add("p2_jz_minus_sz", "+(e B / 4 m_e^3 c^3) <p^2> <Jz - Sz>",
-                (C.e * B / (4.0 * C.m_e**3 * C.c**3)) * p2 * (jz - sz))
-
-    if regime is Regime.RGUP and scale != 0.0:
-        if published:
-            add("rgup_jz_plus_sz",
-                "scale * (e B / 2 m_e c) mj hbar (1 +- 1/(2l+1))",
-                scale * base * state.mj * hbar * plus_factor)
-            add("rgup_jz_minus_sz",
-                "scale * (e B / 2 m_e c) mj hbar (1 -+ 1/(2l+1))",
-                scale * base * state.mj * hbar * minus_factor)
-            add("rgup_anomalous_sz",
-                "scale * -+(alpha' e B / 2 pi m_e c) mj hbar / (2l+1)",
-                -sgn * scale * base * (C.alpha / math.pi) * state.mj * hbar / (2 * state.l + 1))
-            add("rgup_p2_level", "scale * ( -hbar^2 l(l+1) / m_e )",
-                scale * (-(hbar**2) * ll / C.m_e), LEVEL_SHIFT_TAGS)
-            add("rgup_p4_level", "scale * ( +hbar^4 (l(l+1))^2 / 2 m_e^3 c^2 r0^4 )",
-                scale * (hbar**4 * ll * ll / (2.0 * C.m_e**3 * C.c**2 * C.r0**4)),
-                LEVEL_SHIFT_TAGS)
-        else:
-            add("rgup_jz_plus_sz", "scale * (e B / 2 m_e c) <Jz + Sz>",
-                scale * base * (jz + sz))
-            add("rgup_jz_minus_sz", "scale * (e B / 2 m_e c) <Jz - Sz>",
-                scale * base * (jz - sz))
-            add("rgup_anomalous_sz", "scale * (alpha' e B / 2 pi m_e c) <Sz>",
-                scale * base * (C.alpha / math.pi) * sz)
-            add("rgup_p2_level", "scale * ( -<p^2> / m_e )",
-                scale * (-p2 / C.m_e), LEVEL_SHIFT_TAGS)
-            add("rgup_p4_level", "scale * ( +<p^4> / 2 m_e^3 c^2 )",
-                scale * (p4 / (2.0 * C.m_e**3 * C.c**2)), LEVEL_SHIFT_TAGS)
-
-    if regime is Regime.GUP:
-        # nonrelativistic limit: the deformation scale becomes -eps gamma^2 <p^2>
-        gscale = nonrel_limit_note().substitute_mass_shell(params.eps_gamma2, p2)
-        scale = gscale
-        if params.eps_gamma2 != 0.0:
-            if published:
-                add("gup_p4", "(eps gamma^2 / m_e) hbar^4 (l(l+1))^2 / r0^4",
-                    (params.eps_gamma2 / C.m_e) * hbar**4 * ll * ll / C.r0**4,
-                    LEVEL_SHIFT_TAGS)
-                add("gup_cross",
-                    "-(eps gamma^2 / m_e) (e B mj / c) (hbar^2 / r0^2) l(l+1) (1 +- 1/(2l+1))",
-                    -(params.eps_gamma2 / C.m_e) * (C.e * B * state.mj / C.c)
-                    * (hbar**2 / C.r0**2) * ll * plus_factor)
-            else:
-                add("gup_p4", "-eps gamma^2 <p^2> * ( -<p^2> / m_e )",
-                    gscale * (-p2 / C.m_e), LEVEL_SHIFT_TAGS)
-                add("gup_cross", "-eps gamma^2 <p^2> * (e B / 2 m_e c) <Jz + Sz>",
-                    gscale * base * (jz + sz))
-
+    terms = []
+    plan = _PLANS[regime, mode is Mode.AS_PUBLISHED]
+    for label, expression, value_of, tags, deformation in plan:
+        if deformation and not deformed:
+            continue
+        # +0.0 drops -0.0
+        terms.append(ShiftTerm(label, expression, value_of(subs) + 0.0, tags))
+    try:
+        _finite_sum([t.value_erg for t in terms], "total")
+    except ValidationError:
+        for t in terms:  # name the term that left double precision, if one did
+            _finite(t.value_erg, t.label)
+        raise
     return ShiftBreakdown(state=state, regime=regime, mode=mode,
                           correction_scale=scale, terms=tuple(terms))
 
 
 def lande_g_factor(l: int, branch: Branch) -> float:
     """Textbook Lande g for s = 1/2: g = 1 +- 1/(2l+1)."""
-    sgn = 1.0 if branch is Branch.PLUS else -1.0
-    return 1.0 + sgn / (2 * l + 1)
+    return _spin_factors(l, _sign(branch))[0]
 
 
 def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
@@ -352,16 +463,19 @@ class ZeemanLine:
 
 
 def _split_magnetic(breakdown: ShiftBreakdown) -> tuple[float, float]:
-    magnetic = math.fsum(t.value_erg for t in breakdown.terms
-                         if "non-magnetic" not in t.tags)
-    offset = math.fsum(t.value_erg for t in breakdown.terms
-                       if "non-magnetic" in t.tags)
-    return magnetic, offset
+    magnetic, offset = [], []
+    for t in breakdown.terms:
+        (offset if "non-magnetic" in t.tags else magnetic).append(t.value_erg)
+    return _finite_sum(magnetic, "shift"), _finite_sum(offset, "level_offset")
 
 
 def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                  mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
-    """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}."""
+    """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}.
+
+    Raises ValidationError when a line shift or offset is not finite in
+    double precision.
+    """
     upper = tuple(upper)
     lower = tuple(lower)
     if not upper or not lower:
@@ -371,10 +485,12 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
     for state in upper + lower:
         if state not in shifts:
             shifts[state] = _split_magnetic(energy_shift_B(state, params, regime, mode))
+    lower_shifts = [(lo, *shifts[lo]) for lo in lower]
 
     lines = []
     for u in upper:
-        for lo in lower:
+        mag_u, off_u = shifts[u]
+        for lo, mag_l, off_l in lower_shifts:
             if abs(u.l - lo.l) != 1:
                 continue
             delta = u.mj - lo.mj
@@ -384,30 +500,18 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                 pol = "pi"
             else:
                 pol = "sigma+" if delta > 0 else "sigma-"
-            mag_u, off_u = shifts[u]
-            mag_l, off_l = shifts[lo]
+            shift, offset = mag_u - mag_l, off_u - off_l
+            if not (math.isfinite(shift) and math.isfinite(offset)):
+                raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
+                                               "is outside double precision")
             lines.append(ZeemanLine(upper=u, lower=lo, delta_mj=delta,
-                                    polarization=pol,
-                                    shift_erg=mag_u - mag_l,
-                                    level_offset_erg=off_u - off_l))
+                                    polarization=pol, shift_erg=shift,
+                                    level_offset_erg=offset))
     lines.sort(key=lambda ln: (ln.upper.mj, ln.lower.mj))
     return tuple(lines)
 
 
 # -- derived vs as-published comparison ----------------------------------------
-
-#: known coefficient defects in the quoted formulas: expected published/derived
-#: ratio plus classification tags, keyed by (regime, term label)
-_DISCREPANCY_CATALOGUE = {
-    (Regime.RGUP, "p2_jz_minus_sz"):
-        (lambda C: 1.0 / C.hbar, ("missing-hbar-power",)),
-    (Regime.RGUP, "rgup_anomalous_sz"):
-        (lambda C: -1.0, ("sign-of-alpha-term",)),
-    (Regime.RGUP, "rgup_p2_level"):
-        (lambda C: C.r0**2, ("missing-r0-power",)),
-    (Regime.GUP, "gup_cross"):
-        (lambda C: 2.0 / C.hbar, ("factor-2", "missing-hbar-power")),
-}
 
 _AGREE_RTOL = 1e-12
 _RATIO_RTOL = 1e-9
@@ -435,28 +539,29 @@ class DiscrepancyReport:
 
 
 def discrepancy_report(state: QuantumState, params: PhysicalParams) -> DiscrepancyReport:
-    """Evaluate GUP and RGUP in both modes and classify per-term differences."""
+    """Evaluate GUP and RGUP in both modes and classify per-term differences.
+
+    A difference whose published/derived ratio matches its term's expected
+    ratio takes the term's class tags; any other is "uncatalogued".
+    """
     differences = []
     agreements = []
     for regime in (Regime.RGUP, Regime.GUP):
         derived = energy_shift_B(state, params, regime, Mode.DERIVED)
         published = energy_shift_B(state, params, regime, Mode.AS_PUBLISHED)
-        for label in derived.labels():
-            dval = derived.term(label).value_erg
-            pval = published.term(label).value_erg
-            if dval == 0.0 and pval == 0.0:
-                agreements.append(f"{regime.value}:{label}")
-                continue
-            if dval != 0.0 and abs(pval - dval) <= _AGREE_RTOL * abs(dval):
+        for dterm, pterm in zip(derived.terms, published.terms):
+            label, dval, pval = dterm.label, dterm.value_erg, pterm.value_erg
+            if (dval == 0.0 and pval == 0.0) or \
+                    (dval != 0.0 and abs(pval - dval) <= _AGREE_RTOL * abs(dval)):
                 agreements.append(f"{regime.value}:{label}")
                 continue
             ratio = pval / dval if dval != 0.0 else None
             tags = ("uncatalogued",)
-            entry = _DISCREPANCY_CATALOGUE.get((regime, label))
-            if entry is not None and ratio is not None:
-                expected_ratio, known_tags = entry[0](params.constants), entry[1]
+            term = _TERM_BY_LABEL[label]
+            if term.ratio is not None and ratio is not None:
+                expected_ratio = term.ratio(params.constants)
                 if abs(ratio - expected_ratio) <= _RATIO_RTOL * abs(expected_ratio):
-                    tags = known_tags
+                    tags = term.ratio_tags
             differences.append(TermDifference(
                 regime=regime, label=label, derived_erg=dval,
                 published_erg=pval, ratio=ratio, tags=tags))

@@ -143,9 +143,15 @@ class PhysicalParams:
 
     @property
     def correction_scale(self) -> float:
-        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2."""
+        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2.
+
+        Not finite when (gamma m c)^2 overflows double precision.
+        """
         mc = self.m * self.constants.c
-        return self.epsilon * (self.gamma * mc) ** 2
+        try:
+            return self.epsilon * (self.gamma * mc) ** 2
+        except OverflowError:  # float ** raises where float * gives inf
+            return self.epsilon * math.inf
 
 
 def make_params(

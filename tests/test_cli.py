@@ -195,6 +195,20 @@ def test_oracle_cli_non_finite_value_is_exit_4(monkeypatch, capsys):
     assert err == "rgupz: verification failure: quadrature on 120 nodes gave a non-finite value\n"
 
 
+def test_oracle_node_cap_exits_before_any_rule_is_built(main, monkeypatch):
+    from rgupzeeman import cli
+
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+    for name in ("radial_expectation", "p2_expectation_exact", "p4_expectation_exact"):
+        monkeypatch.setattr(cli, name, quadrature)
+    for nodes in (cli.MAX_ORACLE_NODES + 1, 100_000_000):
+        status, out, err = main("oracle", "--n", "2", "--l", "1", "--nodes", str(nodes))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("rgupz: error: ") and len(err.splitlines()) == 1
+
+
 def test_only_oracle_loads_numpy_and_scipy():
     script = (
         "import contextlib, io, sys\n"
@@ -281,12 +295,43 @@ def main(monkeypatch, capsys):
     (("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--gamma", "abc"), 2),
     (("--param", "l", "--values", "1,inf", "--mj", "0.5"), 3),
     (("--param", "mj", "--values", "0.5,nan", "--l", "1"), 3),
-], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj"))
+    (("--param", "B", "--values", "1,2,1e300", "--l", "1", "--mj", "0.5"), 3),
+    (("--param", "epsilon", "--values", "0,1,1e300", "--l", "1", "--mj", "0.5",
+      "--regime", "rgup", "--gamma", "1e100"), 3),
+], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj", "overflowing-field",
+        "overflowing-epsilon"))
 def test_sweep_prints_all_or_nothing(main, argv, code):
     status, out, err = main("sweep", *argv)
     assert status == code
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+_SHIFT = ("shift", "--l", "1", "--mj", "0.5")
+_LINES = ("lines", "--upper-l", "1", "--lower-l", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_SHIFT, "--regime", "rgup", "--gamma", "1e300"),
+    (*_SHIFT, "--regime", "gup", "--gamma", "1e300"),
+    (*_LINES, "--regime", "rgup", "--gamma", "1e300"),
+    (*_LINES, "--regime", "gup", "--gamma", "1e300"),
+    ("discrepancy", "--l", "1", "--mj", "0.5", "--gamma", "1e300"),
+    (*_SHIFT, "--regime", "gup", "--gamma", "1e160"),
+    (*_SHIFT, "--regime", "gup", "--mode", "as-published", "--gamma", "1e150", "--json"),
+    (*_SHIFT, "--B-tesla", "1e300"),
+    (*_SHIFT, "--B-tesla", "1e300", "--json"),
+    (*_LINES, "--B-tesla", "1e300"),
+    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--unit", "erg"),
+], ids=("rgup-scale-overflow", "gup-scale-overflow", "lines-rgup-scale-overflow",
+        "lines-gup-scale-overflow", "discrepancy-scale-overflow", "gup-infinite-scale",
+        "as-published-gup-term-overflow", "field-overflow", "field-overflow-json",
+        "lines-field-overflow", "rgup-term-overflow"))
+def test_non_finite_results_are_domain_errors(main, argv):
+    status, out, err = main(*argv)
+    assert status == 3
+    assert out == ""
+    assert err.startswith("rgupz: domain error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,6 +363,21 @@ def test_dispersion_rejects_non_physical_input(main, argv):
     assert status == 3
     assert out == ""
     assert err.startswith("rgupz: domain error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--eps-gamma2", "-5"),
+    ("--eps-gamma2", "0.01", "--m-grams", "1e-27"),
+    ("--mc", "1", "--m-grams", "3"),
+    ("--mc", "1", "--epsilon", "2"),
+    ("--mc", "1", "--gamma", "1e-20"),
+], ids=("eps-gamma2-without-mc", "eps-gamma2-with-m-grams", "mc-with-m-grams",
+        "mc-with-epsilon", "mc-with-gamma"))
+def test_dispersion_rejects_conflicting_flags(main, argv):
+    status, out, err = main("dispersion", *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("rgupz: error: ") and len(err.splitlines()) == 1
 
 
 def test_dispersion_json_is_strict(main):

@@ -1,16 +1,12 @@
 """Deformed mass-shell root: exactness, series agreement, limits."""
 
-import math
-
 import numpy as np
 import pytest
 
 from rgupzeeman.dispersion import (
     TransPlanckianMassError,
-    nonrel_limit_note,
     p0sq_exact,
     p0sq_series,
-    solve_from_params,
     solve_mass_shell,
 )
 from rgupzeeman.units import make_params
@@ -88,23 +84,13 @@ def test_solution_record():
     assert sol.order == 2
 
 
-def test_solve_from_params_physical_scale():
+def test_solve_mass_shell_physical_scale():
     params = make_params(B=0.0, epsilon=1.0, gamma_mode="planck")
-    sol = solve_from_params(params)
-    mc2 = (params.m * params.constants.c) ** 2
+    mc = params.m * params.constants.c
+    sol = solve_mass_shell(mc, params.eps_gamma2)
     # deformation is ~1e-45: the root is -(mc)^2 to every retained digit
-    assert sol.exact_root == pytest.approx(-mc2, rel=1e-15)
+    assert sol.exact_root == pytest.approx(-mc * mc, rel=1e-15)
     assert abs(sol.residual) <= 1e-12
-
-
-def test_nonrel_limit_note_is_constant_and_substitutes():
-    note_a = nonrel_limit_note()
-    note_b = nonrel_limit_note()
-    assert note_a is note_b
-    assert "grad" in note_a.statement
-    assert note_a.substitute_mass_shell(2.0, 3.0) == -6.0
-    assert note_a.substitute_mass_shell(0.0, 3.0) == 0.0
-    assert not math.copysign(1.0, note_a.substitute_mass_shell(0.0, 3.0)) < 0
 
 
 def test_residual_of_an_underflowing_mc_squared_is_finite():

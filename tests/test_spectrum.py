@@ -8,6 +8,7 @@ import pytest
 
 from rgupzeeman.oracle import radial_expectation
 from rgupzeeman.spectrum import (
+    LEVEL_SHIFT_TAGS,
     Branch,
     Mode,
     QuantumState,
@@ -445,6 +446,23 @@ def test_lines_delta_l_selection():
     same_l_upper = level_states(2, 1, Branch.PLUS)
     same_l_lower = level_states(3, 1, Branch.MINUS)
     assert zeeman_lines(same_l_upper, same_l_lower, PLANCK, Regime.LANDE) == ()
+
+
+@pytest.mark.parametrize("magnetic, offset", [
+    ((1.5e308,), (0.0,)),            # each level fits, the line shift does not
+    ((1.0,), (1e308, 1e308)),        # one level's offset sum overflows
+], ids=("shift-difference", "offset-sum"))
+def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset):
+    from rgupzeeman import spectrum
+
+    def breakdown(state, params, regime, mode):
+        terms = [spectrum.ShiftTerm("m", "", math.copysign(v, state.mj)) for v in magnetic]
+        terms += [spectrum.ShiftTerm("o", "", v, LEVEL_SHIFT_TAGS) for v in offset]
+        return spectrum.ShiftBreakdown(state, regime, mode, 0.0, tuple(terms))
+    monkeypatch.setattr(spectrum, "energy_shift_B", breakdown)
+    with pytest.raises(ValidationError):
+        zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
+                     PLANCK, Regime.LANDE)
 
 
 def test_lines_empty_sets_rejected():
