@@ -14,7 +14,9 @@ upper-cased with dots replaced by underscores and the RGUPZ_ prefix
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -46,6 +48,7 @@ from .units import (
     ValidationError,
     constants_dump,
     convert_energy,
+    is_integer,
     load_constants,
     make_params,
 )
@@ -116,7 +119,7 @@ def _parse_float(text: str, what: str) -> float:
         raise CLIUsageError(f"{what}: expected a number, got {text!r}") from None
 
 
-def _param_values(args, cfg: RunConfig) -> tuple[float, float, float | None, int]:
+def _param_values(args, cfg: RunConfig) -> tuple[float, float, float | None, float]:
     """(B in tesla, epsilon, gamma or None for planck, Z) from flags and config."""
     b_tesla = args.B_tesla if getattr(args, "B_tesla", None) is not None \
         else _parse_float(cfg.resolve("params.b_tesla"), "params.b_tesla")
@@ -125,12 +128,12 @@ def _param_values(args, cfg: RunConfig) -> tuple[float, float, float | None, int
     gamma_text = args.gamma if getattr(args, "gamma", None) is not None \
         else cfg.resolve("params.gamma")
     Z = args.Z if getattr(args, "Z", None) is not None \
-        else int(_parse_float(cfg.resolve("params.z"), "params.z"))
+        else _parse_float(cfg.resolve("params.z"), "params.z")
     gamma = None if gamma_text == "planck" else _parse_float(gamma_text, "--gamma")
     return b_tesla, epsilon, gamma, Z
 
 
-def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: int,
+def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: float,
                  m: float | None = None):
     return make_params(B=b_tesla * GAUSS_PER_TESLA, epsilon=epsilon,
                        gamma_mode="planck" if gamma is None else "explicit",
@@ -172,6 +175,15 @@ def _unit_from(args, cfg: RunConfig) -> str:
     return unit
 
 
+def _in_unit(values_erg, unit: str) -> list[float]:
+    """The erg values in the display unit; ValidationError unless all stay finite."""
+    per_erg = convert_energy(1.0, "erg", unit)  # same bits as one call per value
+    values = [value * per_erg for value in values_erg]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("unit", f"a value is outside double precision in {unit}")
+    return values
+
+
 def _state_dict(state: QuantumState) -> dict:
     return {"n": state.n, "l": state.l, "branch": state.branch.value,
             "mj": state.mj}
@@ -205,6 +217,9 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     unit = _unit_from(args, cfg)
     breakdown = energy_shift_B(state, params, regime, mode)
     fmt = _output_format(args, cfg)
+    # json and csv carry eV next to erg; the table shows the display unit
+    *shown, total = _in_unit([*(t.value_erg for t in breakdown.terms),
+                              breakdown.total_erg], "eV" if fmt != "table" else unit)
 
     if fmt == "json":
         payload = {
@@ -215,13 +230,11 @@ def cmd_shift(args, cfg: RunConfig) -> int:
             "correction_scale": breakdown.correction_scale,
             "terms": [
                 {"label": t.label, "expression": t.expression,
-                 "value_erg": t.value_erg,
-                 "value_eV": convert_energy(t.value_erg, "erg", "eV"),
-                 "tags": list(t.tags)}
-                for t in breakdown.terms
+                 "value_erg": t.value_erg, "value_eV": value, "tags": list(t.tags)}
+                for t, value in zip(breakdown.terms, shown)
             ],
             "total_erg": breakdown.total_erg,
-            "total_eV": convert_energy(breakdown.total_erg, "erg", "eV"),
+            "total_eV": total,
         }
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
@@ -230,13 +243,11 @@ def cmd_shift(args, cfg: RunConfig) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["regime", "mode", "label", "expression",
                          "value_erg", "value_eV"])
-        for t in breakdown.terms:
+        for t, value in zip(breakdown.terms, shown):
             writer.writerow([regime.value, mode.value, t.label, t.expression,
-                             repr(t.value_erg),
-                             repr(convert_energy(t.value_erg, "erg", "eV"))])
+                             repr(t.value_erg), repr(value)])
         writer.writerow([regime.value, mode.value, "TOTAL", "",
-                         repr(breakdown.total_erg),
-                         repr(convert_energy(breakdown.total_erg, "erg", "eV"))])
+                         repr(breakdown.total_erg), repr(total)])
         return 0
 
     width = max(len("TOTAL"), *(len(t.label) for t in breakdown.terms))
@@ -246,11 +257,9 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     print(f"B_gauss          {params.B!r}")
     print(f"correction_scale {breakdown.correction_scale!r}")
     print(f"unit             {unit}")
-    for t in breakdown.terms:
-        value = convert_energy(t.value_erg, "erg", unit)
+    for t, value in zip(breakdown.terms, shown):
         flags = f"  [{', '.join(t.tags)}]" if t.tags else ""
         print(f"{t.label:<{width}}  {_fmt(value)}  {t.expression}{flags}")
-    total = convert_energy(breakdown.total_erg, "erg", unit)
     print(f"{'TOTAL':<{width}}  {_fmt(total)}")
     return 0
 
@@ -260,24 +269,8 @@ _SWEEP_COLUMN = {"B": "B_tesla", "epsilon": "epsilon", "l": "l",
                  "mj": "mj", "n": "n"}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One validated sweep: the grid (sorted), regime, mode, display unit."""
-
-    param: str
-    values: tuple[float, ...]
-    regime: Regime
-    mode: Mode
-    unit: str
-
-    def __post_init__(self):
-        if self.param not in _SWEEP_PARAMS:
-            raise CLIUsageError(f"--param must be one of {', '.join(_SWEEP_PARAMS)}")
-        if not self.values:
-            raise CLIUsageError("sweep grid is empty")
-
-
-def _sweep_spec(args, cfg: RunConfig) -> SweepSpec:
+def _sweep_grid(args) -> list[float]:
+    """The swept values from --values or --from/--to/--steps, sorted."""
     if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -296,60 +289,62 @@ def _sweep_spec(args, cfg: RunConfig) -> SweepSpec:
         else:
             span = (args.stop - args.start) / (steps - 1)
             values = [args.start + k * span for k in range(steps)]
-    return SweepSpec(param=args.param, values=tuple(sorted(values)),
-                     regime=Regime(args.regime), mode=Mode(args.mode),
-                     unit=_unit_from(args, cfg))
+    return sorted(values)
 
 
-def _sweep_records(spec: SweepSpec, args, param_values):
+def _sweep_records(values, args, param_values):
     """Yield (value, params, state) for each grid point.
 
     Only the swept record is built per row; the fixed one is built on the
     first row and reused.  Params come before the state within a row, so the
     first bad row raises what the matching `shift` call would.
     """
+    param = args.param
     b_tesla, epsilon, gamma, Z = param_values
     params = state = None
-    for value in spec.values:
-        if spec.param == "B":
+    for value in values:
+        if param == "B":
             params = _make_params(value, epsilon, gamma, Z)
-        elif spec.param == "epsilon":
+        elif param == "epsilon":
             params = _make_params(b_tesla, value, gamma, Z)
         elif params is None:
             params = _make_params(b_tesla, epsilon, gamma, Z)
-        if spec.param == "mj":
+        if param == "mj":
             state = _state_from(args, mj=value)
-        elif spec.param in ("l", "n"):
-            if not value.is_integer():
-                raise ValidationError(spec.param, f"swept {spec.param} must be an "
-                                                  f"integer, got {value!r}")
-            state = _state_from(args, **{spec.param: int(value)})
+        elif param in ("l", "n"):
+            if not is_integer(value):
+                raise ValidationError(param, f"swept {param} must be an integer, "
+                                             f"got {value!r}")
+            state = _state_from(args, **{param: int(value)})
         elif state is None:
             state = _state_from(args)
         yield value, params, state
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    spec = _sweep_spec(args, cfg)
-    regime, mode = spec.regime, spec.mode
+    values = _sweep_grid(args)
+    regime, mode = Regime(args.regime), Mode(args.mode)
+    unit = _unit_from(args, cfg)
     param_values = _param_values(args, cfg)
     # validate the whole grid before the first write, keeping nothing, so a
     # bad grid point prints no partial CSV and a long sweep stays streamed
     first = last = None
-    for last in _sweep_records(spec, args, param_values):
+    for last in _sweep_records(values, args, param_values):
         if first is None:
             first = last
     # each term is monotone in the swept B, epsilon, l or |mj| (and |mj| peaks
-    # at an end of the sorted grid), so if both end rows stay inside double
-    # precision every row does
+    # at an end of the sorted grid), and so is its value in the display unit,
+    # a positive multiple; if both end rows stay inside double precision,
+    # every row does
     for _, params, state in (first, last):
-        energy_shift_B(state, params, regime, mode)
+        breakdown = energy_shift_B(state, params, regime, mode)
+        _in_unit([*(t.value_erg for t in breakdown.terms), breakdown.total_erg], unit)
 
     labels = REGIME_TERM_LABELS[regime]
-    per_erg = convert_energy(1.0, "erg", spec.unit)  # same bits as per-value calls
+    per_erg = convert_energy(1.0, "erg", unit)  # same bits as per-value calls
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow([_SWEEP_COLUMN[spec.param], "regime", *labels, "total"])
-    for value, params, state in _sweep_records(spec, args, param_values):
+    writer.writerow([_SWEEP_COLUMN[args.param], "regime", *labels, "total"])
+    for value, params, state in _sweep_records(values, args, param_values):
         breakdown = energy_shift_B(state, params, regime, mode)
         present = {t.label: t.value_erg for t in breakdown.terms}
         writer.writerow([repr(value), regime.value,
@@ -385,10 +380,9 @@ def cmd_lines(args, cfg: RunConfig) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
+    shown = _in_unit([v for ln in lines for v in (ln.shift_erg, ln.level_offset_erg)], unit)
     print(f"lines ({len(lines)}), regime {regime.value}, unit {unit}")
-    for ln in lines:
-        shift = convert_energy(ln.shift_erg, "erg", unit)
-        offset = convert_energy(ln.level_offset_erg, "erg", unit)
+    for ln, shift, offset in zip(lines, shown[::2], shown[1::2]):
         print(f"mj {ln.upper.mj:+.1f} -> {ln.lower.mj:+.1f}  {ln.polarization:<6} "
               f"shift {_fmt(shift)}  offset {_fmt(offset)}")
     return 0
@@ -434,11 +428,9 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
         mc = args.mc
         eps_gamma2 = args.eps_gamma2 if args.eps_gamma2 is not None else 0.0
     else:
-        gamma = _parse_float(args.gamma, "--gamma") if args.gamma not in (None, "planck") \
-            else None
-        # make_params holds the rules for m, epsilon and gamma
-        params = _make_params(0.0, args.epsilon if args.epsilon is not None else 1.0,
-                              gamma, 1, m=args.m_grams)
+        _, epsilon, gamma, _ = _param_values(args, cfg)
+        # PhysicalParams holds the rules for m, epsilon and gamma
+        params = _make_params(0.0, epsilon, gamma, 1, m=args.m_grams)
         mc = params.m * params.constants.c
         eps_gamma2 = params.eps_gamma2
     if not (mc > 0.0 and math.isfinite(mc)):
@@ -510,11 +502,8 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
         # warnings; the one failure line below reports it instead
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            moments = {}
-            for k in range(-3, 3):
-                if k == -3 and l == 0:
-                    continue
-                moments[str(k)] = radial_expectation(n, l, Z, k, n_nodes=args.nodes)
+            moments = {str(k): radial_expectation(n, l, Z, k, n_nodes=args.nodes)
+                       for k in range(-3 if l else -2, 3)}  # <r^-3> diverges at l = 0
             payload = {
                 "n": n, "l": l, "Z": Z, "nodes": args.nodes,
                 "r_moments_cm^k": moments,
@@ -668,11 +657,16 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         cfg = RunConfig.load(getattr(args, "config", None))
-        if getattr(args, "banner", False):
-            print(f"rgupz {__version__}")
         # looked up at call time, so a replaced cmd_* attribute is the one run
         command = globals()["cmd_" + args.command.replace("-", "_")]
-        return command(args, cfg)
+        if not getattr(args, "banner", False):
+            return command(args, cfg)
+        # held back until the command returns, so a failing one prints nothing
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = command(args, cfg)
+        if out.getvalue():
+            sys.stdout.write(f"rgupz {__version__}\n{out.getvalue()}")
+        return code
     except CLIUsageError as exc:
         print(f"rgupz: error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .units import ConstantsTable, DEFAULT_CONSTANTS, ValidationError
+from .units import ConstantsTable, DEFAULT_CONSTANTS, ValidationError, check_Z, check_n_l
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,12 +39,15 @@ DEFAULT_NODES = 120
 
 
 def _check_qn(n: int, l: int, Z: int) -> None:
-    if n < 1 or int(n) != n:
-        raise ValidationError("n", f"principal quantum number must be >= 1, got {n!r}")
-    if l < 0 or l >= n or int(l) != l:
-        raise ValidationError("l", f"orbital quantum number must satisfy 0 <= l < n, got {l!r}")
-    if Z < 1 or int(Z) != Z:
-        raise ValidationError("Z", f"nuclear charge must be a positive integer, got {Z!r}")
+    check_n_l(n, l)
+    check_Z(Z)
+
+
+def _check_moment(l: int, k: int) -> None:
+    if k not in range(-3, 3):
+        raise ValidationError("k", f"moment order must be in -3..2, got {k!r}")
+    if k == -3 and l == 0:
+        raise ValidationError("k", "<r^-3> diverges for l = 0")
 
 
 @lru_cache(maxsize=16)
@@ -134,10 +137,7 @@ def radial_expectation(n: int, l: int, Z: int, k: int,
     import numpy as np
 
     _check_qn(n, l, Z)
-    if not -3 <= k <= 2:
-        raise ValidationError("k", f"moment order must be in -3..2, got {k!r}")
-    if k == -3 and l == 0:
-        raise ValidationError("k", "<r^-3> diverges for l = 0")
+    _check_moment(l, k)
     table = constants if constants is not None else DEFAULT_CONSTANTS
     grid = make_grid(n, Z, table, n_nodes)
     s = grid.scale
@@ -151,6 +151,7 @@ def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
                               constants: ConstantsTable | None = None) -> float:
     """Textbook hydrogenic <r^k> in terms of a = r0/Z, for k in -3..2."""
     _check_qn(n, l, Z)
+    _check_moment(l, k)
     table = constants if constants is not None else DEFAULT_CONSTANTS
     a = table.r0 / Z
     ll = l * (l + 1)
@@ -164,11 +165,7 @@ def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
         return 1.0 / (a * n * n)
     if k == -2:
         return 1.0 / (a * a * n**3 * (l + 0.5))
-    if k == -3:
-        if l == 0:
-            raise ValidationError("k", "<r^-3> diverges for l = 0")
-        return 1.0 / (a**3 * n**3 * l * (l + 0.5) * (l + 1))
-    raise ValidationError("k", f"moment order must be in -3..2, got {k!r}")
+    return 1.0 / (a**3 * n**3 * l * (l + 0.5) * (l + 1))  # k == -3
 
 
 def energy_level(n: int, Z: int = 1,

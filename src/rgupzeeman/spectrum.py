@@ -27,7 +27,8 @@ from enum import Enum
 from typing import Callable
 
 from . import oracle
-from .units import ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams, ValidationError
+from .units import (ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams, ValidationError,
+                    check_n_l, is_integer)
 
 
 class Branch(Enum):
@@ -49,8 +50,7 @@ class Mode(Enum):
 
 def _is_half_odd(value: float) -> bool:
     doubled = 2.0 * value
-    return math.isfinite(doubled) and doubled == round(doubled) \
-        and int(round(doubled)) % 2 != 0
+    return is_integer(doubled) and int(doubled) % 2 != 0
 
 
 def _sign(branch: Branch) -> float:
@@ -90,10 +90,7 @@ class QuantumState:
     ms: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValidationError("n", f"must be a positive integer, got {self.n!r}")
-        if self.l < 0 or self.l >= self.n or int(self.l) != self.l:
-            raise ValidationError("l", f"must satisfy 0 <= l < n, got {self.l!r}")
+        check_n_l(self.n, self.l)
         if self.branch is Branch.MINUS and self.l == 0:
             raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
         if not _is_half_odd(self.mj):
@@ -103,7 +100,7 @@ class QuantumState:
         if (self.ml is None) != (self.ms is None):
             raise ValidationError("ml", "ml and ms must be given together")
         if self.ml is not None:
-            if abs(self.ml) > self.l or int(self.ml) != self.ml:
+            if abs(self.ml) > self.l or not is_integer(self.ml):
                 raise ValidationError("ml", f"must be an integer with |ml| <= l, got {self.ml!r}")
             if self.ms not in (0.5, -0.5):
                 raise ValidationError("ms", f"must be +-1/2, got {self.ms!r}")
@@ -115,38 +112,15 @@ class QuantumState:
 
 def level_states(n: int, l: int, branch: Branch) -> tuple[QuantumState, ...]:
     """The full m_j multiplet of a level, ordered by increasing m_j."""
-    if branch is Branch.MINUS and l == 0:
-        raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
     j = _j(l, _sign(branch))
-    count = int(round(2 * j)) + 1
-    return tuple(QuantumState(n=n, l=l, branch=branch, mj=-j + k)
-                 for k in range(count))
+    # built first, so QuantumState's rules on n, l and the branch apply
+    # before 2j is used as a count
+    lowest = QuantumState(n=n, l=l, branch=branch, mj=-j)
+    return (lowest, *(QuantumState(n=n, l=l, branch=branch, mj=-j + k)
+                      for k in range(1, int(round(2 * j)) + 1)))
 
 
 # -- expectation values -------------------------------------------------------
-
-def exp_jz(mj: float, constants: ConstantsTable | None = None) -> float:
-    """<Jz> = m_j hbar."""
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    if not _is_half_odd(mj):
-        raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
-    return mj * table.hbar
-
-
-def exp_sz(l: int, branch: Branch, mj: float,
-           constants: ConstantsTable | None = None) -> float:
-    """<Sz> = +- m_j hbar / (2l + 1), upper sign for j = l + 1/2."""
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    if branch is Branch.MINUS and l == 0:
-        raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
-    if not _is_half_odd(mj):
-        raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
-    sgn = _sign(branch)
-    j = _j(l, sgn)
-    if abs(mj) > j + 1e-12:
-        raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
-    return _sz(l, sgn, mj, table.hbar)
-
 
 def exp_ls(ml: int, ms: float, constants: ConstantsTable | None = None) -> float:
     """<L.S> = hbar^2 m_l m_s in the decoupled basis (ladder terms average out)."""
@@ -164,7 +138,7 @@ def exp_p2_angular(l: int, r: float | None = None,
     n=2, l=1); see oracle.p2_expectation_exact.
     """
     table = constants if constants is not None else DEFAULT_CONSTANTS
-    if l < 0 or int(l) != l:
+    if l < 0 or not is_integer(l):
         raise ValidationError("l", f"must be a non-negative integer, got {l!r}")
     radius = table.r0 if r is None else r
     if radius <= 0.0:
@@ -396,8 +370,6 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     """
     if not isinstance(regime, Regime):
         raise ValidationError("regime", f"unknown regime {regime!r}")
-    if regime in _DEFORMED and params.epsilon < 0:
-        raise ValidationError("epsilon", "deformed regimes require epsilon >= 0")
 
     subs = _Substitutions(state, params, regime, radius)
     scale = _finite(subs.scale, "correction_scale")
@@ -430,7 +402,8 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
 
     (1 - eps gamma^2 (mc)^2) hbar^2 m_l m_s / (2 m_e^2 c^2) * Z e^2 <1/r^3>,
     for the Coulomb potential (<1/r^3> in closed form; the Thomas 1/2 is
-    already inside).  Vanishes identically for l = 0.
+    already inside).  Vanishes identically for l = 0.  Raises
+    ValidationError when the result is not finite in double precision.
     """
     if state.ml is None or state.ms is None:
         raise ValidationError("ml", "spin-orbit shift needs the (ml, ms) basis labels")
@@ -440,7 +413,8 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
     ls = exp_ls(state.ml, state.ms, C)
     inv_r3 = oracle.closed_form_r_expectation(state.n, state.l, params.Z, -3, C)
     factor = 1.0 - params.correction_scale
-    return factor * ls / (2.0 * C.m_e**2 * C.c**2) * params.Z * C.e**2 * inv_r3
+    return _finite(factor * ls / (2.0 * C.m_e**2 * C.c**2) * params.Z * C.e**2 * inv_r3,
+                   "hls_shift")
 
 
 # -- line generation ----------------------------------------------------------

@@ -118,6 +118,27 @@ def constants_dump(table: ConstantsTable | None = None) -> str:
     return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in rows)
 
 
+def is_integer(value) -> bool:
+    """True when value is a whole number; False, not an error, for inf and nan."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
+def check_Z(Z) -> None:
+    if Z < 1 or not is_integer(Z):
+        raise ValidationError("Z", f"nuclear charge must be a positive integer, got {Z!r}")
+
+
+def check_n_l(n, l) -> None:
+    """The hydrogenic quantum-number rules: integers n >= 1 and 0 <= l < n."""
+    if n < 1 or not is_integer(n):
+        raise ValidationError("n", f"must be a positive integer, got {n!r}")
+    if l < 0 or l >= n or not is_integer(l):
+        raise ValidationError("l", f"must satisfy 0 <= l < n, got {l!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Immutable bundle of field strength and deformation parameters.
@@ -126,7 +147,8 @@ class PhysicalParams:
     dimensionless deformation strength, gamma the inverse-momentum
     deformation scale in s/(g cm), m the mass entering (m c)^2 factors
     (defaults to the electron mass; kept separate for exploratory sweeps),
-    Z the nuclear charge.
+    Z the nuclear charge, stored as an int.  Raises ValidationError naming
+    the offending field.
     """
 
     B: float
@@ -135,6 +157,18 @@ class PhysicalParams:
     m: float
     Z: int
     constants: ConstantsTable
+
+    def __post_init__(self):
+        if self.B < 0.0 or not math.isfinite(self.B):
+            raise ValidationError("B", f"field magnitude must be >= 0, got {self.B!r}")
+        if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
+            raise ValidationError("epsilon", f"must be >= 0, got {self.epsilon!r}")
+        if self.m <= 0.0 or not math.isfinite(self.m):
+            raise ValidationError("m", f"mass must be > 0, got {self.m!r}")
+        check_Z(self.Z)
+        if self.gamma < 0.0 or not math.isfinite(self.gamma):
+            raise ValidationError("gamma", f"must be >= 0, got {self.gamma!r}")
+        object.__setattr__(self, "Z", int(self.Z))
 
     @property
     def eps_gamma2(self) -> float:
@@ -167,35 +201,21 @@ def make_params(
 
     gamma_mode "planck" resolves gamma to 1/(M_Pl c) from the table;
     "explicit" takes the gamma argument verbatim (gamma=0 switches the
-    deformation off).  Raises ValidationError naming the offending field.
+    deformation off); m defaults to the table's electron mass.  Raises
+    ValidationError naming the offending field.
     """
     table = constants if constants is not None else DEFAULT_CONSTANTS
-    mass = table.m_e if m is None else m
-
-    if B < 0.0 or not math.isfinite(B):
-        raise ValidationError("B", f"field magnitude must be >= 0, got {B!r}")
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValidationError("epsilon", f"must be >= 0, got {epsilon!r}")
-    if mass <= 0.0 or not math.isfinite(mass):
-        raise ValidationError("m", f"mass must be > 0, got {mass!r}")
-    if Z < 1 or int(Z) != Z:
-        raise ValidationError("Z", f"nuclear charge must be a positive integer, got {Z!r}")
-
     if gamma_mode == "planck":
         if gamma is not None:
             raise ValidationError("gamma", "explicit value supplied with gamma_mode='planck'")
-        gamma_value = table.gamma_planck
+        gamma = table.gamma_planck
     elif gamma_mode == "explicit":
         if gamma is None:
             raise ValidationError("gamma", "gamma_mode='explicit' requires a value")
-        if gamma < 0.0 or not math.isfinite(gamma):
-            raise ValidationError("gamma", f"must be >= 0, got {gamma!r}")
-        gamma_value = gamma
     else:
         raise ValidationError("gamma_mode", f"unknown mode {gamma_mode!r}")
-
-    return PhysicalParams(B=B, epsilon=epsilon, gamma=gamma_value, m=mass,
-                          Z=int(Z), constants=table)
+    return PhysicalParams(B=B, epsilon=epsilon, gamma=gamma,
+                          m=table.m_e if m is None else m, Z=Z, constants=table)
 
 
 def convert_energy(value: float, from_unit: str, to_unit: str) -> float:

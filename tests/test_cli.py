@@ -298,8 +298,10 @@ def main(monkeypatch, capsys):
     (("--param", "B", "--values", "1,2,1e300", "--l", "1", "--mj", "0.5"), 3),
     (("--param", "epsilon", "--values", "0,1,1e300", "--l", "1", "--mj", "0.5",
       "--regime", "rgup", "--gamma", "1e100"), 3),
+    (("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--regime", "rgup",
+      "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"), 3),
 ], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj", "overflowing-field",
-        "overflowing-epsilon"))
+        "overflowing-epsilon", "overflowing-display-unit"))
 def test_sweep_prints_all_or_nothing(main, argv, code):
     status, out, err = main("sweep", *argv)
     assert status == code
@@ -323,15 +325,52 @@ _LINES = ("lines", "--upper-l", "1", "--lower-l", "0")
     (*_SHIFT, "--B-tesla", "1e300", "--json"),
     (*_LINES, "--B-tesla", "1e300"),
     (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--unit", "erg"),
+    # finite in erg, outside double precision in the display unit
+    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"),
+    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--B-tesla", "0",
+     "--json"),
+    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--B-tesla", "0",
+     "--csv"),
+    (*_LINES, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"),
 ], ids=("rgup-scale-overflow", "gup-scale-overflow", "lines-rgup-scale-overflow",
         "lines-gup-scale-overflow", "discrepancy-scale-overflow", "gup-infinite-scale",
         "as-published-gup-term-overflow", "field-overflow", "field-overflow-json",
-        "lines-field-overflow", "rgup-term-overflow"))
+        "lines-field-overflow", "rgup-term-overflow", "unit-overflow", "unit-overflow-json",
+        "unit-overflow-csv", "lines-unit-overflow"))
 def test_non_finite_results_are_domain_errors(main, argv):
     status, out, err = main(*argv)
     assert status == 3
     assert out == ""
     assert err.startswith("rgupz: domain error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("Z", ["2.5", "inf", "nan"])
+def test_configured_Z_follows_the_record_rule(main, monkeypatch, Z):
+    monkeypatch.setenv("RGUPZ_PARAMS_Z", Z)
+    status, out, err = main(*_SHIFT)
+    assert status == 3
+    assert out == ""
+    assert err.startswith("rgupz: domain error: Z: ")
+
+
+def test_banner_is_not_printed_by_a_failing_command(main):
+    status, out, _ = main("--banner", "shift", "--l", "0", "--branch", "minus", "--mj", "0.5")
+    assert status == 3
+    assert out == ""
+    status, out, _ = main("--banner", *_SHIFT)
+    assert status == 0
+    assert out == "rgupz 0.1.0\n" + main(*_SHIFT)[1]
+
+
+def test_dispersion_reads_epsilon_and_gamma_from_env_and_config(main, monkeypatch, tmp_path):
+    monkeypatch.setenv("RGUPZ_PARAMS_EPSILON", "0")
+    status, out, _ = main("dispersion", "--json")
+    assert status == 0 and json.loads(out)["eps_gamma2"] == 0.0
+    monkeypatch.delenv("RGUPZ_PARAMS_EPSILON")
+    config = tmp_path / "defaults.cfg"
+    config.write_text("params.epsilon = 2.0\nparams.gamma = 1e-20\n")
+    status, out, _ = main("dispersion", "--config", str(config), "--json")
+    assert status == 0 and json.loads(out)["eps_gamma2"] == 2.0 * 1e-20 * 1e-20
 
 
 @pytest.mark.parametrize("argv", [

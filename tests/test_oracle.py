@@ -1,5 +1,7 @@
 """Radial oracle vs closed forms: quadrature agreement at tight tolerances."""
 
+import math
+
 import pytest
 
 from rgupzeeman.oracle import (
@@ -65,6 +67,25 @@ def test_divergent_moment_rejected():
 def test_invalid_quantum_numbers(n, l, Z):
     with pytest.raises(ValidationError):
         radial_wavefunction(n, l, Z, 0.0)
+
+
+@pytest.mark.parametrize("n,l,Z,field", [
+    (math.inf, 0, 1, "n"), (math.nan, 0, 1, "n"), (2, math.inf, 1, "l"),
+    (2, math.nan, 1, "l"), (2, 1, math.inf, "Z"), (2, 1, math.nan, "Z"), (2, 1, 1.5, "Z"),
+])
+def test_non_finite_quantum_numbers(n, l, Z, field):
+    for moment in (closed_form_r_expectation, radial_expectation):
+        with pytest.raises(ValidationError) as err:
+            moment(n, l, Z, 1)
+        assert err.value.field == field
+
+
+@pytest.mark.parametrize("k", [3, -4, 0.5, math.inf, math.nan])
+def test_moment_order_rule(k):
+    for moment in (closed_form_r_expectation, radial_expectation):
+        with pytest.raises(ValidationError) as err:
+            moment(2, 1, 1, k)
+        assert err.value.field == "k"
 
 
 @pytest.mark.parametrize("n,l", ALL_NL)

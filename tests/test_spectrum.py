@@ -15,11 +15,10 @@ from rgupzeeman.spectrum import (
     Regime,
     REGIME_TERM_LABELS,
     discrepancy_report,
+    _sz,
     energy_shift_B,
-    exp_jz,
     exp_ls,
     exp_p2_angular,
-    exp_sz,
     hls_shift,
     lande_g_factor,
     level_states,
@@ -71,21 +70,24 @@ def test_state_rejects_non_finite_mj(mj):
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=mj)
 
 
-def test_inlined_jz_sz_match_exp_jz_exp_sz_bit_for_bit():
-    # energy_shift_B computes <Jz> and <Sz> from the validated state; the
-    # public exp_jz / exp_sz must give the same bits for every state
-    states = [state for n in range(1, 9) for l in range(n)
-              for branch in Branch if not (branch is Branch.MINUS and l == 0)
-              for state in level_states(n, l, branch)]
-    assert len(states) == 408
-    for params in (PLANCK, params_with_scale(0.05, B=3.7e4)):
-        base = C.e * params.B / (2.0 * C.m_e * C.c)
-        for state in states:
-            expected = -base * (exp_jz(state.mj) + exp_sz(state.l, state.branch, state.mj)) + 0.0
-            for regime in Regime:
-                for mode in Mode:
-                    got = energy_shift_B(state, params, regime, mode)
-                    assert got.term("jz_plus_sz").value_erg == expected
+@pytest.mark.parametrize("n, l, field", [
+    (math.inf, 0, "n"), (math.nan, 0, "n"), (2, math.inf, "l"), (2, math.nan, "l"),
+    (math.inf, math.inf, "n"), (2.5, 0, "n"), (3, 1.5, "l"),
+])
+def test_state_rejects_non_integer_n_and_l(n, l, field):
+    with pytest.raises(ValidationError) as err:
+        QuantumState(n=n, l=l, branch=Branch.PLUS, mj=0.5)
+    assert err.value.field == field
+    with pytest.raises(ValidationError) as err:
+        level_states(n, l, Branch.PLUS)
+    assert err.value.field == field
+
+
+def test_level_states_takes_the_branch_rule_from_the_state():
+    with pytest.raises(ValidationError) as err:
+        level_states(1, 0, Branch.MINUS)
+    assert err.value.field == "branch"
+    assert [s.mj for s in level_states(3, 2, Branch.MINUS)] == [-1.5, -0.5, 0.5, 1.5]
 
 
 def test_breakdowns_are_pinned():
@@ -116,31 +118,19 @@ def test_breakdowns_are_pinned():
 
 
 def test_exp_sz_values():
-    assert exp_sz(0, Branch.PLUS, 0.5) == 0.5 * C.hbar
-    assert exp_sz(1, Branch.PLUS, 1.5) == 0.5 * C.hbar
-    assert exp_sz(1, Branch.MINUS, 0.5) == pytest.approx(-C.hbar / 6.0, rel=1e-15)
-
-
-def test_exp_sz_guards():
-    with pytest.raises(ValidationError):
-        exp_sz(0, Branch.MINUS, 0.5)
-    with pytest.raises(ValidationError):
-        exp_sz(1, Branch.PLUS, 2.5)
+    # <Sz> = +- mj hbar / (2l + 1), the sign being the branch's
+    assert _sz(0, 1.0, 0.5, C.hbar) == 0.5 * C.hbar
+    assert _sz(1, 1.0, 1.5, C.hbar) == 0.5 * C.hbar
+    assert _sz(1, -1.0, 0.5, C.hbar) == pytest.approx(-C.hbar / 6.0, rel=1e-15)
 
 
 def test_exp_sz_sum_rule():
     # the multiplet sum vanishes exactly for both branches
     for l, branch in ((0, Branch.PLUS), (1, Branch.PLUS), (1, Branch.MINUS),
                       (3, Branch.PLUS), (3, Branch.MINUS)):
+        sgn = 1.0 if branch is Branch.PLUS else -1.0
         states = level_states(l + 1, l, branch)
-        assert math.fsum(exp_sz(l, branch, s.mj) for s in states) == 0.0
-
-
-def test_exp_jz():
-    assert exp_jz(0.5) == 0.5 * C.hbar
-    assert exp_jz(-1.5) == -1.5 * C.hbar
-    with pytest.raises(ValidationError):
-        exp_jz(0.0)
+        assert math.fsum(_sz(l, sgn, s.mj, C.hbar) for s in states) == 0.0
 
 
 def test_exp_ls():
@@ -316,13 +306,10 @@ def test_regime_term_catalogue_matches_emission():
 
 
 def test_negative_epsilon_guard():
-    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
-    params = PhysicalParams(B=1e4, epsilon=-1.0, gamma=0.0, m=C.m_e, Z=1,
-                            constants=C)
-    with pytest.raises(ValidationError):
-        energy_shift_B(state, params, Regime.RGUP)
-    # undeformed regimes ignore epsilon entirely
-    assert energy_shift_B(state, params, Regime.LANDE).total_erg != 0.0
+    # the record itself rejects it, so no regime can see a negative epsilon
+    with pytest.raises(ValidationError) as err:
+        PhysicalParams(B=1e4, epsilon=-1.0, gamma=0.0, m=C.m_e, Z=1, constants=C)
+    assert err.value.field == "epsilon"
 
 
 def test_as_published_rgup_matches_printed_coefficients():
@@ -397,6 +384,13 @@ def test_hls_deformation_factor():
 def test_hls_l0_vanishes():
     state = QuantumState(n=1, l=0, branch=Branch.PLUS, mj=0.5, ml=0, ms=0.5)
     assert hls_shift(state, PLANCK) == 0.0
+
+
+@pytest.mark.parametrize("ml", [1, 0])
+def test_hls_outside_double_precision_is_a_domain_error(ml):
+    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=ml, ms=0.5)
+    with pytest.raises(ValidationError):
+        hls_shift(state, make_params(gamma_mode="explicit", gamma=1e300))
 
 
 def test_hls_requires_alt_basis():

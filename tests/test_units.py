@@ -1,10 +1,14 @@
 """Constants table, parameter records, and energy conversion."""
 
+import math
+
 import pytest
 
 from rgupzeeman.units import (
+    DEFAULT_CONSTANTS,
     ConstantsTable,
     GAUSS_PER_TESLA,
+    PhysicalParams,
     ValidationError,
     constants_dump,
     convert_energy,
@@ -81,11 +85,38 @@ def test_make_params_physical_scale():
     (dict(gamma_mode="explicit"), "gamma"),
     (dict(gamma_mode="planck", gamma=1e-6), "gamma"),
     (dict(gamma_mode="frobnicate"), "gamma_mode"),
+    (dict(B=math.inf), "B"),
+    (dict(B=math.nan), "B"),
+    (dict(epsilon=math.inf), "epsilon"),
+    (dict(epsilon=math.nan), "epsilon"),
+    (dict(m=math.inf), "m"),
+    (dict(m=math.nan), "m"),
+    (dict(Z=2.5), "Z"),
+    (dict(Z=math.inf), "Z"),
+    (dict(Z=math.nan), "Z"),
+    (dict(gamma_mode="explicit", gamma=math.inf), "gamma"),
+    (dict(gamma_mode="explicit", gamma=math.nan), "gamma"),
 ])
 def test_make_params_validation(kwargs, field):
     with pytest.raises(ValidationError) as err:
         make_params(**kwargs)
     assert err.value.field == field
+    if "gamma_mode" in kwargs and not (kwargs["gamma_mode"] == "explicit" and "gamma" in kwargs):
+        return  # one of make_params' own rules, which resolve gamma_mode
+    # every other rule lives in the record, which rejects the same value
+    record = dict(B=0.0, epsilon=1.0, gamma=0.0, m=DEFAULT_CONSTANTS.m_e, Z=1,
+                  constants=DEFAULT_CONSTANTS)
+    record.update((k, v) for k, v in kwargs.items() if k != "gamma_mode")
+    with pytest.raises(ValidationError) as err:
+        PhysicalParams(**record)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("Z", [2, 2.0])
+def test_integral_Z_is_stored_as_int(Z):
+    for params in (make_params(Z=Z), PhysicalParams(B=0.0, epsilon=1.0, gamma=0.0,
+                                                    m=1.0, Z=Z, constants=DEFAULT_CONSTANTS)):
+        assert params.Z == 2 and type(params.Z) is int
 
 
 def test_make_params_deterministic():
