@@ -217,9 +217,9 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     unit = _unit_from(args, cfg)
     breakdown = energy_shift_B(state, params, regime, mode)
     fmt = _output_format(args, cfg)
-    # json and csv carry eV next to erg; the table shows the display unit
+    # the table shows the display unit; json and csv carry eV next to erg
     *shown, total = _in_unit([*(t.value_erg for t in breakdown.terms),
-                              breakdown.total_erg], "eV" if fmt != "table" else unit)
+                              breakdown.total_erg], unit if fmt == "table" else "eV")
 
     if fmt == "json":
         payload = {
