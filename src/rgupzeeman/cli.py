@@ -38,6 +38,7 @@ from .spectrum import (
     QuantumState,
     Regime,
     REGIME_TERM_LABELS,
+    _row_evaluator,
     discrepancy_report,
     energy_shift_B,
     level_states,
@@ -326,30 +327,37 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     regime, mode = Regime(args.regime), Mode(args.mode)
     unit = _unit_from(args, cfg)
     param_values = _param_values(args, cfg)
-    # validate the whole grid before the first write, keeping nothing, so a
-    # bad grid point prints no partial CSV and a long sweep stays streamed
+    # validate the grid before the first write, keeping nothing, so a bad
+    # grid point prints no partial CSV and a long sweep stays streamed.  The
+    # B and epsilon rules are intervals, so a NaN (which does not sort) and
+    # the sorted grid's two ends stand for every row; l, n and mj are checked
+    # row by row
+    if args.param in ("B", "epsilon"):
+        checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]]
+    else:
+        checked = values
     first = last = None
-    for last in _sweep_records(values, args, param_values):
+    for last in _sweep_records(checked, args, param_values):
         if first is None:
             first = last
     # each term is monotone in the swept B, epsilon, l or |mj| (and |mj| peaks
     # at an end of the sorted grid), and so is its value in the display unit,
     # a positive multiple; if both end rows stay inside double precision,
     # every row does
+    evaluate = _row_evaluator(regime, mode)
     for _, params, state in (first, last):
-        breakdown = energy_shift_B(state, params, regime, mode)
-        _in_unit([*(t.value_erg for t in breakdown.terms), breakdown.total_erg], unit)
+        _, shifts, total = evaluate(state, params)
+        _in_unit([*(v for v in shifts if v is not None), total], unit)
 
-    labels = REGIME_TERM_LABELS[regime]
     per_erg = convert_energy(1.0, "erg", unit)  # same bits as per-value calls
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow([_SWEEP_COLUMN[args.param], "regime", *labels, "total"])
+    writer.writerow([_SWEEP_COLUMN[args.param], "regime", *REGIME_TERM_LABELS[regime],
+                     "total"])
     for value, params, state in _sweep_records(values, args, param_values):
-        breakdown = energy_shift_B(state, params, regime, mode)
-        present = {t.label: t.value_erg for t in breakdown.terms}
+        _, shifts, total = evaluate(state, params)
         writer.writerow([repr(value), regime.value,
-                         *[repr(present.get(label, 0.0) * per_erg) for label in labels],
-                         repr(breakdown.total_erg * per_erg)])
+                         *[repr(0.0 if v is None else v * per_erg) for v in shifts],
+                         repr(total * per_erg)])
     return 0
 
 

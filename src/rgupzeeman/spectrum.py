@@ -169,24 +169,26 @@ _DEFORMED = (Regime.GUP, Regime.RGUP)
 
 
 class _Substitutions:
-    """Every quantity a term expression reads, computed once per breakdown.
+    """Every quantity a term expression reads.
 
-    scale is the regime's deformation scale: eps gamma^2 (mc)^2, or
-    -eps gamma^2 <p^2> in the nonrelativistic (GUP) limit.  radius
-    overrides the r0 of the angular <p^2> only.
+    The state half (l through p4) is computed once per state; set_params
+    computes the params half (B, base, eps_gamma2, scale, deformed) from a
+    record, so a sweep over B or epsilon recomputes only that half.  scale
+    is the regime's deformation scale: eps gamma^2 (mc)^2, or
+    -eps gamma^2 <p^2> in the nonrelativistic (GUP) limit.  deformed gates
+    the deformation addends (RGUP: scale != 0; GUP: eps gamma^2 != 0).
+    radius overrides the r0 of the angular <p^2> only.
     """
 
-    __slots__ = ("e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l", "ll",
-                 "mj", "sgn", "jz", "sz", "plus", "minus", "p2", "p4", "scale",
-                 "eps_gamma2")
+    __slots__ = ("constants", "e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l",
+                 "ll", "mj", "sgn", "jz", "sz", "plus", "minus", "p2", "p4", "scale",
+                 "eps_gamma2", "deformed")
 
     def __init__(self, state: QuantumState, params: PhysicalParams, regime: Regime,
                  radius: float | None):
-        C = params.constants
+        self.constants = C = params.constants
         self.e, self.m_e, self.c, self.hbar = C.e, C.m_e, C.c, C.hbar
         self.alpha, self.r0 = C.alpha, C.r0
-        self.B = params.B
-        self.base = C.e * params.B / (2.0 * C.m_e * C.c)
         self.l = state.l
         self.ll = state.l * (state.l + 1)
         self.mj = state.mj
@@ -196,13 +198,21 @@ class _Substitutions:
         self.plus, self.minus = _spin_factors(state.l, sgn)
         self.p2 = p2 = exp_p2_angular(state.l, radius, C)
         self.p4 = p2 * p2
+        self.set_params(params, regime)
+
+    def set_params(self, params: PhysicalParams, regime: Regime) -> None:
+        """The params half; params must share the constants of the state half."""
+        self.B = params.B
+        self.base = self.e * params.B / (2.0 * self.m_e * self.c)
         self.eps_gamma2 = eps_gamma2 = params.eps_gamma2
         if regime is Regime.GUP:
             # nonrelativistic limit: p0.p0 -> -hbar^2 grad^2 as c -> infinity,
             # so the (mc)^2 of the deformation scale becomes -<p^2>
-            self.scale = -eps_gamma2 * p2 + 0.0  # +0.0 normalizes -0.0 away
+            self.scale = -eps_gamma2 * self.p2 + 0.0  # +0.0 normalizes -0.0 away
+            self.deformed = eps_gamma2 != 0.0
         else:
             self.scale = params.correction_scale
+            self.deformed = self.scale != 0.0
 
 
 @dataclass(frozen=True)
@@ -355,6 +365,54 @@ class ShiftBreakdown:
         return tuple(t.label for t in self.terms)
 
 
+def _plan_of(regime: Regime, mode: Mode) -> tuple:
+    if not isinstance(regime, Regime):
+        raise ValidationError("regime", f"unknown regime {regime!r}")
+    return _PLANS[regime, mode is Mode.AS_PUBLISHED]
+
+
+def _evaluate(subs: _Substitutions, plan: tuple) -> tuple[float, tuple, float]:
+    """(scale, values in plan order, total) of one breakdown, in erg.
+
+    A gated-off deformation addend is None; total is the fsum of the
+    others.  Raises ValidationError when the scale, a value or the total is
+    not finite in double precision, naming the term that left it if one did.
+    """
+    scale = _finite(subs.scale, "correction_scale")
+    on = subs.deformed
+    # +0.0 drops -0.0
+    values = tuple([value_of(subs) + 0.0 if on or not deformation else None
+                    for _, _, value_of, _, deformation in plan])
+    try:
+        total = _finite_sum([v for v in values if v is not None], "total")
+    except ValidationError:
+        for (label, *_), value in zip(plan, values):
+            if value is not None:
+                _finite(value, label)
+        raise
+    return scale, values, total
+
+
+def _row_evaluator(regime: Regime, mode: Mode):
+    """A function (state, params) -> _evaluate's tuple for one regime and mode.
+
+    While the state (and the constants table) stay the same objects from
+    one call to the next, only the params half of the substitutions is
+    computed again.
+    """
+    plan = _plan_of(regime, mode)
+    subs = state = None
+
+    def evaluate(row_state: QuantumState, params: PhysicalParams):
+        nonlocal subs, state
+        if row_state is state and params.constants is subs.constants:
+            subs.set_params(params, regime)
+        else:
+            subs, state = _Substitutions(row_state, params, regime, None), row_state
+        return _evaluate(subs, plan)
+    return evaluate
+
+
 def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
                    mode: Mode = Mode.DERIVED,
                    radius: float | None = None) -> ShiftBreakdown:
@@ -368,28 +426,15 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     GUP breakdown is the LANDE one.  Raises ValidationError when the scale,
     a term or the total is not finite in double precision.
     """
-    if not isinstance(regime, Regime):
-        raise ValidationError("regime", f"unknown regime {regime!r}")
-
-    subs = _Substitutions(state, params, regime, radius)
-    scale = _finite(subs.scale, "correction_scale")
-    deformed = (subs.eps_gamma2 if regime is Regime.GUP else scale) != 0.0
-
-    terms = []
-    plan = _PLANS[regime, mode is Mode.AS_PUBLISHED]
-    for label, expression, value_of, tags, deformation in plan:
-        if deformation and not deformed:
-            continue
-        # +0.0 drops -0.0
-        terms.append(ShiftTerm(label, expression, value_of(subs) + 0.0, tags))
-    try:
-        _finite_sum([t.value_erg for t in terms], "total")
-    except ValidationError:
-        for t in terms:  # name the term that left double precision, if one did
-            _finite(t.value_erg, t.label)
-        raise
+    plan = _plan_of(regime, mode)
+    scale, values, _ = _evaluate(_Substitutions(state, params, regime, radius), plan)
+    # a list, not a generator: tuple(<generator>) left thousands more small
+    # blocks allocated between calls and raised the sweep's peak RSS
+    terms = tuple([ShiftTerm(label, expression, value, tags)
+                   for (label, expression, _, tags, _), value in zip(plan, values)
+                   if value is not None])
     return ShiftBreakdown(state=state, regime=regime, mode=mode,
-                          correction_scale=scale, terms=tuple(terms))
+                          correction_scale=scale, terms=terms)
 
 
 def lande_g_factor(l: int, branch: Branch) -> float:
@@ -436,13 +481,6 @@ class ZeemanLine:
     level_offset_erg: float
 
 
-def _split_magnetic(breakdown: ShiftBreakdown) -> tuple[float, float]:
-    magnetic, offset = [], []
-    for t in breakdown.terms:
-        (offset if "non-magnetic" in t.tags else magnetic).append(t.value_erg)
-    return _finite_sum(magnetic, "shift"), _finite_sum(offset, "level_offset")
-
-
 def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                  mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
     """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}.
@@ -455,32 +493,42 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
     if not upper or not lower:
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
+    plan = _plan_of(regime, mode)
+    offset_term = tuple("non-magnetic" in tags for _, _, _, tags, _ in plan)
     shifts = {}
     for state in upper + lower:
         if state not in shifts:
-            shifts[state] = _split_magnetic(energy_shift_B(state, params, regime, mode))
-    lower_shifts = [(lo, *shifts[lo]) for lo in lower]
+            _, values, _ = _evaluate(_Substitutions(state, params, regime, None), plan)
+            magnetic, offset = [], []
+            for is_offset, value in zip(offset_term, values):
+                if value is not None:
+                    (offset if is_offset else magnetic).append(value)
+            shifts[state] = (_finite_sum(magnetic, "shift"),
+                             _finite_sum(offset, "level_offset"))
+    # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
+    lower_by_mj = {}
+    for lo in lower:
+        lower_by_mj.setdefault(lo.mj, []).append((lo, *shifts[lo]))
 
     lines = []
     for u in upper:
         mag_u, off_u = shifts[u]
-        for lo, mag_l, off_l in lower_shifts:
-            if abs(u.l - lo.l) != 1:
-                continue
-            delta = u.mj - lo.mj
-            if abs(delta) > 1.0 + 1e-12:
-                continue
-            if delta == 0.0:
-                pol = "pi"
-            else:
-                pol = "sigma+" if delta > 0 else "sigma-"
-            shift, offset = mag_u - mag_l, off_u - off_l
-            if not (math.isfinite(shift) and math.isfinite(offset)):
-                raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
-                                               "is outside double precision")
-            lines.append(ZeemanLine(upper=u, lower=lo, delta_mj=delta,
-                                    polarization=pol, shift_erg=shift,
-                                    level_offset_erg=offset))
+        for mj in (u.mj - 1.0, u.mj, u.mj + 1.0):
+            for lo, mag_l, off_l in lower_by_mj.get(mj, ()):
+                if abs(u.l - lo.l) != 1:
+                    continue
+                delta = u.mj - lo.mj
+                if delta == 0.0:
+                    pol = "pi"
+                else:
+                    pol = "sigma+" if delta > 0 else "sigma-"
+                shift, offset = mag_u - mag_l, off_u - off_l
+                if not (math.isfinite(shift) and math.isfinite(offset)):
+                    raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
+                                                   "is outside double precision")
+                lines.append(ZeemanLine(upper=u, lower=lo, delta_mj=delta,
+                                        polarization=pol, shift_erg=shift,
+                                        level_offset_erg=offset))
     lines.sort(key=lambda ln: (ln.upper.mj, ln.lower.mj))
     return tuple(lines)
 
@@ -521,10 +569,12 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
     differences = []
     agreements = []
     for regime in (Regime.RGUP, Regime.GUP):
-        derived = energy_shift_B(state, params, regime, Mode.DERIVED)
-        published = energy_shift_B(state, params, regime, Mode.AS_PUBLISHED)
-        for dterm, pterm in zip(derived.terms, published.terms):
-            label, dval, pval = dterm.label, dterm.value_erg, pterm.value_erg
+        subs = _Substitutions(state, params, regime, None)
+        _, derived, _ = _evaluate(subs, _PLANS[regime, False])
+        _, published, _ = _evaluate(subs, _PLANS[regime, True])
+        for (label, *_), dval, pval in zip(_PLANS[regime, False], derived, published):
+            if dval is None:  # gated off in both modes
+                continue
             if (dval == 0.0 and pval == 0.0) or \
                     (dval != 0.0 and abs(pval - dval) <= _AGREE_RTOL * abs(dval)):
                 agreements.append(f"{regime.value}:{label}")

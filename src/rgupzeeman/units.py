@@ -126,15 +126,21 @@ def is_integer(value) -> bool:
         return False
 
 
+#: the largest n, l and Z accepted: every integer up to it converts to a
+#: double exactly, and the shift and oracle arithmetic on them stays finite
+_MAX_EXACT_INT = 2**53
+
+
 def check_Z(Z) -> None:
-    if Z < 1 or not is_integer(Z):
-        raise ValidationError("Z", f"nuclear charge must be a positive integer, got {Z!r}")
+    if not 1 <= Z <= _MAX_EXACT_INT or not is_integer(Z):
+        raise ValidationError("Z", "nuclear charge must be a positive integer "
+                                   f"<= 2**53, got {Z!r}")
 
 
 def check_n_l(n, l) -> None:
-    """The hydrogenic quantum-number rules: integers n >= 1 and 0 <= l < n."""
-    if n < 1 or not is_integer(n):
-        raise ValidationError("n", f"must be a positive integer, got {n!r}")
+    """The hydrogenic quantum-number rules: integers 1 <= n <= 2**53 and 0 <= l < n."""
+    if not 1 <= n <= _MAX_EXACT_INT or not is_integer(n):
+        raise ValidationError("n", f"must be a positive integer <= 2**53, got {n!r}")
     if l < 0 or l >= n or not is_integer(l):
         raise ValidationError("l", f"must satisfy 0 <= l < n, got {l!r}")
 

@@ -300,13 +300,46 @@ def main(monkeypatch, capsys):
       "--regime", "rgup", "--gamma", "1e100"), 3),
     (("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--regime", "rgup",
       "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"), 3),
+    # NaN does not sort, so it can sit between valid ends of the sorted grid
+    (("--param", "B", "--values", "2,nan,1", "--l", "1", "--mj", "0.5"), 3),
+    (("--param", "epsilon", "--values", "2,nan,-1", "--l", "1", "--mj", "0.5"), 3),
 ], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj", "overflowing-field",
-        "overflowing-epsilon", "overflowing-display-unit"))
+        "overflowing-epsilon", "overflowing-display-unit", "unsorted-nan-field",
+        "unsorted-nan-epsilon"))
 def test_sweep_prints_all_or_nothing(main, argv, code):
     status, out, err = main("sweep", *argv)
     assert status == code
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("param", ["B", "epsilon"])
+def test_field_and_epsilon_sweeps_build_one_record_per_row(main, monkeypatch, param):
+    from rgupzeeman import cli
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return make_params(*args, **kwargs)
+    make_params = cli.make_params
+    monkeypatch.setattr(cli, "make_params", counted)
+    rows = 1000
+    status, out, _ = main("sweep", "--param", param, "--from", "0", "--to", "5",
+                          "--steps", str(rows), "--l", "1", "--mj", "0.5",
+                          "--regime", "rgup")
+    assert status == 0 and len(out.splitlines()) == rows + 1
+    assert len(calls) <= rows + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "--l", str(10**400), "--mj", "0.5"),
+    ("oracle", "--n", "2", "--l", "1", "--Z", str(10**400)),
+], ids=("shift-huge-l", "oracle-huge-Z"))
+def test_integers_too_large_for_a_double_are_domain_errors(main, argv):
+    status, out, err = main(*argv)
+    assert status == 3
+    assert out == ""
+    assert err.startswith("rgupz: domain error: ") and len(err.splitlines()) == 1
 
 
 _SHIFT = ("shift", "--l", "1", "--mj", "0.5")

@@ -2,8 +2,11 @@
 
 Every subcommand, run in-process with random flags and RGUPZ_* values, must
 exit 0, 2, 3 or 4 without an escaping exception, print nothing on exit 2 or
-3, and print strict JSON under --json.  Strategies stay bounded (quantum
-numbers <= 12, --steps <= 50, --nodes <= 200) so each run is short.
+3, and print strict JSON under --json.  Quantum numbers of shift, sweep and
+discrepancy, and every --Z, are also drawn past 2**53, where a double no
+longer holds every integer.  The rest stay bounded so each run is short:
+oracle's n and l and lines' n and l <= 12 (their cost grows with them),
+--steps <= 50, --nodes <= 200.
 """
 
 import contextlib
@@ -25,6 +28,8 @@ numbers = st.one_of(
 ).map(repr)
 texts = st.one_of(numbers, st.sampled_from(["planck", "abc", ""]))
 quantum = st.integers(-2, 12).map(str)
+huge = st.one_of(quantum, st.integers(2**53 - 2, 2**53 + 2).map(str),
+                 st.integers(2**53, 10**400).map(str))
 half_odd = st.integers(-13, 12).map(lambda k: repr(k + 0.5))
 grid = st.lists(st.one_of(st.integers(0, 6).map(lambda k: repr(k / 2)), numbers),
                 min_size=1, max_size=4).map(",".join)
@@ -40,8 +45,8 @@ def _flags(required=(), **strategies):
 
 
 _BRANCH = st.sampled_from(["plus", "minus"])
-_STATE = dict(n=quantum, l=quantum, branch=_BRANCH, mj=st.one_of(half_odd, numbers))
-_PARAMS = dict(B_tesla=numbers, epsilon=numbers, gamma=texts, Z=quantum)
+_STATE = dict(n=huge, l=huge, branch=_BRANCH, mj=st.one_of(half_odd, numbers))
+_PARAMS = dict(B_tesla=numbers, epsilon=numbers, gamma=texts, Z=huge)
 _REGIME = dict(regime=st.sampled_from(["lande", "rel", "gup", "rgup"]),
                mode=st.sampled_from(["derived", "as-published"]))
 _UNIT = dict(unit=st.sampled_from(["eV", "erg", "cm-1", "Hz"]))
@@ -72,7 +77,7 @@ COMMANDS = {
                gamma=texts),
     ), _flags(order=st.sampled_from(["1", "2", "3"])), _JSON),
     "discrepancy": st.tuples(_flags(("l", "mj"), **_STATE, **_PARAMS), _JSON),
-    "oracle": st.tuples(_flags(("n", "l"), n=quantum, l=quantum, Z=quantum,
+    "oracle": st.tuples(_flags(("n", "l"), n=quantum, l=quantum, Z=huge,
                                nodes=st.integers(-1, 200).map(str))),
 }
 

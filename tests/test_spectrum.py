@@ -8,7 +8,6 @@ import pytest
 
 from rgupzeeman.oracle import radial_expectation
 from rgupzeeman.spectrum import (
-    LEVEL_SHIFT_TAGS,
     Branch,
     Mode,
     QuantumState,
@@ -449,14 +448,17 @@ def test_lines_delta_l_selection():
 def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset):
     from rgupzeeman import spectrum
 
-    def breakdown(state, params, regime, mode):
-        terms = [spectrum.ShiftTerm("m", "", math.copysign(v, state.mj)) for v in magnetic]
-        terms += [spectrum.ShiftTerm("o", "", v, LEVEL_SHIFT_TAGS) for v in offset]
-        return spectrum.ShiftBreakdown(state, regime, mode, 0.0, tuple(terms))
-    monkeypatch.setattr(spectrum, "energy_shift_B", breakdown)
+    def evaluate(subs, plan):
+        """The given values in the plan's magnetic and level-shift slots, unchecked."""
+        slots = {False: iter([math.copysign(v, subs.mj) for v in magnetic]),
+                 True: iter(offset)}
+        values = tuple(next(slots["non-magnetic" in tags], None)
+                       for _, _, _, tags, _ in plan)
+        return 0.0, values, 0.0
+    monkeypatch.setattr(spectrum, "_evaluate", evaluate)
     with pytest.raises(ValidationError):
         zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
-                     PLANCK, Regime.LANDE)
+                     PLANCK, Regime.RGUP)
 
 
 def test_lines_empty_sets_rejected():
