@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__, opalg
 from .dispersion import TransPlanckianMassError, solve_mass_shell
@@ -70,8 +70,7 @@ class CLIUsageError(Exception):
     """Bad flags or config text; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     file_values: dict[str, str]
     env_values: dict[str, str]
 
@@ -185,6 +184,11 @@ def _in_unit(values_erg, unit: str) -> list[float]:
     return values
 
 
+def _print_json(payload) -> None:
+    """Strict, key-sorted JSON; no payload holds a record (json writes one as a list)."""
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+
+
 def _state_dict(state: QuantumState) -> dict:
     return {"n": state.n, "l": state.l, "branch": state.branch.value,
             "mj": state.mj}
@@ -204,7 +208,7 @@ def cmd_constants(args, cfg: RunConfig) -> int:
         for line in constants_dump(table).splitlines():
             name, value, unit = line.split(" ")
             rows[name] = {"value": float(value), "unit": unit}
-        print(json.dumps(rows, indent=2, sort_keys=True, allow_nan=False))
+        _print_json(rows)
     else:
         print(constants_dump(table))
     return 0
@@ -237,7 +241,7 @@ def cmd_shift(args, cfg: RunConfig) -> int:
             "total_erg": breakdown.total_erg,
             "total_eV": total,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        _print_json(payload)
         return 0
 
     if fmt == "csv":
@@ -265,7 +269,6 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     return 0
 
 
-_SWEEP_PARAMS = ("B", "epsilon", "l", "mj", "n")
 _SWEEP_COLUMN = {"B": "B_tesla", "epsilon": "epsilon", "l": "l",
                  "mj": "mj", "n": "n"}
 
@@ -361,7 +364,14 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
+#: each level holds its 2j + 1 states in memory; l = 1000 takes about 0.25 s
+MAX_LINES_L = 1000
+
+
 def cmd_lines(args, cfg: RunConfig) -> int:
+    for flag, l in (("--upper-l", args.upper_l), ("--lower-l", args.lower_l)):
+        if l > MAX_LINES_L:
+            raise CLIUsageError(f"{flag} must be <= {MAX_LINES_L}, got {l}")
     params = _params_from(args, cfg)
     regime = Regime(args.regime)
     mode = Mode(args.mode)
@@ -385,7 +395,7 @@ def cmd_lines(args, cfg: RunConfig) -> int:
                 for ln in lines
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        _print_json(payload)
         return 0
 
     shown = _in_unit([v for ln in lines for v in (ln.shift_erg, ln.level_offset_erg)], unit)
@@ -411,7 +421,7 @@ def cmd_verify_algebra(args, cfg: RunConfig) -> int:
              ]}
             for r in reports
         ]}
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        _print_json(payload)
     else:
         for report in reports:
             print(f"case {report.case}: {'PASS' if report.passed else 'FAIL'}")
@@ -451,12 +461,12 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
         raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
 
     if _output_format(args, cfg) == "json":
-        print(json.dumps({
+        _print_json({
             "mc": mc, "eps_gamma2": eps_gamma2, "order": solution.order,
             "exact_root": solution.exact_root,
             "series_root": solution.series_root,
             "residual": solution.residual,
-        }, indent=2, sort_keys=True, allow_nan=False))
+        })
     else:
         print(f"mc          {mc!r}")
         print(f"eps_gamma2  {eps_gamma2!r}")
@@ -482,7 +492,7 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
             ],
             "agreements": list(report.agreements),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        _print_json(payload)
         return 0
 
     print(f"differences ({len(report.differences)}):")
@@ -528,7 +538,7 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     if failure is not None:
         print(f"rgupz: verification failure: {failure}", file=sys.stderr)
         return 4
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    _print_json(payload)
     return 0
 
 
@@ -592,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
 
     sub = add_parser("sweep", help="sweep one parameter, emit CSV")
-    sub.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
+    sub.add_argument("--param", required=True, choices=_SWEEP_COLUMN)
     sub.add_argument("--from", dest="start", type=float, default=None)
     sub.add_argument("--to", dest="stop", type=float, default=None)
     sub.add_argument("--steps", type=int, default=1)
@@ -606,11 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add_parser("lines", help="allowed Zeeman lines between two levels")
     sub.add_argument("--upper-n", dest="upper_n", type=int, default=None)
-    sub.add_argument("--upper-l", dest="upper_l", type=int, required=True)
+    sub.add_argument("--upper-l", dest="upper_l", type=int, required=True,
+                     help=f"at most {MAX_LINES_L}")
     sub.add_argument("--upper-branch", dest="upper_branch",
                      choices=("plus", "minus"), default="plus")
     sub.add_argument("--lower-n", dest="lower_n", type=int, default=None)
-    sub.add_argument("--lower-l", dest="lower_l", type=int, required=True)
+    sub.add_argument("--lower-l", dest="lower_l", type=int, required=True,
+                     help=f"at most {MAX_LINES_L}")
     sub.add_argument("--lower-branch", dest="lower_branch",
                      choices=("plus", "minus"), default="plus")
     _add_params_flags(sub)
@@ -618,8 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
     _add_output_flags(sub, csv_flag=False)
 
-    sub = add_parser("verify-algebra",
-                              help="machine-verify the deformed commutator algebras")
+    sub = add_parser("verify-algebra", help="machine-verify the deformed commutator algebras")
     sub.add_argument("--case", choices=(*opalg.VERIFICATION_CASES, "all"),
                      default="all")
     sub.add_argument("--target", choices=("derived", "quoted"), default="derived",
@@ -638,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", type=int, choices=(1, 2), default=1)
     sub.add_argument("--json", action="store_true")
 
-    sub = add_parser("discrepancy",
-                              help="derived vs as-published per-term comparison")
+    sub = add_parser("discrepancy", help="derived vs as-published per-term comparison")
     _add_state_flags(sub)
     _add_params_flags(sub)
     sub.add_argument("--json", action="store_true")

@@ -21,7 +21,7 @@ fine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TransPlanckianMassError(ValueError):
@@ -33,8 +33,7 @@ class TransPlanckianMassError(ValueError):
         self.scale = scale
 
 
-@dataclass(frozen=True)
-class DispersionSolution:
+class DispersionSolution(NamedTuple):
     exact_root: float    # (g cm/s)^2-valued, negative for physical inputs
     series_root: float
     residual: float      # quadratic constraint at exact_root, relative to (mc)^2

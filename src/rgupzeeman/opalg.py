@@ -23,9 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: formal parameters carried by coefficients, in canonical order
 PARAMS = ("hbar", "i", "a1", "a2", "eps", "gamma2")
@@ -33,8 +32,7 @@ _PIDX = {name: k for k, name in enumerate(PARAMS)}
 _NO_PARAMS = (0,) * len(PARAMS)
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     kind: str   # "euclidean" or "minkowski"
     dim: int    # spatial dimension (euclidean); fixed 4 spacetime indices otherwise
 
@@ -418,8 +416,7 @@ def deformed_ops_rel() -> tuple[tuple[OperatorPoly, ...],
 VERIFICATION_CASES = ("nonrel-special", "rel-linear", "rel-position-position")
 
 
-@dataclass(frozen=True)
-class AlgebraCheck:
+class AlgebraCheck(NamedTuple):
     """One commutator comparison: computed vs target, with exact residual."""
 
     bracket: str
@@ -432,11 +429,10 @@ class AlgebraCheck:
         return self.residual.is_zero()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case: str
     checks: tuple[AlgebraCheck, ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:

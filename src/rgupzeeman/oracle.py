@@ -26,9 +26,8 @@ forms, and only a quadrature should pay for loading them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .units import ConstantsTable, DEFAULT_CONSTANTS, ValidationError, check_Z, check_n_l
 
@@ -58,8 +57,7 @@ def _laguerre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(NamedTuple):
     """Gauss-Laguerre nodes/weights plus the radial scale s = 2Z/(n r0)."""
 
     n_nodes: int

@@ -22,9 +22,8 @@ deformation-era terms and in the <p^2> cross term).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import oracle
 from .units import (ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams, ValidationError,
@@ -77,33 +76,43 @@ def _sz(l: int, sgn: float, mj: float, hbar: float) -> float:
     return sgn * mj * hbar / (2 * l + 1)
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Hydrogenic level (n, l, j = l +- 1/2, m_j), optionally with the
-    decoupled basis labels (m_l, m_s) for the spin-orbit case."""
-
+class _StateFields(NamedTuple):
     n: int
     l: int
     branch: Branch
     mj: float
-    ml: int | None = None
-    ms: float | None = None
+    ml: int | None
+    ms: float | None
 
-    def __post_init__(self):
-        check_n_l(self.n, self.l)
-        if self.branch is Branch.MINUS and self.l == 0:
+
+class QuantumState(_StateFields):
+    """Hydrogenic level (n, l, j = l +- 1/2, m_j), optionally with the
+    decoupled basis labels (m_l, m_s) for the spin-orbit case.  Raises
+    ValidationError naming the offending field, from _replace too."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, l, branch, mj, ml=None, ms=None):
+        check_n_l(n, l)
+        if branch is Branch.MINUS and l == 0:
             raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
-        if not _is_half_odd(self.mj):
-            raise ValidationError("mj", f"must be half-odd-integer, got {self.mj!r}")
-        if abs(self.mj) > self.j + 1e-12:
-            raise ValidationError("mj", f"|mj| = {abs(self.mj)!r} exceeds j = {self.j!r}")
-        if (self.ml is None) != (self.ms is None):
+        if not _is_half_odd(mj):
+            raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
+        j = _j(l, _sign(branch))
+        if abs(mj) > j + 1e-12:
+            raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
+        if (ml is None) != (ms is None):
             raise ValidationError("ml", "ml and ms must be given together")
-        if self.ml is not None:
-            if abs(self.ml) > self.l or not is_integer(self.ml):
-                raise ValidationError("ml", f"must be an integer with |ml| <= l, got {self.ml!r}")
-            if self.ms not in (0.5, -0.5):
-                raise ValidationError("ms", f"must be +-1/2, got {self.ms!r}")
+        if ml is not None:
+            if abs(ml) > l or not is_integer(ml):
+                raise ValidationError("ml", f"must be an integer with |ml| <= l, got {ml!r}")
+            if ms not in (0.5, -0.5):
+                raise ValidationError("ms", f"must be +-1/2, got {ms!r}")
+        return tuple.__new__(cls, (n, l, branch, mj, ml, ms))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def j(self) -> float:
@@ -215,8 +224,7 @@ class _Substitutions:
             self.deformed = self.scale != 0.0
 
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(NamedTuple):
     """One addend of the shift.
 
     derived and published map the substitutions to erg; published is None
@@ -333,16 +341,14 @@ REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
 
 # -- shift breakdowns ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftTerm:
+class ShiftTerm(NamedTuple):
     label: str
     expression: str
     value_erg: float
     tags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ShiftBreakdown:
+class ShiftBreakdown(NamedTuple):
     """Per-term energy-shift contributions for one state and regime."""
 
     state: QuantumState
@@ -464,8 +470,7 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
 
 # -- line generation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeemanLine:
+class ZeemanLine(NamedTuple):
     """One allowed transition: shift difference plus polarization tag.
 
     shift_erg carries only the field-dependent terms, so it vanishes at
@@ -539,8 +544,7 @@ _AGREE_RTOL = 1e-12
 _RATIO_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TermDifference:
+class TermDifference(NamedTuple):
     regime: Regime
     label: str
     derived_erg: float
@@ -549,8 +553,7 @@ class TermDifference:
     tags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     state: QuantumState
     differences: tuple[TermDifference, ...]
     agreements: tuple[str, ...]  # "regime:label" for terms equal in both modes

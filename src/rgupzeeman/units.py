@@ -12,7 +12,7 @@ written explicitly in the formulas that consume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 GAUSS_PER_TESLA = 1.0e4
 
@@ -48,8 +48,7 @@ class ValidationError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(NamedTuple):
     """Fundamental constants in Gaussian-CGS units."""
 
     e: float          # elementary charge magnitude (statC)
@@ -71,8 +70,8 @@ class ConstantsTable:
         return 1.0 / (self.m_planck * self.c)
 
     def validate(self) -> None:
-        for name in ("e", "m_e", "c", "hbar", "alpha", "r0", "m_planck"):
-            if getattr(self, name) <= 0.0:
+        for name, value in zip(self._fields, self):
+            if value <= 0.0:
                 raise ValidationError(name, "must be positive")
         alpha = self.e**2 / (self.hbar * self.c)
         if abs(alpha - self.alpha) > 1e-6 * self.alpha:
@@ -86,15 +85,8 @@ def load_constants(source: str = "builtin-codata") -> ConstantsTable:
     """Return the validated built-in constants table."""
     if source != "builtin-codata":
         raise ValidationError("source", f"unknown constants source {source!r}")
-    table = ConstantsTable(
-        e=_E_STATC,
-        m_e=_M_E_G,
-        c=_C_CM_S,
-        hbar=_HBAR_ERG_S,
-        alpha=_ALPHA,
-        r0=_R0_CM,
-        m_planck=_M_PLANCK_G,
-    )
+    table = ConstantsTable(_E_STATC, _M_E_G, _C_CM_S, _HBAR_ERG_S, _ALPHA, _R0_CM,
+                           _M_PLANCK_G)
     table.validate()
     return table
 
@@ -102,19 +94,14 @@ def load_constants(source: str = "builtin-codata") -> ConstantsTable:
 DEFAULT_CONSTANTS = load_constants()
 
 
+#: the unit of each ConstantsTable field, in field order
+_CONSTANT_UNITS = ("statC", "g", "cm/s", "erg*s", "1", "cm", "g")
+
+
 def constants_dump(table: ConstantsTable | None = None) -> str:
     """Flat text listing (name, value, unit), one constant per line."""
     t = table if table is not None else DEFAULT_CONSTANTS
-    rows = [
-        ("e", t.e, "statC"),
-        ("m_e", t.m_e, "g"),
-        ("c", t.c, "cm/s"),
-        ("hbar", t.hbar, "erg*s"),
-        ("alpha", t.alpha, "1"),
-        ("r0", t.r0, "cm"),
-        ("m_planck", t.m_planck, "g"),
-        ("mu_bohr", t.mu_bohr, "erg/G"),
-    ]
+    rows = [*zip(t._fields, t, _CONSTANT_UNITS), ("mu_bohr", t.mu_bohr, "erg/G")]
     return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in rows)
 
 
@@ -145,18 +132,7 @@ def check_n_l(n, l) -> None:
         raise ValidationError("l", f"must satisfy 0 <= l < n, got {l!r}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Immutable bundle of field strength and deformation parameters.
-
-    B is the magnetostatic field magnitude in gauss.  epsilon is the
-    dimensionless deformation strength, gamma the inverse-momentum
-    deformation scale in s/(g cm), m the mass entering (m c)^2 factors
-    (defaults to the electron mass; kept separate for exploratory sweeps),
-    Z the nuclear charge, stored as an int.  Raises ValidationError naming
-    the offending field.
-    """
-
+class _ParamsFields(NamedTuple):
     B: float
     epsilon: float
     gamma: float
@@ -164,17 +140,35 @@ class PhysicalParams:
     Z: int
     constants: ConstantsTable
 
-    def __post_init__(self):
-        if self.B < 0.0 or not math.isfinite(self.B):
-            raise ValidationError("B", f"field magnitude must be >= 0, got {self.B!r}")
-        if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
-            raise ValidationError("epsilon", f"must be >= 0, got {self.epsilon!r}")
-        if self.m <= 0.0 or not math.isfinite(self.m):
-            raise ValidationError("m", f"mass must be > 0, got {self.m!r}")
-        check_Z(self.Z)
-        if self.gamma < 0.0 or not math.isfinite(self.gamma):
-            raise ValidationError("gamma", f"must be >= 0, got {self.gamma!r}")
-        object.__setattr__(self, "Z", int(self.Z))
+
+class PhysicalParams(_ParamsFields):
+    """Immutable bundle of field strength and deformation parameters.
+
+    B is the magnetostatic field magnitude in gauss.  epsilon is the
+    dimensionless deformation strength, gamma the inverse-momentum
+    deformation scale in s/(g cm), m the mass entering (m c)^2 factors
+    (defaults to the electron mass; kept separate for exploratory sweeps),
+    Z the nuclear charge, stored as an int.  Raises ValidationError naming
+    the offending field, from _replace too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, B, epsilon, gamma, m, Z, constants):
+        if B < 0.0 or not math.isfinite(B):
+            raise ValidationError("B", f"field magnitude must be >= 0, got {B!r}")
+        if epsilon < 0.0 or not math.isfinite(epsilon):
+            raise ValidationError("epsilon", f"must be >= 0, got {epsilon!r}")
+        if m <= 0.0 or not math.isfinite(m):
+            raise ValidationError("m", f"mass must be > 0, got {m!r}")
+        check_Z(Z)
+        if gamma < 0.0 or not math.isfinite(gamma):
+            raise ValidationError("gamma", f"must be >= 0, got {gamma!r}")
+        return tuple.__new__(cls, (B, epsilon, gamma, m, int(Z), constants))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def eps_gamma2(self) -> float:

@@ -222,6 +222,24 @@ def test_only_oracle_loads_numpy_and_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_command_loads_dataclasses_or_inspect():
+    # the records are named tuples; dataclasses would pull in inspect, ast and dis
+    script = (
+        "import contextlib, io, sys\n"
+        "import rgupzeeman, rgupzeeman.cli\n"
+        "def loaded():\n"
+        "    return {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded(), loaded()\n"
+        "for argv in (['shift', '--l', '1', '--mj', '0.5'],\n"
+        "             ['verify-algebra', '--case', 'rel-linear']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rgupzeeman.cli.main(argv) == 0\n"
+        "    assert not loaded(), (argv, loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_precedence_flags_env_file_builtin(tmp_path):
     config = tmp_path / "defaults.cfg"
     config.write_text("params.b_tesla = 2.0\n# comment line\n")
@@ -460,6 +478,52 @@ def test_dispersion_json_is_strict(main):
         raise AssertionError(f"non-strict JSON constant {constant}")
     payload = json.loads(out, parse_constant=reject)
     assert payload["exact_root"] < 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--json"),
+    (*_SHIFT, "--regime", "rgup", "--json"),
+    (*_LINES, "--regime", "rgup", "--json"),
+    ("verify-algebra", "--case", "rel-linear", "--json"),
+    ("dispersion", "--mc", "1", "--eps-gamma2", "0.01", "--json"),
+    ("discrepancy", "--l", "1", "--mj", "0.5", "--json"),
+    ("oracle", "--n", "2", "--l", "1"),
+], ids=("constants", "shift", "lines", "verify-algebra", "dispersion", "discrepancy",
+        "oracle"))
+def test_json_payloads_hold_no_records(main, monkeypatch, argv):
+    # json writes a tuple, and so a named-tuple record, as a bare list
+    from rgupzeeman import cli
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+
+    def plain(value):
+        assert type(value) in (dict, list, str, int, float, bool, type(None)), value
+        for item in value.values() if type(value) is dict else \
+                value if type(value) is list else ():
+            plain(item)
+    status, _, _ = main(*argv)
+    assert status == 0
+    assert len(payloads) == 1
+    plain(payloads[0])
+
+
+def test_lines_l_cap_exits_before_any_state_is_built(main, monkeypatch):
+    from rgupzeeman import cli
+    for argv in (("--upper-l", "1000", "--lower-l", "999"),
+                 ("--upper-l", "999", "--lower-l", "1000")):
+        status, out, _ = main("lines", *argv, "--json")
+        assert status == 0
+        assert json.loads(out)["count"] == 6000
+
+    def build(*args):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(cli, "level_states", build)
+    for argv in (("--upper-l", "1001", "--lower-l", "1000"),
+                 ("--upper-l", "1000", "--lower-l", "1001")):
+        status, out, err = main("lines", *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("rgupz: error: ") and len(err.splitlines()) == 1
 
 
 def test_parser_reuse_keeps_no_state_between_calls(main, monkeypatch, tmp_path):
