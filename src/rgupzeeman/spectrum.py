@@ -180,13 +180,15 @@ _DEFORMED = (Regime.GUP, Regime.RGUP)
 class _Substitutions:
     """Every quantity a term expression reads.
 
-    The state half (l through p4) is computed once per state; set_params
-    computes the params half (B, base, eps_gamma2, scale, deformed) from a
-    record, so a sweep over B or epsilon recomputes only that half.  scale
-    is the regime's deformation scale: eps gamma^2 (mc)^2, or
-    -eps gamma^2 <p^2> in the nonrelativistic (GUP) limit.  deformed gates
-    the deformation addends (RGUP: scale != 0; GUP: eps gamma^2 != 0).
-    radius overrides the r0 of the angular <p^2> only.
+    The level half (l through p4) is computed once per level: every state
+    of one l, branch sign and constants table shares it, and set_mj moves
+    it to another m_j (mj, jz, sz).  set_params computes the params half
+    (B, base, eps_gamma2, scale, deformed) from a record, so a sweep over B
+    or epsilon recomputes only that half.  scale is the regime's
+    deformation scale: eps gamma^2 (mc)^2, or -eps gamma^2 <p^2> in the
+    nonrelativistic (GUP) limit.  deformed gates the deformation addends
+    (RGUP: scale != 0; GUP: eps gamma^2 != 0).  radius overrides the r0 of
+    the angular <p^2> only.
     """
 
     __slots__ = ("constants", "e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l",
@@ -200,17 +202,25 @@ class _Substitutions:
         self.alpha, self.r0 = C.alpha, C.r0
         self.l = state.l
         self.ll = state.l * (state.l + 1)
-        self.mj = state.mj
-        self.sgn = sgn = _sign(state.branch)
-        self.jz = state.mj * C.hbar
-        self.sz = _sz(state.l, sgn, state.mj, C.hbar)
-        self.plus, self.minus = _spin_factors(state.l, sgn)
+        self.sgn = _sign(state.branch)
+        self.plus, self.minus = _spin_factors(state.l, self.sgn)
         self.p2 = p2 = exp_p2_angular(state.l, radius, C)
         self.p4 = p2 * p2
+        self.set_mj(state.mj)
         self.set_params(params, regime)
 
+    def fits(self, state: QuantumState, constants: ConstantsTable) -> bool:
+        """The reuse rule: same constants, l and branch sign (n, ml, ms do not enter)."""
+        return constants is self.constants and state.l == self.l \
+            and _sign(state.branch) == self.sgn
+
+    def set_mj(self, mj: float) -> None:
+        self.mj = mj
+        self.jz = mj * self.hbar
+        self.sz = _sz(self.l, self.sgn, mj, self.hbar)
+
     def set_params(self, params: PhysicalParams, regime: Regime) -> None:
-        """The params half; params must share the constants of the state half."""
+        """The params half; params must share the constants of the level half."""
         self.B = params.B
         self.base = self.e * params.B / (2.0 * self.m_e * self.c)
         self.eps_gamma2 = eps_gamma2 = params.eps_gamma2
@@ -341,6 +351,9 @@ REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
 
 # -- shift breakdowns ---------------------------------------------------------
 
+_new = tuple.__new__
+
+
 class ShiftTerm(NamedTuple):
     label: str
     expression: str
@@ -402,19 +415,19 @@ def _evaluate(subs: _Substitutions, plan: tuple) -> tuple[float, tuple, float]:
 def _row_evaluator(regime: Regime, mode: Mode):
     """A function (state, params) -> _evaluate's tuple for one regime and mode.
 
-    While the state (and the constants table) stay the same objects from
-    one call to the next, only the params half of the substitutions is
-    computed again.
+    While the row's state fits the last substitutions (_Substitutions.fits),
+    only its m_j and the params half are computed again.
     """
     plan = _plan_of(regime, mode)
-    subs = state = None
+    subs = None
 
-    def evaluate(row_state: QuantumState, params: PhysicalParams):
-        nonlocal subs, state
-        if row_state is state and params.constants is subs.constants:
+    def evaluate(state: QuantumState, params: PhysicalParams):
+        nonlocal subs
+        if subs is not None and subs.fits(state, params.constants):
+            subs.set_mj(state.mj)
             subs.set_params(params, regime)
         else:
-            subs, state = _Substitutions(row_state, params, regime, None), row_state
+            subs = _Substitutions(state, params, regime, None)
         return _evaluate(subs, plan)
     return evaluate
 
@@ -435,12 +448,12 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     plan = _plan_of(regime, mode)
     scale, values, _ = _evaluate(_Substitutions(state, params, regime, radius), plan)
     # a list, not a generator: tuple(<generator>) left thousands more small
-    # blocks allocated between calls and raised the sweep's peak RSS
-    terms = tuple([ShiftTerm(label, expression, value, tags)
+    # blocks allocated between calls and raised the sweep's peak RSS.  The
+    # records have no rules, so tuple.__new__ skips their Python __new__
+    terms = tuple([_new(ShiftTerm, (label, expression, value, tags))
                    for (label, expression, _, tags, _), value in zip(plan, values)
                    if value is not None])
-    return ShiftBreakdown(state=state, regime=regime, mode=mode,
-                          correction_scale=scale, terms=terms)
+    return _new(ShiftBreakdown, (state, regime, mode, scale, terms))
 
 
 def lande_g_factor(l: int, branch: Branch) -> float:
@@ -500,24 +513,27 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
 
     plan = _plan_of(regime, mode)
     offset_term = tuple("non-magnetic" in tags for _, _, _, tags, _ in plan)
-    shifts = {}
+    subs = None
+    entries = []  # (state, magnetic sum, offset sum), following upper + lower
     for state in upper + lower:
-        if state not in shifts:
-            _, values, _ = _evaluate(_Substitutions(state, params, regime, None), plan)
-            magnetic, offset = [], []
-            for is_offset, value in zip(offset_term, values):
-                if value is not None:
-                    (offset if is_offset else magnetic).append(value)
-            shifts[state] = (_finite_sum(magnetic, "shift"),
-                             _finite_sum(offset, "level_offset"))
+        if subs is not None and subs.fits(state, params.constants):
+            subs.set_mj(state.mj)
+        else:
+            subs = _Substitutions(state, params, regime, None)
+        _, values, _ = _evaluate(subs, plan)
+        magnetic, offset = [], []
+        for is_offset, value in zip(offset_term, values):
+            if value is not None:
+                (offset if is_offset else magnetic).append(value)
+        entries.append((state, _finite_sum(magnetic, "shift"),
+                        _finite_sum(offset, "level_offset")))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
     lower_by_mj = {}
-    for lo in lower:
-        lower_by_mj.setdefault(lo.mj, []).append((lo, *shifts[lo]))
+    for entry in entries[len(upper):]:
+        lower_by_mj.setdefault(entry[0].mj, []).append(entry)
 
     lines = []
-    for u in upper:
-        mag_u, off_u = shifts[u]
+    for u, mag_u, off_u in entries[:len(upper)]:
         for mj in (u.mj - 1.0, u.mj, u.mj + 1.0):
             for lo, mag_l, off_l in lower_by_mj.get(mj, ()):
                 if abs(u.l - lo.l) != 1:
@@ -531,9 +547,7 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                 if not (math.isfinite(shift) and math.isfinite(offset)):
                     raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
                                                    "is outside double precision")
-                lines.append(ZeemanLine(upper=u, lower=lo, delta_mj=delta,
-                                        polarization=pol, shift_erg=shift,
-                                        level_offset_erg=offset))
+                lines.append(_new(ZeemanLine, (u, lo, delta, pol, shift, offset)))
     lines.sort(key=lambda ln: (ln.upper.mj, ln.lower.mj))
     return tuple(lines)
 

@@ -272,6 +272,38 @@ def test_config_parse_error_is_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_config_file_is_closed(tmp_path):
+    config = tmp_path / "defaults.cfg"
+    config.write_text("params.b_tesla = 2.0\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "rgupzeeman.cli", "shift",
+                           "--config", str(config), "--l", "1", "--mj", "0.5"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == b""  # -X dev reports an unclosed file as a ResourceWarning
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", [
+    ("lines", "--upper-l", "999", "--lower-l", "1000"),
+    ("sweep", "--param", "B", "--from", "0", "--to", "1", "--steps", "100000",
+     "--l", "1", "--mj", "0.5"),
+], ids=("lines", "sweep"))
+def test_a_closed_pipe_exits_141_without_a_traceback(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("RGUPZ_") and k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "rgupzeeman.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # the reader leaves, as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_banner_only_on_request():
     quiet = run_cli("constants")
     assert b"rgupz" not in quiet.stdout

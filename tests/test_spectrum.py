@@ -1,6 +1,7 @@
 """Shift breakdowns, spin-orbit shift, lines, and mode comparison."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from rgupzeeman.spectrum import (
     QuantumState,
     Regime,
     REGIME_TERM_LABELS,
+    ZeemanLine,
     discrepancy_report,
     _sz,
     energy_shift_B,
@@ -464,6 +466,78 @@ def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic,
 def test_lines_empty_sets_rejected():
     with pytest.raises(ValidationError):
         zeeman_lines((), level_states(1, 0, Branch.PLUS), PLANCK, Regime.LANDE)
+
+
+def _count_substitutions(monkeypatch):
+    """The states spectrum._Substitutions is built for from now on."""
+    from rgupzeeman import spectrum
+    built = []
+
+    class Counted(spectrum._Substitutions):
+        __slots__ = ()
+
+        def __init__(self, state, *rest):
+            built.append(state)
+            super().__init__(state, *rest)
+    monkeypatch.setattr(spectrum, "_Substitutions", Counted)
+    return built
+
+
+def test_lines_build_one_substitution_per_level(monkeypatch):
+    upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
+    built = _count_substitutions(monkeypatch)
+    assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
+    assert built == [upper[0], lower[0]]
+
+
+def test_an_mj_sweep_builds_one_substitution(monkeypatch):
+    from rgupzeeman.spectrum import _row_evaluator
+    states, params = level_states(3, 2, Branch.PLUS), params_with_scale(1e-3)
+    totals = [energy_shift_B(s, params, Regime.RGUP).total_erg for s in states]
+    built = _count_substitutions(monkeypatch)
+    evaluate = _row_evaluator(Regime.RGUP, Mode.DERIVED)
+    assert [evaluate(s, params)[2] for s in states] == totals
+    assert built == [states[0]]
+
+
+def _reference_lines(upper, lower, params, regime, mode):
+    """zeeman_lines rebuilt from one energy_shift_B per state and line end."""
+    def sums(state):
+        terms = energy_shift_B(state, params, regime, mode).terms
+        return (math.fsum(t.value_erg for t in terms if "non-magnetic" not in t.tags),
+                math.fsum(t.value_erg for t in terms if "non-magnetic" in t.tags))
+    lines = []
+    for u in upper:
+        for lo in lower:
+            delta = u.mj - lo.mj
+            if abs(u.l - lo.l) == 1 and abs(delta) <= 1.0:
+                (mag_u, off_u), (mag_l, off_l) = sums(u), sums(lo)
+                pol = "pi" if delta == 0.0 else "sigma+" if delta > 0 else "sigma-"
+                lines.append(ZeemanLine(u, lo, delta, pol, mag_u - mag_l, off_u - off_l))
+    return tuple(sorted(lines, key=lambda ln: (ln.upper.mj, ln.lower.mj)))
+
+
+def _interleaved(*levels):
+    return [s for group in itertools.zip_longest(*levels) for s in group if s is not None]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("first, second", [
+    ((3, 2, Branch.PLUS), (4, 2, Branch.MINUS)),   # same l, the other branch
+    ((4, 2, Branch.PLUS), (4, 3, Branch.PLUS)),    # same branch, another l
+], ids=("branch", "l"))
+def test_lines_over_interleaved_levels_match_a_per_state_reference(first, second,
+                                                                   regime, mode):
+    upper = _interleaved(level_states(*first), level_states(*second))
+    upper.append(upper[0])                          # a repeated state
+    lower = _interleaved(level_states(5, 1, Branch.PLUS), level_states(5, 2, Branch.MINUS),
+                         level_states(5, 3, Branch.PLUS))
+    lower.append(upper[1])                          # a state in both sets
+    params = params_with_scale(1e-3)
+    lines = zeeman_lines(upper, lower, params, regime, mode)
+    assert lines == _reference_lines(upper, lower, params, regime, mode)
+    assert all(type(ln) is ZeemanLine for ln in lines)
 
 
 # -- discrepancy catalogue ------------------------------------------------------
