@@ -181,11 +181,11 @@ class _Substitutions:
     """Every quantity a term expression reads.
 
     The level half (l through p4) is computed once per level: every state
-    of one l, branch sign and constants table shares it, and set_mj moves
-    it to another m_j (mj, jz, sz).  set_params computes the params half
-    (B, base, eps_gamma2, scale, deformed) from a record, so a sweep over B
-    or epsilon recomputes only that half.  scale is the regime's
-    deformation scale: eps gamma^2 (mc)^2, or -eps gamma^2 <p^2> in the
+    of one l and branch sign shares it, and set_mj moves it to another m_j
+    (mj, jz, sz).  set_params computes the params half (B, base,
+    eps_gamma2, scale, deformed) from a record, so a sweep over B or
+    epsilon recomputes only that half.  scale is the regime's deformation
+    scale: eps gamma^2 (mc)^2, or -eps gamma^2 <p^2> in the
     nonrelativistic (GUP) limit.  deformed gates the deformation addends
     (RGUP: scale != 0; GUP: eps gamma^2 != 0).  radius overrides the r0 of
     the angular <p^2> only.
@@ -208,11 +208,6 @@ class _Substitutions:
         self.p4 = p2 * p2
         self.set_mj(state.mj)
         self.set_params(params, regime)
-
-    def fits(self, state: QuantumState, constants: ConstantsTable) -> bool:
-        """The reuse rule: same constants, l and branch sign (n, ml, ms do not enter)."""
-        return constants is self.constants and state.l == self.l \
-            and _sign(state.branch) == self.sgn
 
     def set_mj(self, mj: float) -> None:
         self.mj = mj
@@ -415,19 +410,19 @@ def _evaluate(subs: _Substitutions, plan: tuple) -> tuple[float, tuple, float]:
 def _row_evaluator(regime: Regime, mode: Mode):
     """A function (state, params) -> _evaluate's tuple for one regime and mode.
 
-    While the row's state fits the last substitutions (_Substitutions.fits),
-    only its m_j and the params half are computed again.
+    While the state (and the constants table) stay the same objects from
+    one call to the next, only the params half of the substitutions is
+    computed again.
     """
     plan = _plan_of(regime, mode)
-    subs = None
+    subs = state = None
 
-    def evaluate(state: QuantumState, params: PhysicalParams):
-        nonlocal subs
-        if subs is not None and subs.fits(state, params.constants):
-            subs.set_mj(state.mj)
+    def evaluate(row_state: QuantumState, params: PhysicalParams):
+        nonlocal subs, state
+        if row_state is state and params.constants is subs.constants:
             subs.set_params(params, regime)
         else:
-            subs = _Substitutions(state, params, regime, None)
+            subs, state = _Substitutions(row_state, params, regime, None), row_state
         return _evaluate(subs, plan)
     return evaluate
 
@@ -516,7 +511,8 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
     subs = None
     entries = []  # (state, magnetic sum, offset sum), following upper + lower
     for state in upper + lower:
-        if subs is not None and subs.fits(state, params.constants):
+        # one substitution per level: only l and the branch sign enter it
+        if subs is not None and state.l == subs.l and _sign(state.branch) == subs.sgn:
             subs.set_mj(state.mj)
         else:
             subs = _Substitutions(state, params, regime, None)

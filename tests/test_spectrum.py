@@ -468,8 +468,7 @@ def test_lines_empty_sets_rejected():
         zeeman_lines((), level_states(1, 0, Branch.PLUS), PLANCK, Regime.LANDE)
 
 
-def _count_substitutions(monkeypatch):
-    """The states spectrum._Substitutions is built for from now on."""
+def test_lines_build_one_substitution_per_level(monkeypatch):
     from rgupzeeman import spectrum
     built = []
 
@@ -480,24 +479,9 @@ def _count_substitutions(monkeypatch):
             built.append(state)
             super().__init__(state, *rest)
     monkeypatch.setattr(spectrum, "_Substitutions", Counted)
-    return built
-
-
-def test_lines_build_one_substitution_per_level(monkeypatch):
     upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
-    built = _count_substitutions(monkeypatch)
     assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
     assert built == [upper[0], lower[0]]
-
-
-def test_an_mj_sweep_builds_one_substitution(monkeypatch):
-    from rgupzeeman.spectrum import _row_evaluator
-    states, params = level_states(3, 2, Branch.PLUS), params_with_scale(1e-3)
-    totals = [energy_shift_B(s, params, Regime.RGUP).total_erg for s in states]
-    built = _count_substitutions(monkeypatch)
-    evaluate = _row_evaluator(Regime.RGUP, Mode.DERIVED)
-    assert [evaluate(s, params)[2] for s in states] == totals
-    assert built == [states[0]]
 
 
 def _reference_lines(upper, lower, params, regime, mode):
