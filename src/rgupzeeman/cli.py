@@ -4,11 +4,11 @@ Exit codes: 0 success, 2 flag/config parse error, 3 domain error (invalid
 physics), 4 verification failure.  Output is deterministic: no timestamps,
 version banner only behind --banner.  Energies print in eV by default.
 
-Configuration precedence: command-line flags > RGUPZ_* environment
-variables > --config file > builtin defaults.  The config file is flat
-"dotted.key = value" text; the matching environment variable is the key
-upper-cased with dots replaced by underscores and the RGUPZ_ prefix
-(params.b_tesla -> RGUPZ_PARAMS_B_TESLA).
+RunConfig.get resolves each key of _SETTINGS as command-line flag > RGUPZ_*
+environment variable > --config file > builtin, in exactly the subcommands
+that have its flag.  The config file is flat "dotted.key = value" text; the
+environment variable is the key upper-cased with dots replaced by
+underscores and the RGUPZ_ prefix (params.b_tesla -> RGUPZ_PARAMS_B_TESLA).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import NamedTuple
 from . import __version__, opalg
 from .dispersion import TransPlanckianMassError, solve_mass_shell
 from .oracle import (
+    _check_qn,
     p2_closed_form,
     p2_expectation_exact,
     p4_expectation_exact,
@@ -45,8 +46,10 @@ from .spectrum import (
     zeeman_lines,
 )
 from .units import (
+    ENERGY_UNITS,
     GAUSS_PER_TESLA,
     ValidationError,
+    _constant_rows,
     constants_dump,
     convert_energy,
     is_integer,
@@ -56,18 +59,22 @@ from .units import (
 
 ENV_PREFIX = "RGUPZ_"
 
-_BUILTIN_DEFAULTS = {
-    "params.b_tesla": "1.0",
-    "params.epsilon": "1.0",
-    "params.gamma": "planck",
-    "params.z": "1",
-    "output.unit": "eV",
-    "output.format": "table",
-}
-
 
 class CLIUsageError(Exception):
     """Bad flags or config text; maps to exit code 2."""
+
+
+#: config key -> (the args attribute of the flag that overrides it, builtin
+#: text, how text is read, the allowed texts or None for any)
+_SETTINGS = {
+    "params.b_tesla": ("B_tesla", "1.0", float, None),
+    "params.epsilon": ("epsilon", "1.0", float, None),
+    "params.gamma": ("gamma", "planck", lambda t: None if t == "planck" else float(t), None),
+    # a float, so a configured 2.5 reaches the integer rule and exits 3
+    "params.z": ("Z", "1", float, None),
+    "output.unit": ("unit", "eV", str, ENERGY_UNITS),
+    "output.format": ("format", "table", str, ("table", "json", "csv")),
+}
 
 
 class RunConfig(NamedTuple):
@@ -75,8 +82,7 @@ class RunConfig(NamedTuple):
     env_values: dict[str, str]
 
     @classmethod
-    def load(cls, config_path: str | None, environ=None) -> "RunConfig":
-        env = os.environ if environ is None else environ
+    def load(cls, config_path: str | None) -> "RunConfig":
         file_values: dict[str, str] = {}
         if config_path is not None:
             try:
@@ -94,44 +100,35 @@ class RunConfig(NamedTuple):
                 key, _, value = line.partition("=")
                 file_values[key.strip()] = value.strip()
         env_values = {}
-        for key in _BUILTIN_DEFAULTS:
+        for key in _SETTINGS:
             name = ENV_PREFIX + key.upper().replace(".", "_")
-            if name in env:
-                env_values[key] = env[name]
+            if name in os.environ:
+                env_values[key] = os.environ[name]
         return cls(file_values=file_values, env_values=env_values)
 
-    def resolve(self, key: str) -> str:
-        """Environment > file > builtin (flags are applied by the caller)."""
-        if key in self.env_values:
-            return self.env_values[key]
-        if key in self.file_values:
-            return self.file_values[key]
-        return _BUILTIN_DEFAULTS[key]
+    def get(self, args, key: str):
+        """The key's value: its flag > environment > file > builtin.  A flag that
+        argparse typed (--B-tesla, --Z) is used as parsed; text is read and
+        checked here.  args must have the key's flag."""
+        flag, builtin, read, choices = _SETTINGS[key]
+        value = getattr(args, flag)
+        if value is None:
+            value = self.env_values.get(key, self.file_values.get(key, builtin))
+        if not isinstance(value, str):
+            return value
+        if choices is not None and value not in choices:
+            raise CLIUsageError(f"{key}: expected one of {', '.join(choices)}, got {value!r}")
+        try:
+            return read(value)
+        except ValueError:
+            raise CLIUsageError(f"{key}: expected a number, got {value!r}") from None
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
 
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CLIUsageError(f"{what}: expected a number, got {text!r}") from None
-
-
-def _param_values(args, cfg: RunConfig) -> tuple[float, float, float | None, float]:
-    """(B in tesla, epsilon, gamma or None for planck, Z) from flags and config."""
-    b_tesla = args.B_tesla if getattr(args, "B_tesla", None) is not None \
-        else _parse_float(cfg.resolve("params.b_tesla"), "params.b_tesla")
-    epsilon = args.epsilon if getattr(args, "epsilon", None) is not None \
-        else _parse_float(cfg.resolve("params.epsilon"), "params.epsilon")
-    gamma_text = args.gamma if getattr(args, "gamma", None) is not None \
-        else cfg.resolve("params.gamma")
-    Z = args.Z if getattr(args, "Z", None) is not None \
-        else _parse_float(cfg.resolve("params.z"), "params.z")
-    gamma = None if gamma_text == "planck" else _parse_float(gamma_text, "--gamma")
-    return b_tesla, epsilon, gamma, Z
+_PARAM_KEYS = ("params.b_tesla", "params.epsilon", "params.gamma", "params.z")
 
 
 def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: float,
@@ -142,7 +139,7 @@ def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: float,
 
 
 def _params_from(args, cfg: RunConfig):
-    return _make_params(*_param_values(args, cfg))
+    return _make_params(*[cfg.get(args, key) for key in _PARAM_KEYS])
 
 
 def _state_from(args, l: int | None = None, n: int | None = None,
@@ -155,25 +152,6 @@ def _state_from(args, l: int | None = None, n: int | None = None,
     if mj_val is None:
         raise CLIUsageError("--mj is required")
     return QuantumState(n=n_val, l=l_val, branch=Branch(args.branch), mj=mj_val)
-
-
-def _output_format(args, cfg: RunConfig) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    fmt = cfg.resolve("output.format")
-    if fmt not in ("table", "json", "csv"):
-        raise CLIUsageError(f"output.format: unknown format {fmt!r}")
-    return fmt
-
-
-def _unit_from(args, cfg: RunConfig) -> str:
-    unit = args.unit if getattr(args, "unit", None) is not None \
-        else cfg.resolve("output.unit")
-    if unit not in ("eV", "erg", "cm-1", "Hz"):
-        raise CLIUsageError(f"--unit: unknown energy unit {unit!r}")
-    return unit
 
 
 def _in_unit(values_erg, unit: str) -> list[float]:
@@ -204,12 +182,9 @@ def _params_dict(params) -> dict:
 
 def cmd_constants(args, cfg: RunConfig) -> int:
     table = load_constants()
-    if _output_format(args, cfg) == "json":
-        rows = {}
-        for line in constants_dump(table).splitlines():
-            name, value, unit = line.split(" ")
-            rows[name] = {"value": float(value), "unit": unit}
-        _print_json(rows)
+    if cfg.get(args, "output.format") == "json":
+        _print_json({name: {"value": value, "unit": unit}
+                     for name, value, unit in _constant_rows(table)})
     else:
         print(constants_dump(table))
     return 0
@@ -220,9 +195,9 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     state = _state_from(args)
     regime = Regime(args.regime)
     mode = Mode(args.mode)
-    unit = _unit_from(args, cfg)
+    unit = cfg.get(args, "output.unit")
     breakdown = energy_shift_B(state, params, regime, mode)
-    fmt = _output_format(args, cfg)
+    fmt = cfg.get(args, "output.format")
     # the table shows the display unit; json and csv carry eV next to erg
     *shown, total = _in_unit([*(t.value_erg for t in breakdown.terms),
                               breakdown.total_erg], unit if fmt == "table" else "eV")
@@ -329,8 +304,8 @@ def _sweep_records(values, args, param_values):
 def cmd_sweep(args, cfg: RunConfig) -> int:
     values = _sweep_grid(args)
     regime, mode = Regime(args.regime), Mode(args.mode)
-    unit = _unit_from(args, cfg)
-    param_values = _param_values(args, cfg)
+    unit = cfg.get(args, "output.unit")
+    param_values = [cfg.get(args, key) for key in _PARAM_KEYS]
     # validate the grid before the first write, keeping nothing, so a bad
     # grid point prints no partial CSV and a long sweep stays streamed.  The
     # B and epsilon rules are intervals, so a NaN (which does not sort) and
@@ -378,14 +353,14 @@ def cmd_lines(args, cfg: RunConfig) -> int:
     params = _params_from(args, cfg)
     regime = Regime(args.regime)
     mode = Mode(args.mode)
-    unit = _unit_from(args, cfg)
+    unit = cfg.get(args, "output.unit")
     upper_n = args.upper_n if args.upper_n is not None else args.upper_l + 1
     lower_n = args.lower_n if args.lower_n is not None else args.lower_l + 1
     upper = level_states(upper_n, args.upper_l, Branch(args.upper_branch))
     lower = level_states(lower_n, args.lower_l, Branch(args.lower_branch))
     lines = zeeman_lines(upper, lower, params, regime, mode)
 
-    if _output_format(args, cfg) == "json":
+    if cfg.get(args, "output.format") == "json":
         payload = {
             "regime": regime.value,
             "mode": mode.value,
@@ -413,7 +388,7 @@ def cmd_verify_algebra(args, cfg: RunConfig) -> int:
     cases = opalg.VERIFICATION_CASES if args.case == "all" else (args.case,)
     reports = [opalg.verify_algebra(case, target=args.target) for case in cases]
 
-    if _output_format(args, cfg) == "json":
+    if cfg.get(args, "output.format") == "json":
         payload = {"target": args.target, "reports": [
             {"case": r.case, "passed": r.passed, "notes": list(r.notes),
              "checks": [
@@ -449,9 +424,9 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
         mc = args.mc
         eps_gamma2 = args.eps_gamma2 if args.eps_gamma2 is not None else 0.0
     else:
-        _, epsilon, gamma, _ = _param_values(args, cfg)
         # PhysicalParams holds the rules for m, epsilon and gamma
-        params = _make_params(0.0, epsilon, gamma, 1, m=args.m_grams)
+        params = _make_params(0.0, cfg.get(args, "params.epsilon"),
+                              cfg.get(args, "params.gamma"), 1, m=args.m_grams)
         mc = params.m * params.constants.c
         eps_gamma2 = params.eps_gamma2
     if not (mc > 0.0 and math.isfinite(mc)):
@@ -463,7 +438,7 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
                                    solution.residual))):
         raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
 
-    if _output_format(args, cfg) == "json":
+    if cfg.get(args, "output.format") == "json":
         _print_json({
             "mc": mc, "eps_gamma2": eps_gamma2, "order": solution.order,
             "exact_root": solution.exact_root,
@@ -484,7 +459,7 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
     state = _state_from(args)
     report = discrepancy_report(state, params)
 
-    if _output_format(args, cfg) == "json":
+    if cfg.get(args, "output.format") == "json":
         payload = {
             "state": _state_dict(state),
             "differences": [
@@ -515,9 +490,11 @@ MAX_ORACLE_NODES = 1000
 
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
-    n, l, Z = args.n, args.l, args.Z if args.Z is not None else 1
+    n, l, Z = args.n, args.l, cfg.get(args, "params.z")
     if not 1 <= args.nodes <= MAX_ORACLE_NODES:
         raise CLIUsageError(f"--nodes must be in [1, {MAX_ORACLE_NODES}], got {args.nodes}")
+    _check_qn(n, l, Z)
+    Z = int(Z)  # a configured Z reads as 2.0; the JSON shows 2, as for --Z 2
     try:
         # a degenerate rule (too many nodes) also trips numpy overflow
         # warnings; the one failure line below reports it instead
@@ -567,12 +544,13 @@ def _add_state_flags(sub):
                      help="magnetic quantum number (half-odd-integer)")
 
 
-def _add_output_flags(sub, csv_flag=True):
-    sub.add_argument("--json", action="store_true", help="emit a single JSON object")
+def _add_format_flags(sub, csv_flag=False):
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--json", dest="format", action="store_const", const="json",
+                       help="emit a single JSON object")
     if csv_flag:
-        sub.add_argument("--csv", action="store_true", help="emit CSV rows")
-    sub.add_argument("--unit", choices=("eV", "erg", "cm-1", "Hz"), default=None,
-                     help="energy display unit (default eV)")
+        group.add_argument("--csv", dest="format", action="store_const", const="csv",
+                           help="emit CSV rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,14 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
         return commands.add_parser(name, parents=[common], **kwargs)
 
     sub = add_parser("constants", help="dump the constants table")
-    sub.add_argument("--json", action="store_true")
+    _add_format_flags(sub)
 
     sub = add_parser("shift", help="energy-shift breakdown for one state")
     _add_state_flags(sub)
     _add_params_flags(sub)
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    _add_output_flags(sub)
+    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+    _add_format_flags(sub, csv_flag=True)
 
     sub = add_parser("sweep", help="sweep one parameter, emit CSV")
     sub.add_argument("--param", required=True, choices=_SWEEP_COLUMN)
@@ -615,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(sub)
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    sub.add_argument("--unit", choices=("eV", "erg", "cm-1", "Hz"), default=None)
+    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
 
     sub = add_parser("lines", help="allowed Zeeman lines between two levels")
     sub.add_argument("--upper-n", dest="upper_n", type=int, default=None)
@@ -631,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(sub)
     sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
     sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    _add_output_flags(sub, csv_flag=False)
+    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+    _add_format_flags(sub)
 
     sub = add_parser("verify-algebra", help="machine-verify the deformed commutator algebras")
     sub.add_argument("--case", choices=(*opalg.VERIFICATION_CASES, "all"),
@@ -639,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--target", choices=("derived", "quoted"), default="derived",
                      help="'quoted' checks the printed special-case cross "
                           "coefficient a1 and fails by the known factor 2")
-    sub.add_argument("--json", action="store_true")
+    _add_format_flags(sub)
 
     sub = add_parser("dispersion", help="deformed mass-shell root")
     sub.add_argument("--mc", type=float, default=None,
@@ -650,12 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon", type=float, default=None)
     sub.add_argument("--gamma", default=None)
     sub.add_argument("--order", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--json", action="store_true")
+    _add_format_flags(sub)
 
     sub = add_parser("discrepancy", help="derived vs as-published per-term comparison")
     _add_state_flags(sub)
     _add_params_flags(sub)
-    sub.add_argument("--json", action="store_true")
+    _add_format_flags(sub)
 
     sub = add_parser("oracle", help="hydrogen radial expectation values (JSON)")
     sub.add_argument("--n", type=int, required=True)

@@ -54,7 +54,11 @@ def _is_half_odd(value: float) -> bool:
 
 def _sign(branch: Branch) -> float:
     """The +- of j = l +- 1/2, which every branch-dependent quantity carries."""
-    return 1.0 if branch is Branch.PLUS else -1.0
+    if branch is Branch.PLUS:
+        return 1.0
+    if branch is Branch.MINUS:
+        return -1.0
+    raise ValidationError("branch", f"must be a Branch member, got {branch!r}")
 
 
 def _j(l: int, sgn: float) -> float:
@@ -94,11 +98,12 @@ class QuantumState(_StateFields):
 
     def __new__(cls, n, l, branch, mj, ml=None, ms=None):
         check_n_l(n, l)
-        if branch is Branch.MINUS and l == 0:
+        sgn = _sign(branch)
+        if sgn < 0.0 and l == 0:
             raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
         if not _is_half_odd(mj):
             raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
-        j = _j(l, _sign(branch))
+        j = _j(l, sgn)
         if abs(mj) > j + 1e-12:
             raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
         if (ml is None) != (ms is None):
@@ -187,16 +192,14 @@ class _Substitutions:
     epsilon recomputes only that half.  scale is the regime's deformation
     scale: eps gamma^2 (mc)^2, or -eps gamma^2 <p^2> in the
     nonrelativistic (GUP) limit.  deformed gates the deformation addends
-    (RGUP: scale != 0; GUP: eps gamma^2 != 0).  radius overrides the r0 of
-    the angular <p^2> only.
+    (RGUP: scale != 0; GUP: eps gamma^2 != 0).
     """
 
     __slots__ = ("constants", "e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l",
                  "ll", "mj", "sgn", "jz", "sz", "plus", "minus", "p2", "p4", "scale",
                  "eps_gamma2", "deformed")
 
-    def __init__(self, state: QuantumState, params: PhysicalParams, regime: Regime,
-                 radius: float | None):
+    def __init__(self, state: QuantumState, params: PhysicalParams, regime: Regime):
         self.constants = C = params.constants
         self.e, self.m_e, self.c, self.hbar = C.e, C.m_e, C.c, C.hbar
         self.alpha, self.r0 = C.alpha, C.r0
@@ -204,7 +207,7 @@ class _Substitutions:
         self.ll = state.l * (state.l + 1)
         self.sgn = _sign(state.branch)
         self.plus, self.minus = _spin_factors(state.l, self.sgn)
-        self.p2 = p2 = exp_p2_angular(state.l, radius, C)
+        self.p2 = p2 = exp_p2_angular(state.l, constants=C)
         self.p4 = p2 * p2
         self.set_mj(state.mj)
         self.set_params(params, regime)
@@ -422,18 +425,15 @@ def _row_evaluator(regime: Regime, mode: Mode):
         if row_state is state and params.constants is subs.constants:
             subs.set_params(params, regime)
         else:
-            subs, state = _Substitutions(row_state, params, regime, None), row_state
+            subs, state = _Substitutions(row_state, params, regime), row_state
         return _evaluate(subs, plan)
     return evaluate
 
 
 def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
-                   mode: Mode = Mode.DERIVED,
-                   radius: float | None = None) -> ShiftBreakdown:
+                   mode: Mode = Mode.DERIVED) -> ShiftBreakdown:
     """First-order Zeeman shift breakdown for one state.
 
-    radius overrides the r0 used inside the angular <p^2> substitution
-    (derived mode only; the quoted coefficients are tied to r0 as printed).
     Deformation addends are emitted only while the regime's deformation is
     on (RGUP: eps gamma^2 (mc)^2 != 0; GUP: eps gamma^2 != 0), so a
     gamma = 0 RGUP breakdown is term-for-term the REL one and a gamma = 0
@@ -441,7 +441,7 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     a term or the total is not finite in double precision.
     """
     plan = _plan_of(regime, mode)
-    scale, values, _ = _evaluate(_Substitutions(state, params, regime, radius), plan)
+    scale, values, _ = _evaluate(_Substitutions(state, params, regime), plan)
     # a list, not a generator: tuple(<generator>) left thousands more small
     # blocks allocated between calls and raised the sweep's peak RSS.  The
     # records have no rules, so tuple.__new__ skips their Python __new__
@@ -515,7 +515,7 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         if subs is not None and state.l == subs.l and _sign(state.branch) == subs.sgn:
             subs.set_mj(state.mj)
         else:
-            subs = _Substitutions(state, params, regime, None)
+            subs = _Substitutions(state, params, regime)
         _, values, _ = _evaluate(subs, plan)
         magnetic, offset = [], []
         for is_offset, value in zip(offset_term, values):
@@ -582,7 +582,7 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
     differences = []
     agreements = []
     for regime in (Regime.RGUP, Regime.GUP):
-        subs = _Substitutions(state, params, regime, None)
+        subs = _Substitutions(state, params, regime)
         _, derived, _ = _evaluate(subs, _PLANS[regime, False])
         _, published, _ = _evaluate(subs, _PLANS[regime, True])
         for (label, *_), dval, pval in zip(_PLANS[regime, False], derived, published):

@@ -98,10 +98,14 @@ DEFAULT_CONSTANTS = load_constants()
 _CONSTANT_UNITS = ("statC", "g", "cm/s", "erg*s", "1", "cm", "g")
 
 
+def _constant_rows(t: ConstantsTable) -> list[tuple[str, float, str]]:
+    """(name, value, unit) of each listed constant, in listing order."""
+    return [*zip(t._fields, t, _CONSTANT_UNITS), ("mu_bohr", t.mu_bohr, "erg/G")]
+
+
 def constants_dump(table: ConstantsTable | None = None) -> str:
     """Flat text listing (name, value, unit), one constant per line."""
-    t = table if table is not None else DEFAULT_CONSTANTS
-    rows = [*zip(t._fields, t, _CONSTANT_UNITS), ("mu_bohr", t.mu_bohr, "erg/G")]
+    rows = _constant_rows(table if table is not None else DEFAULT_CONSTANTS)
     return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in rows)
 
 

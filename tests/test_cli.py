@@ -1,15 +1,20 @@
 """CLI contract: golden bytes, exit codes, config precedence, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from rgupzeeman import cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*argv, env_extra=None):
@@ -51,6 +56,12 @@ def test_output_is_deterministic():
 def test_exit_code_2_on_unknown_flag():
     proc = run_cli("shift", "--l", "1", "--mj", "0.5", "--frobnicate")
     assert proc.returncode == 2
+
+
+def test_exit_code_2_on_json_with_csv():
+    proc = run_cli("shift", "--l", "1", "--mj", "0.5", "--json", "--csv")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 def test_exit_code_2_on_missing_required():
@@ -427,13 +438,62 @@ def test_non_finite_results_are_domain_errors(main, argv):
     assert err.startswith("rgupz: domain error: ") and len(err.splitlines()) == 1
 
 
+_ORACLE = ("oracle", "--n", "2", "--l", "1")
+
+
 @pytest.mark.parametrize("Z", ["2.5", "inf", "nan"])
 def test_configured_Z_follows_the_record_rule(main, monkeypatch, Z):
     monkeypatch.setenv("RGUPZ_PARAMS_Z", Z)
-    status, out, err = main(*_SHIFT)
-    assert status == 3
-    assert out == ""
-    assert err.startswith("rgupz: domain error: Z: ")
+    for argv in (_SHIFT, _ORACLE):
+        status, out, err = main(*argv)
+        assert status == 3, argv
+        assert out == ""
+        assert err.startswith("rgupz: domain error: Z: ")
+
+
+def test_configured_Z_gives_oracle_the_output_of_the_flag(main, monkeypatch):
+    status, flagged, _ = main(*_ORACLE, "--Z", "2")
+    assert status == 0 and '"Z": 2,' in flagged
+    monkeypatch.setenv("RGUPZ_PARAMS_Z", "2")
+    status, configured, _ = main(*_ORACLE)
+    assert status == 0 and configured == flagged
+
+
+#: a valid argv after each subcommand name
+_MINIMAL_ARGV = {
+    "constants": (),
+    "shift": _SHIFT[1:],
+    "sweep": ("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5"),
+    "lines": _LINES[1:],
+    "verify-algebra": ("--case", "rel-linear"),
+    "dispersion": (),
+    "discrepancy": ("--l", "1", "--mj", "0.5"),
+    "oracle": _ORACLE[1:],
+}
+_SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("key", sorted(cli._SETTINGS))
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_a_key_applies_exactly_where_its_flag_exists(main, monkeypatch, command, key):
+    argv = (command, *_MINIMAL_ARGV[command])
+    status, clean, _ = main(*argv)
+    assert status == 0
+    monkeypatch.setenv(cli.ENV_PREFIX + key.upper().replace(".", "_"), "abc")
+    status, out, err = main(*argv)
+    flags = {action.dest for action in _SUBCOMMANDS[command]._actions}
+    if cli._SETTINGS[key][0] in flags:
+        assert (status, out) == (2, "")
+        assert err.startswith(f"rgupz: error: {key}: ")
+    else:
+        assert (status, out) == (0, clean)
+
+
+def test_readme_lists_exactly_the_supported_keys():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = text.split("Supported keys: ", 1)[1].split(". ", 1)[0]
+    assert sorted(re.findall(r"`(\w+\.\w+)`", listed)) == sorted(cli._SETTINGS)
 
 
 def test_banner_is_not_printed_by_a_failing_command(main):

@@ -63,6 +63,13 @@ def test_state_validation():
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=2, ms=0.5)
     with pytest.raises(ValidationError):
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=1)
+    # a branch that is not a Branch member, as text, is named as the branch
+    for build in (lambda: QuantumState(2, 1, "plus", 0.5),
+                  lambda: QuantumState(1, 0, "minus", 0.5),
+                  lambda: lande_g_factor(1, "plus")):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.field == "branch"
 
 
 @pytest.mark.parametrize("mj", [math.nan, math.inf, -math.inf])
