@@ -329,6 +329,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         _in_unit([*(v for v in shifts if v is not None), total], unit)
 
     per_erg = convert_energy(1.0, "erg", unit)  # same bits as per-value calls
+    regime_text = regime.value  # Enum.value is a Python-level property
     # no cell needs CSV quoting (finite float reprs, a regime value, fixed
     # labels), so a join writes what csv.writer would, at a fifth of the cost
     write = sys.stdout.write
@@ -336,7 +337,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
                     "total"]) + "\n")
     for value, params, state in _sweep_records(values, args, param_values):
         _, shifts, total = evaluate(state, params)
-        write(",".join([repr(value), regime.value,
+        write(",".join([repr(value), regime_text,
                         *[repr(0.0 if v is None else v * per_erg) for v in shifts],
                         repr(total * per_erg)]) + "\n")
     return 0

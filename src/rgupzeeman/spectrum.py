@@ -235,19 +235,19 @@ class _Substitutions:
 class _Term(NamedTuple):
     """One addend of the shift.
 
-    derived and published map the substitutions to erg; published is None
-    where the quoted form is the derived one.  A deformation addend is
-    gated as energy_shift_B describes.  ratio is the expected
-    published/derived ratio of a known coefficient defect, classified by
-    ratio_tags.
+    derived and published are Python expressions over the substitutions
+    s (and math) giving erg; published is None where the quoted form is the
+    derived one.  A deformation addend is gated as energy_shift_B describes.
+    ratio is the expected published/derived ratio of a known coefficient
+    defect, classified by ratio_tags.
     """
 
     label: str
     regimes: tuple[Regime, ...]
     expression: str
-    derived: Callable[[_Substitutions], float]
+    derived: str
     published_expression: str | None = None
-    published: Callable[[_Substitutions], float] | None = None
+    published: str | None = None
     tags: tuple[str, ...] = ()
     deformation: bool = False
     ratio: Callable[[ConstantsTable], float] | None = None
@@ -261,90 +261,118 @@ _GUP = (Regime.GUP,)
 _TERMS = (
     _Term("jz_plus_sz", tuple(Regime),
           "-(e B / 2 m_e c) <Jz + Sz>",
-          lambda s: -s.base * (s.jz + s.sz)),
+          "-s.base * (s.jz + s.sz)"),
     _Term("anomalous_sz", (Regime.REL, Regime.RGUP),
           "-(alpha' e B / 2 pi m_e c) <Sz>",
-          lambda s: -s.base * (s.alpha / math.pi) * s.sz),
+          "-s.base * (s.alpha / math.pi) * s.sz"),
     _Term("p2_jz_minus_sz", (Regime.REL, Regime.RGUP),
           "+(e B / 4 m_e^3 c^3) <p^2> <Jz - Sz>",
-          lambda s: (s.e * s.B / (4.0 * s.m_e**3 * s.c**3)) * s.p2 * (s.jz - s.sz),
+          "(s.e * s.B / (4.0 * s.m_e**3 * s.c**3)) * s.p2 * (s.jz - s.sz)",
           "+(e B / 4 m_e^3 c^3) (mj hbar^2 / r0^2) l(l+1) (1 -+ 1/(2l+1))",
-          lambda s: (s.e * s.B / (4.0 * s.m_e**3 * s.c**3))
-          * (s.mj * s.hbar**2 / s.r0**2) * s.ll * s.minus,
+          "(s.e * s.B / (4.0 * s.m_e**3 * s.c**3))"
+          " * (s.mj * s.hbar**2 / s.r0**2) * s.ll * s.minus",
           ratio=lambda C: 1.0 / C.hbar, ratio_tags=("missing-hbar-power",)),
     _Term("rgup_jz_plus_sz", _RGUP,
           "scale * (e B / 2 m_e c) <Jz + Sz>",
-          lambda s: s.scale * s.base * (s.jz + s.sz),
+          "s.scale * s.base * (s.jz + s.sz)",
           "scale * (e B / 2 m_e c) mj hbar (1 +- 1/(2l+1))",
-          lambda s: s.scale * s.base * s.mj * s.hbar * s.plus,
+          "s.scale * s.base * s.mj * s.hbar * s.plus",
           deformation=True),
     _Term("rgup_jz_minus_sz", _RGUP,
           "scale * (e B / 2 m_e c) <Jz - Sz>",
-          lambda s: s.scale * s.base * (s.jz - s.sz),
+          "s.scale * s.base * (s.jz - s.sz)",
           "scale * (e B / 2 m_e c) mj hbar (1 -+ 1/(2l+1))",
-          lambda s: s.scale * s.base * s.mj * s.hbar * s.minus,
+          "s.scale * s.base * s.mj * s.hbar * s.minus",
           deformation=True),
     _Term("rgup_anomalous_sz", _RGUP,
           "scale * (alpha' e B / 2 pi m_e c) <Sz>",
-          lambda s: s.scale * s.base * (s.alpha / math.pi) * s.sz,
+          "s.scale * s.base * (s.alpha / math.pi) * s.sz",
           "scale * -+(alpha' e B / 2 pi m_e c) mj hbar / (2l+1)",
-          lambda s: -s.sgn * s.scale * s.base * (s.alpha / math.pi) * s.mj * s.hbar
-          / (2 * s.l + 1),
+          "-s.sgn * s.scale * s.base * (s.alpha / math.pi) * s.mj * s.hbar / (2 * s.l + 1)",
           deformation=True, ratio=lambda C: -1.0, ratio_tags=("sign-of-alpha-term",)),
     _Term("rgup_p2_level", _RGUP,
           "scale * ( -<p^2> / m_e )",
-          lambda s: s.scale * (-s.p2 / s.m_e),
+          "s.scale * (-s.p2 / s.m_e)",
           "scale * ( -hbar^2 l(l+1) / m_e )",
-          lambda s: s.scale * (-(s.hbar**2) * s.ll / s.m_e),
+          "s.scale * (-(s.hbar**2) * s.ll / s.m_e)",
           LEVEL_SHIFT_TAGS, deformation=True,
           ratio=lambda C: C.r0**2, ratio_tags=("missing-r0-power",)),
     _Term("rgup_p4_level", _RGUP,
           "scale * ( +<p^4> / 2 m_e^3 c^2 )",
-          lambda s: s.scale * (s.p4 / (2.0 * s.m_e**3 * s.c**2)),
+          "s.scale * (s.p4 / (2.0 * s.m_e**3 * s.c**2))",
           "scale * ( +hbar^4 (l(l+1))^2 / 2 m_e^3 c^2 r0^4 )",
-          lambda s: s.scale * (s.hbar**4 * s.ll * s.ll
-                               / (2.0 * s.m_e**3 * s.c**2 * s.r0**4)),
+          "s.scale * (s.hbar**4 * s.ll * s.ll / (2.0 * s.m_e**3 * s.c**2 * s.r0**4))",
           LEVEL_SHIFT_TAGS, deformation=True),
     _Term("gup_p4", _GUP,
           "-eps gamma^2 <p^2> * ( -<p^2> / m_e )",
-          lambda s: s.scale * (-s.p2 / s.m_e),
+          "s.scale * (-s.p2 / s.m_e)",
           "(eps gamma^2 / m_e) hbar^4 (l(l+1))^2 / r0^4",
-          lambda s: (s.eps_gamma2 / s.m_e) * s.hbar**4 * s.ll * s.ll / s.r0**4,
+          "(s.eps_gamma2 / s.m_e) * s.hbar**4 * s.ll * s.ll / s.r0**4",
           LEVEL_SHIFT_TAGS, deformation=True),
     _Term("gup_cross", _GUP,
           "-eps gamma^2 <p^2> * (e B / 2 m_e c) <Jz + Sz>",
-          lambda s: s.scale * s.base * (s.jz + s.sz),
+          "s.scale * s.base * (s.jz + s.sz)",
           "-(eps gamma^2 / m_e) (e B mj / c) (hbar^2 / r0^2) l(l+1) (1 +- 1/(2l+1))",
-          lambda s: -(s.eps_gamma2 / s.m_e) * (s.e * s.B * s.mj / s.c)
-          * (s.hbar**2 / s.r0**2) * s.ll * s.plus,
+          "-(s.eps_gamma2 / s.m_e) * (s.e * s.B * s.mj / s.c)"
+          " * (s.hbar**2 / s.r0**2) * s.ll * s.plus",
           deformation=True, ratio=lambda C: 2.0 / C.hbar,
           ratio_tags=("factor-2", "missing-hbar-power")),
 )
 
 
-def _plan(regime: Regime, published: bool) -> tuple:
-    """(label, expression, value fn, tags, deformation) per term of the regime.
+class _Plan:
+    """The terms of one regime and mode, and the functions compiled from them.
 
-    LANDE and REL ignore the mode: their terms always take the derived form.
+    terms holds (label, expression, tags) per term, in emission order, and
+    forms the Python expression of each.  function(part, deformed) returns
+    a function of the substitutions giving a tuple of values in erg, each
+    + 0.0 (which drops -0.0), with the deformation addends on or off:
+    "all" gives every term, None where an addend is off; "magnetic" and
+    "offset" give the terms that are on, without and with the
+    "non-magnetic" tag.  The offset terms read no m_j, so a level evaluates
+    them once.  Each function is compiled on first use, so a cold start
+    compiles only what it runs.  LANDE and REL ignore the mode: their terms
+    always take the derived form.
     """
-    quoted = published and regime in _DEFORMED
-    plan = []
-    for t in _TERMS:
-        if regime in t.regimes:
-            form = (t.published_expression, t.published) \
-                if quoted and t.published is not None else (t.expression, t.derived)
-            plan.append((t.label, *form, t.tags, t.deformation))
-    return tuple(plan)
+
+    __slots__ = ("name", "terms", "forms", "deformation", "_functions")
+
+    def __init__(self, regime: Regime, published: bool):
+        quoted = published and regime in _DEFORMED
+        rows = [(t, quoted and t.published is not None) for t in _TERMS if regime in t.regimes]
+        self.name = f"{regime.value} {'as-published' if published else 'derived'}"
+        self.terms = tuple((t.label, t.published_expression if q else t.expression, t.tags)
+                           for t, q in rows)
+        self.forms = tuple(t.published if q else t.derived for t, q in rows)
+        self.deformation = tuple(t.deformation for t, _ in rows)
+        self._functions = {}
+
+    def function(self, part: str, deformed: bool) -> Callable[[_Substitutions], tuple]:
+        try:
+            return self._functions[part, deformed]
+        except KeyError:
+            pass
+        slots = []
+        for (_, _, tags), form, deformation in zip(self.terms, self.forms, self.deformation):
+            on = deformed or not deformation
+            if part == "all":
+                slots.append(f"({form}) + 0.0" if on else "None")
+            elif on and (part == "offset") == ("non-magnetic" in tags):
+                slots.append(f"({form}) + 0.0")
+        source = "lambda s: (" + "".join(slot + ", " for slot in slots) + ")"
+        code = compile(source, f"<{self.name} {part} deformed={deformed}>", "eval")
+        function = self._functions[part, deformed] = eval(code, {"math": math})
+        return function
 
 
 #: keyed by (regime, as-published?)
-_PLANS = {(regime, published): _plan(regime, published)
+_PLANS = {(regime, published): _Plan(regime, published)
           for regime in Regime for published in (False, True)}
 _TERM_BY_LABEL = {t.label: t for t in _TERMS}
 
 #: per-regime term labels, in emission order (stable CSV schema)
 REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
-    regime: tuple(entry[0] for entry in _PLANS[regime, False]) for regime in Regime}
+    regime: tuple(label for label, _, _ in _PLANS[regime, False].terms) for regime in Regime}
 
 
 # -- shift breakdowns ---------------------------------------------------------
@@ -382,13 +410,13 @@ class ShiftBreakdown(NamedTuple):
         return tuple(t.label for t in self.terms)
 
 
-def _plan_of(regime: Regime, mode: Mode) -> tuple:
+def _plan_of(regime: Regime, mode: Mode) -> _Plan:
     if not isinstance(regime, Regime):
         raise ValidationError("regime", f"unknown regime {regime!r}")
     return _PLANS[regime, mode is Mode.AS_PUBLISHED]
 
 
-def _evaluate(subs: _Substitutions, plan: tuple) -> tuple[float, tuple, float]:
+def _evaluate(subs: _Substitutions, plan: _Plan) -> tuple[float, tuple, float]:
     """(scale, values in plan order, total) of one breakdown, in erg.
 
     A gated-off deformation addend is None; total is the fsum of the
@@ -396,14 +424,11 @@ def _evaluate(subs: _Substitutions, plan: tuple) -> tuple[float, tuple, float]:
     not finite in double precision, naming the term that left it if one did.
     """
     scale = _finite(subs.scale, "correction_scale")
-    on = subs.deformed
-    # +0.0 drops -0.0
-    values = tuple([value_of(subs) + 0.0 if on or not deformation else None
-                    for _, _, value_of, _, deformation in plan])
+    values = plan.function("all", subs.deformed)(subs)
     try:
         total = _finite_sum([v for v in values if v is not None], "total")
     except ValidationError:
-        for (label, *_), value in zip(plan, values):
+        for (label, _, _), value in zip(plan.terms, values):
             if value is not None:
                 _finite(value, label)
         raise
@@ -446,7 +471,7 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     # blocks allocated between calls and raised the sweep's peak RSS.  The
     # records have no rules, so tuple.__new__ skips their Python __new__
     terms = tuple([_new(ShiftTerm, (label, expression, value, tags))
-                   for (label, expression, _, tags, _), value in zip(plan, values)
+                   for (label, expression, tags), value in zip(plan.terms, values)
                    if value is not None])
     return _new(ShiftBreakdown, (state, regime, mode, scale, terms))
 
@@ -507,22 +532,29 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
     plan = _plan_of(regime, mode)
-    offset_term = tuple("non-magnetic" in tags for _, _, _, tags, _ in plan)
     subs = None
     entries = []  # (state, magnetic sum, offset sum), following upper + lower
     for state in upper + lower:
-        # one substitution per level: only l and the branch sign enter it
+        # one substitution per level: only l and the branch sign enter it,
+        # and the offset terms read no m_j, so a level evaluates them once
         if subs is not None and state.l == subs.l and _sign(state.branch) == subs.sgn:
             subs.set_mj(state.mj)
         else:
             subs = _Substitutions(state, params, regime)
-        _, values, _ = _evaluate(subs, plan)
-        magnetic, offset = [], []
-        for is_offset, value in zip(offset_term, values):
-            if value is not None:
-                (offset if is_offset else magnetic).append(value)
-        entries.append((state, _finite_sum(magnetic, "shift"),
-                        _finite_sum(offset, "level_offset")))
+            _finite(subs.scale, "correction_scale")
+            magnetic_of = plan.function("magnetic", subs.deformed)
+            offsets, offset = plan.function("offset", subs.deformed)(subs), None
+        # a failure is named as a per-state _evaluate names it: the scale, a
+        # term or the total first, then the shift, then the level's offset sum
+        try:
+            magnetic = _finite_sum(magnetic_of(subs), "shift")
+            if offset is None:
+                offset = _finite_sum(offsets, "level_offset")
+            _finite(magnetic + offset, "total")
+        except ValidationError:
+            _evaluate(subs, plan)  # names the term that left double precision, if one did
+            raise
+        entries.append((state, magnetic, offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
     lower_by_mj = {}
     for entry in entries[len(upper):]:
@@ -585,7 +617,7 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
         subs = _Substitutions(state, params, regime)
         _, derived, _ = _evaluate(subs, _PLANS[regime, False])
         _, published, _ = _evaluate(subs, _PLANS[regime, True])
-        for (label, *_), dval, pval in zip(_PLANS[regime, False], derived, published):
+        for (label, _, _), dval, pval in zip(_PLANS[regime, False].terms, derived, published):
             if dval is None:  # gated off in both modes
                 continue
             if (dval == 0.0 and pval == 0.0) or \

@@ -233,6 +233,24 @@ def test_only_oracle_loads_numpy_and_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_plans_compile_lazily():
+    script = (
+        "import contextlib, io\n"
+        "import rgupzeeman.cli\n"
+        "from rgupzeeman.spectrum import _PLANS, Regime\n"
+        "def compiled():\n"
+        "    return [(key, part) for key, plan in _PLANS.items() for part in plan._functions]\n"
+        "assert compiled() == [], compiled()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rgupzeeman.cli.main(['shift', '--l', '1', '--mj', '0.5',\n"
+        "                                '--regime', 'rgup']) == 0\n"
+        "assert compiled() == [((Regime.RGUP, False), ('all', True))], compiled()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_command_loads_dataclasses_or_inspect():
     # the records are named tuples; dataclasses would pull in inspect, ast and dis
     script = (

@@ -1,5 +1,6 @@
 """Shift breakdowns, spin-orbit shift, lines, and mode comparison."""
 
+import ast
 import hashlib
 import itertools
 import math
@@ -450,24 +451,81 @@ def test_lines_delta_l_selection():
     assert zeeman_lines(same_l_upper, same_l_lower, PLANCK, Regime.LANDE) == ()
 
 
-@pytest.mark.parametrize("magnetic, offset", [
-    ((1.5e308,), (0.0,)),            # each level fits, the line shift does not
-    ((1.0,), (1e308, 1e308)),        # one level's offset sum overflows
-], ids=("shift-difference", "offset-sum"))
-def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset):
+@pytest.mark.parametrize("magnetic, offset, field", [
+    ((1.5e308,), (0.0,), "shift"),              # each state fits, a line's shift does not
+    ((1e308,), (1e308, 1e308), "level_offset"),  # the first state's total fits, the
+                                                # level's offset sum does not
+    ((1e308,), (1e308,), "total"),              # each sum fits, a state's total does not
+    ((math.inf,), (0.0,), "jz_plus_sz"),        # the term that left is named
+], ids=("shift-difference", "offset-sum", "state-total", "term"))
+def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset,
+                                                          field):
     from rgupzeeman import spectrum
 
-    def evaluate(subs, plan):
-        """The given values in the plan's magnetic and level-shift slots, unchecked."""
-        slots = {False: iter([math.copysign(v, subs.mj) for v in magnetic]),
-                 True: iter(offset)}
-        values = tuple(next(slots["non-magnetic" in tags], None)
-                       for _, _, _, tags, _ in plan)
-        return 0.0, values, 0.0
-    monkeypatch.setattr(spectrum, "_evaluate", evaluate)
-    with pytest.raises(ValidationError):
+    def function(plan, part, deformed):
+        """The given values, unchecked; the magnetic ones take the sign of m_j."""
+        def magnetic_of(subs):
+            return tuple(math.copysign(v, subs.mj) for v in magnetic)
+        return {"magnetic": magnetic_of, "offset": lambda subs: offset,
+                "all": lambda subs: magnetic_of(subs) + offset}[part]
+    monkeypatch.setattr(spectrum._Plan, "function", function)
+    with pytest.raises(ValidationError) as caught:
         zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
                      PLANCK, Regime.RGUP)
+    assert caught.value.field == field
+
+
+def _names_read(form):
+    """{(name, attribute)} a term expression reads; it reads nothing else."""
+    nodes = list(ast.walk(ast.parse(form, mode="eval")))
+    assert {n.id for n in nodes if isinstance(n, ast.Name)} <= {"s", "math"}, form
+    attributes = [n for n in nodes if isinstance(n, ast.Attribute)]
+    assert all(isinstance(n.value, ast.Name) for n in attributes), form
+    return {(n.value.id, n.attr) for n in attributes}
+
+
+def test_every_plan_compiles_from_the_substitutions_and_math():
+    from rgupzeeman import spectrum
+    forms = [form for t in spectrum._TERMS for form in (t.derived, t.published)
+             if form is not None]
+    for form in forms:
+        for obj, attribute in _names_read(form):
+            if obj == "s":
+                assert attribute in spectrum._Substitutions.__slots__, form
+            else:
+                assert isinstance(getattr(math, attribute, None), float), form
+    state = QuantumState(n=4, l=3, branch=Branch.MINUS, mj=-1.5)
+    for (regime, _), plan in spectrum._PLANS.items():
+        subs = spectrum._Substitutions(state, params_with_scale(1e-3), regime)
+        assert set(plan.forms) <= set(forms)
+        for deformed in (False, True):
+            values = plan.function("all", deformed)(subs)
+            assert [v is None for v in values] == [d and not deformed
+                                                   for d in plan.deformation]
+            for part, is_offset in (("magnetic", False), ("offset", True)):
+                assert list(plan.function(part, deformed)(subs)) == [
+                    v for (_, _, tags), v in zip(plan.terms, values)
+                    if v is not None and ("non-magnetic" in tags) == is_offset]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("regime", list(Regime))
+def test_level_offsets_read_no_mj(regime, mode):
+    """zeeman_lines sums a level's offset terms once, at its first m_j."""
+    from rgupzeeman import spectrum
+    plan = spectrum._plan_of(regime, mode)
+    for (label, _, tags), form in zip(plan.terms, plan.forms):
+        if "non-magnetic" in tags:
+            assert not {attr for _, attr in _names_read(form)} & {"mj", "jz", "sz"}, label
+    for level in ((4, 3, Branch.PLUS), (4, 3, Branch.MINUS), (2, 0, Branch.PLUS)):
+        states = level_states(*level)
+        subs = spectrum._Substitutions(states[0], params_with_scale(1e-3), regime)
+        offset_of = plan.function("offset", subs.deformed)
+        bits = set()
+        for state in states:
+            subs.set_mj(state.mj)
+            bits.add(tuple(v.hex() for v in offset_of(subs)))
+        assert len(bits) == 1
 
 
 def test_lines_empty_sets_rejected():
