@@ -9,6 +9,14 @@ term table _TERMS below: its label, regimes, expressions, tags and known
 coefficient defect.  Breakdowns, REGIME_TERM_LABELS and the discrepancy
 report are all read from it.
 
+Each form is a Python expression over the names three halves bind: the
+level half (from l, the branch and the constants, shared by a level's
+states), the m_j half and the params half (B, eps gamma^2, the
+deformation scale and its gate).  A _Plan generates its functions from
+the forms and those halves, so they read the QuantumState, PhysicalParams
+and ConstantsTable fields themselves; the sweep reuses a state's level and
+m_j halves across rows, and zeeman_lines a level's across its m_j values.
+
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
 <Jz> = m_j hbar, <Sz> = +- m_j hbar/(2l+1), the angular-only
@@ -63,21 +71,6 @@ def _sign(branch: Branch) -> float:
 
 def _j(l: int, sgn: float) -> float:
     return l + 0.5 * sgn
-
-
-def _spin_factors(l: int, sgn: float) -> tuple[float, float]:
-    """(1 +- 1/(2l+1), 1 -+ 1/(2l+1)), upper signs for j = l + 1/2.
-
-    The first is the Lande g; <Jz + Sz> and <Jz - Sz> are m_j hbar times
-    the first and the second.
-    """
-    fraction = sgn / (2 * l + 1)
-    return 1.0 + fraction, 1.0 - fraction
-
-
-def _sz(l: int, sgn: float, mj: float, hbar: float) -> float:
-    """<Sz> = +- m_j hbar / (2l + 1)."""
-    return sgn * mj * hbar / (2 * l + 1)
 
 
 class _StateFields(NamedTuple):
@@ -136,12 +129,6 @@ def level_states(n: int, l: int, branch: Branch) -> tuple[QuantumState, ...]:
 
 # -- expectation values -------------------------------------------------------
 
-def exp_ls(ml: int, ms: float, constants: ConstantsTable | None = None) -> float:
-    """<L.S> = hbar^2 m_l m_s in the decoupled basis (ladder terms average out)."""
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    return table.hbar**2 * ml * ms
-
-
 def exp_p2_angular(l: int, r: float | None = None,
                    constants: ConstantsTable | None = None) -> float:
     """Angular-only momentum-square estimate hbar^2 l(l+1) / r^2.
@@ -156,8 +143,12 @@ def exp_p2_angular(l: int, r: float | None = None,
         raise ValidationError("l", f"must be a non-negative integer, got {l!r}")
     radius = table.r0 if r is None else r
     if radius <= 0.0:
-        raise ValidationError("r", f"radius must be > 0, got {radius!r}")
+        _bad_radius(radius)
     return table.hbar**2 * l * (l + 1) / radius**2
+
+
+def _bad_radius(radius: float):
+    raise ValidationError("r", f"radius must be > 0, got {radius!r}")
 
 
 def _finite(value: float, what: str) -> float:
@@ -182,62 +173,14 @@ LEVEL_SHIFT_TAGS = ("level-shift", "non-magnetic")
 _DEFORMED = (Regime.GUP, Regime.RGUP)
 
 
-class _Substitutions:
-    """Every quantity a term expression reads.
-
-    The level half (l through p4) is computed once per level: every state
-    of one l and branch sign shares it, and set_mj moves it to another m_j
-    (mj, jz, sz).  set_params computes the params half (B, base,
-    eps_gamma2, scale, deformed) from a record, so a sweep over B or
-    epsilon recomputes only that half.  scale is the regime's deformation
-    scale: eps gamma^2 (mc)^2, or -eps gamma^2 <p^2> in the
-    nonrelativistic (GUP) limit.  deformed gates the deformation addends
-    (RGUP: scale != 0; GUP: eps gamma^2 != 0).
-    """
-
-    __slots__ = ("constants", "e", "m_e", "c", "hbar", "alpha", "r0", "B", "base", "l",
-                 "ll", "mj", "sgn", "jz", "sz", "plus", "minus", "p2", "p4", "scale",
-                 "eps_gamma2", "deformed")
-
-    def __init__(self, state: QuantumState, params: PhysicalParams, regime: Regime):
-        self.constants = C = params.constants
-        self.e, self.m_e, self.c, self.hbar = C.e, C.m_e, C.c, C.hbar
-        self.alpha, self.r0 = C.alpha, C.r0
-        self.l = state.l
-        self.ll = state.l * (state.l + 1)
-        self.sgn = _sign(state.branch)
-        self.plus, self.minus = _spin_factors(state.l, self.sgn)
-        self.p2 = p2 = exp_p2_angular(state.l, constants=C)
-        self.p4 = p2 * p2
-        self.set_mj(state.mj)
-        self.set_params(params, regime)
-
-    def set_mj(self, mj: float) -> None:
-        self.mj = mj
-        self.jz = mj * self.hbar
-        self.sz = _sz(self.l, self.sgn, mj, self.hbar)
-
-    def set_params(self, params: PhysicalParams, regime: Regime) -> None:
-        """The params half; params must share the constants of the level half."""
-        self.B = params.B
-        self.base = self.e * params.B / (2.0 * self.m_e * self.c)
-        self.eps_gamma2 = eps_gamma2 = params.eps_gamma2
-        if regime is Regime.GUP:
-            # nonrelativistic limit: p0.p0 -> -hbar^2 grad^2 as c -> infinity,
-            # so the (mc)^2 of the deformation scale becomes -<p^2>
-            self.scale = -eps_gamma2 * self.p2 + 0.0  # +0.0 normalizes -0.0 away
-            self.deformed = eps_gamma2 != 0.0
-        else:
-            self.scale = params.correction_scale
-            self.deformed = self.scale != 0.0
-
-
 class _Term(NamedTuple):
     """One addend of the shift.
 
-    derived and published are Python expressions over the substitutions
-    s (and math) giving erg; published is None where the quoted form is the
-    derived one.  A deformation addend is gated as energy_shift_B describes.
+    derived and published are Python expressions giving erg, over math and
+    the names _Plan binds (the state's, the params' and the constants'
+    fields, and the level, m_j and params halves); published is None where
+    the quoted form is the derived one.  A deformation addend is gated as
+    energy_shift_B describes.
     ratio is the expected published/derived ratio of a known coefficient
     defect, classified by ratio_tags.
     """
@@ -261,118 +204,270 @@ _GUP = (Regime.GUP,)
 _TERMS = (
     _Term("jz_plus_sz", tuple(Regime),
           "-(e B / 2 m_e c) <Jz + Sz>",
-          "-s.base * (s.jz + s.sz)"),
+          "-base * (jz + sz)"),
     _Term("anomalous_sz", (Regime.REL, Regime.RGUP),
           "-(alpha' e B / 2 pi m_e c) <Sz>",
-          "-s.base * (s.alpha / math.pi) * s.sz"),
+          "-base * (alpha / math.pi) * sz"),
     _Term("p2_jz_minus_sz", (Regime.REL, Regime.RGUP),
           "+(e B / 4 m_e^3 c^3) <p^2> <Jz - Sz>",
-          "(s.e * s.B / (4.0 * s.m_e**3 * s.c**3)) * s.p2 * (s.jz - s.sz)",
+          "(e * B / (4.0 * m_e**3 * c**3)) * p2 * (jz - sz)",
           "+(e B / 4 m_e^3 c^3) (mj hbar^2 / r0^2) l(l+1) (1 -+ 1/(2l+1))",
-          "(s.e * s.B / (4.0 * s.m_e**3 * s.c**3))"
-          " * (s.mj * s.hbar**2 / s.r0**2) * s.ll * s.minus",
+          "(e * B / (4.0 * m_e**3 * c**3))"
+          " * (mj * hbar**2 / r0**2) * ll * minus",
           ratio=lambda C: 1.0 / C.hbar, ratio_tags=("missing-hbar-power",)),
     _Term("rgup_jz_plus_sz", _RGUP,
           "scale * (e B / 2 m_e c) <Jz + Sz>",
-          "s.scale * s.base * (s.jz + s.sz)",
+          "scale * base * (jz + sz)",
           "scale * (e B / 2 m_e c) mj hbar (1 +- 1/(2l+1))",
-          "s.scale * s.base * s.mj * s.hbar * s.plus",
+          "scale * base * mj * hbar * plus",
           deformation=True),
     _Term("rgup_jz_minus_sz", _RGUP,
           "scale * (e B / 2 m_e c) <Jz - Sz>",
-          "s.scale * s.base * (s.jz - s.sz)",
+          "scale * base * (jz - sz)",
           "scale * (e B / 2 m_e c) mj hbar (1 -+ 1/(2l+1))",
-          "s.scale * s.base * s.mj * s.hbar * s.minus",
+          "scale * base * mj * hbar * minus",
           deformation=True),
     _Term("rgup_anomalous_sz", _RGUP,
           "scale * (alpha' e B / 2 pi m_e c) <Sz>",
-          "s.scale * s.base * (s.alpha / math.pi) * s.sz",
+          "scale * base * (alpha / math.pi) * sz",
           "scale * -+(alpha' e B / 2 pi m_e c) mj hbar / (2l+1)",
-          "-s.sgn * s.scale * s.base * (s.alpha / math.pi) * s.mj * s.hbar / (2 * s.l + 1)",
+          "-sgn * scale * base * (alpha / math.pi) * mj * hbar / (2 * l + 1)",
           deformation=True, ratio=lambda C: -1.0, ratio_tags=("sign-of-alpha-term",)),
     _Term("rgup_p2_level", _RGUP,
           "scale * ( -<p^2> / m_e )",
-          "s.scale * (-s.p2 / s.m_e)",
+          "scale * (-p2 / m_e)",
           "scale * ( -hbar^2 l(l+1) / m_e )",
-          "s.scale * (-(s.hbar**2) * s.ll / s.m_e)",
+          "scale * (-(hbar**2) * ll / m_e)",
           LEVEL_SHIFT_TAGS, deformation=True,
           ratio=lambda C: C.r0**2, ratio_tags=("missing-r0-power",)),
     _Term("rgup_p4_level", _RGUP,
           "scale * ( +<p^4> / 2 m_e^3 c^2 )",
-          "s.scale * (s.p4 / (2.0 * s.m_e**3 * s.c**2))",
+          "scale * (p4 / (2.0 * m_e**3 * c**2))",
           "scale * ( +hbar^4 (l(l+1))^2 / 2 m_e^3 c^2 r0^4 )",
-          "s.scale * (s.hbar**4 * s.ll * s.ll / (2.0 * s.m_e**3 * s.c**2 * s.r0**4))",
+          "scale * (hbar**4 * ll * ll / (2.0 * m_e**3 * c**2 * r0**4))",
           LEVEL_SHIFT_TAGS, deformation=True),
     _Term("gup_p4", _GUP,
           "-eps gamma^2 <p^2> * ( -<p^2> / m_e )",
-          "s.scale * (-s.p2 / s.m_e)",
+          "scale * (-p2 / m_e)",
           "(eps gamma^2 / m_e) hbar^4 (l(l+1))^2 / r0^4",
-          "(s.eps_gamma2 / s.m_e) * s.hbar**4 * s.ll * s.ll / s.r0**4",
+          "(eps_gamma2 / m_e) * hbar**4 * ll * ll / r0**4",
           LEVEL_SHIFT_TAGS, deformation=True),
     _Term("gup_cross", _GUP,
           "-eps gamma^2 <p^2> * (e B / 2 m_e c) <Jz + Sz>",
-          "s.scale * s.base * (s.jz + s.sz)",
+          "scale * base * (jz + sz)",
           "-(eps gamma^2 / m_e) (e B mj / c) (hbar^2 / r0^2) l(l+1) (1 +- 1/(2l+1))",
-          "-(s.eps_gamma2 / s.m_e) * (s.e * s.B * s.mj / s.c)"
-          " * (s.hbar**2 / s.r0**2) * s.ll * s.plus",
+          "-(eps_gamma2 / m_e) * (e * B * mj / c)"
+          " * (hbar**2 / r0**2) * ll * plus",
           deformation=True, ratio=lambda C: 2.0 / C.hbar,
           ratio_tags=("factor-2", "missing-hbar-power")),
 )
+
+
+# -- what the forms read ----------------------------------------------------------
+
+#: The names a form reads beyond the fields of QuantumState, PhysicalParams
+#: and ConstantsTable, each with the statement that binds it, in evaluation
+#: order (r0's statement is exp_p2_angular's rule on it).  The level half
+#: depends on l, the branch and the constants only, so every state of a
+#: level shares it: p2 is the angular-only <p^2> of exp_p2_angular at r0 and
+#: p4 = <p^2>^2.  The m_j half gives <Jz> and <Sz>.  The params half gives
+#: the deformation scale, eps gamma^2 (mc)^2 as in
+#: PhysicalParams.correction_scale, and deformed, which gates the
+#: deformation addends (RGUP: scale != 0).
+_LEVEL_HALF = (
+    ("r0", "if r0 <= 0.0:\n    bad_radius(r0)"),
+    ("sgn", "sgn = 1.0 if branch is PLUS else -1.0"),
+    ("ll", "ll = l * (l + 1)"),
+    ("fraction", "fraction = sgn / (2 * l + 1)"),
+    ("plus", "plus = 1.0 + fraction"),
+    ("minus", "minus = 1.0 - fraction"),
+    ("p2", "p2 = hbar**2 * l * (l + 1) / r0**2"),
+    ("p4", "p4 = p2 * p2"),
+)
+_MJ_HALF = (
+    ("jz", "jz = mj * hbar"),
+    ("sz", "sz = sgn * mj * hbar / (2 * l + 1)"),
+)
+_PARAMS_HALF = (
+    ("base", "base = e * B / (2.0 * m_e * c)"),
+    ("eps_gamma2", "eps_gamma2 = epsilon * gamma * gamma"),
+    ("scale", "try:\n"
+              "    scale = epsilon * (gamma * (m * c)) ** 2\n"
+              "except OverflowError:  # float ** raises where float * gives inf\n"
+              "    scale = epsilon * inf"),
+    ("deformed", "deformed = scale != 0.0"),
+)
+#: GUP's params half: in the nonrelativistic limit p0.p0 -> -hbar^2 grad^2
+#: as c -> infinity, so the (mc)^2 of the scale becomes -<p^2>, and the
+#: deformation is on while eps gamma^2 != 0
+_GUP_PARAMS_HALF = (
+    *_PARAMS_HALF[:2],
+    ("scale", "scale = -eps_gamma2 * p2 + 0.0  # + 0.0 normalizes -0.0 away"),
+    ("deformed", "deformed = eps_gamma2 != 0.0"),
+)
+
+#: the arguments of each part a plan compiles (see _Plan)
+_PARTS = {"shift": "state, params, mode", "level": "state, C", "row": "H, params",
+          "offset": "H, params", "magnetic": "H, P, mj"}
+
+
+_SEPARATORS = str.maketrans(dict.fromkeys("()*+-/.,=<>:#", " "))
+
+
+def _words(source: str) -> list[str]:
+    """The identifiers in some Python source, with words that name nothing
+    a plan binds (a split, not a regular expression: compiling one would
+    add to a cold start)."""
+    return source.translate(_SEPARATORS).split()
+
+
+def _unpack(fields, source: str, keep) -> str:
+    """The statement binding the fields kept from a record, in field order."""
+    return "".join((f if f in keep else "_") + ", " for f in fields) + f"= {source}"
 
 
 class _Plan:
     """The terms of one regime and mode, and the functions compiled from them.
 
     terms holds (label, expression, tags) per term, in emission order, and
-    forms the Python expression of each.  function(part, deformed) returns
-    a function of the substitutions giving a tuple of values in erg, each
-    + 0.0 (which drops -0.0), with the deformation addends on or off:
-    "all" gives every term, None where an addend is off; "magnetic" and
-    "offset" give the terms that are on, without and with the
-    "non-magnetic" tag.  The offset terms read no m_j, so a level evaluates
-    them once.  Each function is compiled on first use, so a cold start
-    compiles only what it runs.  LANDE and REL ignore the mode: their terms
-    always take the derived form.
-    """
+    forms the Python expression of each.  The plan generates its functions
+    from the forms and the halves that bind what they read, keeping only
+    the statements the forms need, so each reads the QuantumState,
+    PhysicalParams and ConstantsTable fields itself.  Each function is an
+    attribute compiled on first use, so a cold start compiles only what it
+    runs:
 
-    __slots__ = ("name", "terms", "forms", "deformation", "_functions")
+    - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
+    - level(state, C): the level and m_j halves of a state, a tuple H;
+    - row(H, params): (scale, values, total), None for an addend gated off;
+    - offset(H, params): (P, the "non-magnetic" values), P the params half;
+    - magnetic(H, P, mj): the other values, at the m_j given.
+
+    Each value is its form + 0.0 (which drops -0.0), and the deformation
+    addends are gated as energy_shift_B describes.  shift, row and offset
+    raise ValidationError for a scale outside double precision; shift and
+    row, after a sum of the values that is not finite, name the first term
+    outside double precision, else the total.  LANDE and REL ignore the
+    mode: their terms always take the derived form.
+    """
 
     def __init__(self, regime: Regime, published: bool):
         quoted = published and regime in _DEFORMED
         rows = [(t, quoted and t.published is not None) for t in _TERMS if regime in t.regimes]
         self.name = f"{regime.value} {'as-published' if published else 'derived'}"
+        self.regime = regime
         self.terms = tuple((t.label, t.published_expression if q else t.expression, t.tags)
                            for t, q in rows)
         self.forms = tuple(t.published if q else t.derived for t, q in rows)
         self.deformation = tuple(t.deformation for t, _ in rows)
-        self._functions = {}
 
-    def function(self, part: str, deformed: bool) -> Callable[[_Substitutions], tuple]:
-        try:
-            return self._functions[part, deformed]
-        except KeyError:
-            pass
-        slots = []
-        for (_, _, tags), form, deformation in zip(self.terms, self.forms, self.deformation):
-            on = deformed or not deformation
-            if part == "all":
-                slots.append(f"({form}) + 0.0" if on else "None")
-            elif on and (part == "offset") == ("non-magnetic" in tags):
-                slots.append(f"({form}) + 0.0")
-        source = "lambda s: (" + "".join(slot + ", " for slot in slots) + ")"
-        code = compile(source, f"<{self.name} {part} deformed={deformed}>", "eval")
-        function = self._functions[part, deformed] = eval(code, {"math": math})
-        return function
+    def __getattr__(self, part: str):
+        # only a part not compiled yet gets here: compile it and keep it
+        if part not in _PARTS:
+            raise AttributeError(part)
+        namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
+                     "isfinite": math.isfinite, "PLUS": Branch.PLUS, "REGIME": self.regime,
+                     "new": tuple.__new__, "ShiftTerm": ShiftTerm,
+                     "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
+                     "name_failure": _name_failure, "bad_radius": _bad_radius}
+        exec(compile(self.source(part), f"<{self.name} {part}>", "exec"), namespace)
+        setattr(self, part, namespace[part])
+        return namespace[part]
+
+    def _layout(self):
+        """(the statements of each half the plan needs, every name they and
+        the forms read, the names H holds, the names P holds)."""
+        halves = (_LEVEL_HALF, _MJ_HALF,
+                  _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF)
+        read = {*_words(" ".join(self.forms)), *(("deformed",) * any(self.deformation))}
+        # a statement reads only names bound before it, so one backward pass
+        # finds every statement the forms, the scale check and the gate need
+        needed = {"r0", "scale", *read}
+        for name, statement in reversed([b for half in halves for b in half]):
+            if name in needed:
+                needed.update(_words(statement))
+        h = dict.fromkeys((*ConstantsTable._fields, *QuantumState._fields,
+                           *(n for n, _ in (*_LEVEL_HALF, *_MJ_HALF))))
+        p = (*PhysicalParams._fields, *(n for n, _ in _PARAMS_HALF))
+        return ([[s for n, s in half if n in needed] for half in halves], needed,
+                [n for n in h if n in needed], [n for n in p if n in read])
+
+    def names(self) -> tuple[list[str], list[str]]:
+        """The names the tuples H (level and m_j halves) and P (params half) hold."""
+        return self._layout()[2:]
+
+    def source(self, part: str) -> str:
+        """The Python source of one part."""
+        (level, mj, params), needed, h, p = self._layout()
+        lines = []
+        if part in ("shift", "level"):
+            lines.append(_unpack(QuantumState._fields, "state", needed))
+        if part == "shift":
+            lines.append(_unpack(["C" if f == "constants" else f for f in PhysicalParams._fields],
+                                 "params", {*needed, "C"}))
+        if part in ("shift", "level"):
+            lines += [_unpack(ConstantsTable._fields, "C", needed), *level, *mj]
+        if part == "level":
+            lines.append("return (" + "".join(n + ", " for n in h) + ")")
+        elif part == "magnetic":
+            lines += [_unpack(h, "H", set(h) - {"mj", *(n for n, _ in _MJ_HALF)}),
+                      _unpack(p, "P", p), *mj, *self._branches(part)]
+        else:
+            if part != "shift":
+                lines += [_unpack(h, "H", h), _unpack(PhysicalParams._fields, "params", needed)]
+            lines += [*params, "if not isfinite(scale):", "    finite(scale, 'correction_scale')"]
+            if part == "offset":
+                lines += ["P = (" + "".join(n + ", " for n in p) + ")", *self._branches(part)]
+            else:
+                lines += [*self._branches("values"),
+                          "try:",
+                          "    total = fsum(values)",
+                          "except (OverflowError, ValueError):  # overflow, or inf - inf",
+                          "    total = nan",
+                          "if not isfinite(total):",
+                          "    name_failure(labels, values, total)",
+                          *self._branches(part)]
+        body = "".join("    " + s + "\n" for line in lines for s in line.split("\n"))
+        return f"def {part}({_PARTS[part]}):\n{body}"
+
+    def _branches(self, step: str) -> list[str]:
+        """One step of a part, for the deformation addends on and off: "values"
+        binds v<i> per value, values and labels; "shift" and "row" return from
+        them; "offset" and "magnetic" return their values."""
+        def lines(on: list[int]) -> list[str]:
+            if step == "values":
+                return [*(f"v{i} = ({self.forms[i]}) + 0.0" for i in on),
+                        "values = (" + "".join(f"v{i}, " for i in on) + ")",
+                        f"labels = {tuple(self.terms[i][0] for i in on)!r}"]
+            if step == "row":
+                return ["return scale, (" + "".join(f"v{i}, " if i in on else "None, "
+                                                    for i in range(len(self.forms))) + "), total"]
+            if step == "shift":
+                return ["return new(ShiftBreakdown, (state, REGIME, mode, scale, ("
+                        + "".join(f"new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r})), "
+                                  for i, (label, expression, tags) in enumerate(self.terms)
+                                  if i in on) + ")))"]
+            values = "".join(f"({self.forms[i]}) + 0.0, " for i in on
+                             if ("non-magnetic" in self.terms[i][2]) == (step == "offset"))
+            return [("return P, (" if step == "offset" else "return (") + values + ")"]
+        everything = list(range(len(self.forms)))
+        if not any(self.deformation):
+            return lines(everything)
+        undeformed = [i for i in everything if not self.deformation[i]]
+        on, off = lines(everything), lines(undeformed)
+        if step == "values":
+            return ["if deformed:", *("    " + s for s in on), "else:", *("    " + s for s in off)]
+        return ["if deformed:", *("    " + s for s in on), *off]
 
 
-#: keyed by (regime, as-published?)
-_PLANS = {(regime, published): _Plan(regime, published)
-          for regime in Regime for published in (False, True)}
+#: by regime value, (derived, as-published): a dict keyed by the Regime itself
+#: would call the Python-level Enum.__hash__ on every lookup
+_PLANS = {regime.value: (_Plan(regime, False), _Plan(regime, True)) for regime in Regime}
 _TERM_BY_LABEL = {t.label: t for t in _TERMS}
 
 #: per-regime term labels, in emission order (stable CSV schema)
 REGIME_TERM_LABELS: dict[Regime, tuple[str, ...]] = {
-    regime: tuple(label for label, _, _ in _PLANS[regime, False].terms) for regime in Regime}
+    regime: tuple(label for label, _, _ in _PLANS[regime.value][0].terms) for regime in Regime}
 
 
 # -- shift breakdowns ---------------------------------------------------------
@@ -413,45 +508,34 @@ class ShiftBreakdown(NamedTuple):
 def _plan_of(regime: Regime, mode: Mode) -> _Plan:
     if not isinstance(regime, Regime):
         raise ValidationError("regime", f"unknown regime {regime!r}")
-    return _PLANS[regime, mode is Mode.AS_PUBLISHED]
+    return _PLANS[regime._value_][mode is Mode.AS_PUBLISHED]
 
 
-def _evaluate(subs: _Substitutions, plan: _Plan) -> tuple[float, tuple, float]:
-    """(scale, values in plan order, total) of one breakdown, in erg.
-
-    A gated-off deformation addend is None; total is the fsum of the
-    others.  Raises ValidationError when the scale, a value or the total is
-    not finite in double precision, naming the term that left it if one did.
-    """
-    scale = _finite(subs.scale, "correction_scale")
-    values = plan.function("all", subs.deformed)(subs)
-    try:
-        total = _finite_sum([v for v in values if v is not None], "total")
-    except ValidationError:
-        for (label, _, _), value in zip(plan.terms, values):
-            if value is not None:
-                _finite(value, label)
-        raise
-    return scale, values, total
+def _name_failure(labels: tuple[str, ...], values: tuple[float, ...], total: float):
+    """Raises for a sum of the values that is not finite, naming the first
+    term outside double precision, else the total."""
+    for label, value in zip(labels, values):
+        _finite(value, label)
+    _finite(total, "total")
 
 
 def _row_evaluator(regime: Regime, mode: Mode):
-    """A function (state, params) -> _evaluate's tuple for one regime and mode.
+    """A function (state, params) -> (scale, values in plan order, total) for
+    one regime and mode, as _Plan.row gives them.
 
-    While the state (and the constants table) stay the same objects from
-    one call to the next, only the params half of the substitutions is
-    computed again.
+    While the state and the constants table stay the same objects from one
+    call to the next, only the params half is computed again.
     """
     plan = _plan_of(regime, mode)
-    subs = state = None
+    level_of, row = plan.level, plan.row
+    half = state = constants = None
 
     def evaluate(row_state: QuantumState, params: PhysicalParams):
-        nonlocal subs, state
-        if row_state is state and params.constants is subs.constants:
-            subs.set_params(params, regime)
-        else:
-            subs, state = _Substitutions(row_state, params, regime), row_state
-        return _evaluate(subs, plan)
+        nonlocal half, state, constants
+        if row_state is not state or params.constants is not constants:
+            half = level_of(row_state, params.constants)
+            state, constants = row_state, params.constants
+        return row(half, params)
     return evaluate
 
 
@@ -465,20 +549,12 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     GUP breakdown is the LANDE one.  Raises ValidationError when the scale,
     a term or the total is not finite in double precision.
     """
-    plan = _plan_of(regime, mode)
-    scale, values, _ = _evaluate(_Substitutions(state, params, regime), plan)
-    # a list, not a generator: tuple(<generator>) left thousands more small
-    # blocks allocated between calls and raised the sweep's peak RSS.  The
-    # records have no rules, so tuple.__new__ skips their Python __new__
-    terms = tuple([_new(ShiftTerm, (label, expression, value, tags))
-                   for (label, expression, tags), value in zip(plan.terms, values)
-                   if value is not None])
-    return _new(ShiftBreakdown, (state, regime, mode, scale, terms))
+    return _plan_of(regime, mode).shift(state, params, mode)
 
 
 def lande_g_factor(l: int, branch: Branch) -> float:
     """Textbook Lande g for s = 1/2: g = 1 +- 1/(2l+1)."""
-    return _spin_factors(l, _sign(branch))[0]
+    return 1.0 + _sign(branch) / (2 * l + 1)
 
 
 def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
@@ -494,7 +570,7 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
     if state.l == 0:
         return 0.0
     C = params.constants
-    ls = exp_ls(state.ml, state.ms, C)
+    ls = C.hbar**2 * state.ml * state.ms  # <L.S> in the decoupled basis: ladder terms average out
     inv_r3 = oracle.closed_form_r_expectation(state.n, state.l, params.Z, -3, C)
     factor = 1.0 - params.correction_scale
     return _finite(factor * ls / (2.0 * C.m_e**2 * C.c**2) * params.Z * C.e**2 * inv_r3,
@@ -532,27 +608,29 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
     plan = _plan_of(regime, mode)
-    subs = None
+    C = params.constants
+    level_of, offset_of, magnetic_of = plan.level, plan.offset, plan.magnetic
+    l = branch = None
     entries = []  # (state, magnetic sum, offset sum), following upper + lower
     for state in upper + lower:
-        # one substitution per level: only l and the branch sign enter it,
-        # and the offset terms read no m_j, so a level evaluates them once
-        if subs is not None and state.l == subs.l and _sign(state.branch) == subs.sgn:
-            subs.set_mj(state.mj)
-        else:
-            subs = _Substitutions(state, params, regime)
-            _finite(subs.scale, "correction_scale")
-            magnetic_of = plan.function("magnetic", subs.deformed)
-            offsets, offset = plan.function("offset", subs.deformed)(subs), None
-        # a failure is named as a per-state _evaluate names it: the scale, a
-        # term or the total first, then the shift, then the level's offset sum
+        # one level half per level: only l, the branch and the constants
+        # enter it, and the offset terms read no m_j, so a level evaluates
+        # them once
+        if state.l != l or state.branch is not branch:
+            half = level_of(state, C)
+            P, offsets = offset_of(half, params)
+            l, branch, offset = state.l, state.branch, None
+        values = magnetic_of(half, P, state.mj)
+        # a failure is named as a per-state row names it: the term or the
+        # total first, then the shift, then the level's offset sum
         try:
-            magnetic = _finite_sum(magnetic_of(subs), "shift")
+            magnetic = _finite_sum(values, "shift")
             if offset is None:
                 offset = _finite_sum(offsets, "level_offset")
             _finite(magnetic + offset, "total")
         except ValidationError:
-            _evaluate(subs, plan)  # names the term that left double precision, if one did
+            # names the term that left double precision, or the total, if one did
+            plan.row(level_of(state, C), params)
             raise
         entries.append((state, magnetic, offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
@@ -614,12 +692,11 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
     differences = []
     agreements = []
     for regime in (Regime.RGUP, Regime.GUP):
-        subs = _Substitutions(state, params, regime)
-        _, derived, _ = _evaluate(subs, _PLANS[regime, False])
-        _, published, _ = _evaluate(subs, _PLANS[regime, True])
-        for (label, _, _), dval, pval in zip(_PLANS[regime, False].terms, derived, published):
-            if dval is None:  # gated off in both modes
-                continue
+        derived = energy_shift_B(state, params, regime).terms
+        published = energy_shift_B(state, params, regime, Mode.AS_PUBLISHED).terms
+        # the two modes gate off the same deformation addends
+        for d, p in zip(derived, published):
+            label, dval, pval = d.label, d.value_erg, p.value_erg
             if (dval == 0.0 and pval == 0.0) or \
                     (dval != 0.0 and abs(pval - dval) <= _AGREE_RTOL * abs(dval)):
                 agreements.append(f"{regime.value}:{label}")

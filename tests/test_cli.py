@@ -233,18 +233,49 @@ def test_only_oracle_loads_numpy_and_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+_COMPILED = (
+    "from rgupzeeman.spectrum import _PARTS, _PLANS\n"
+    "def compiled():\n"
+    "    return sorted((plan.name, part) for pair in _PLANS.values() for plan in pair\n"
+    "                  for part in vars(plan) if part in _PARTS)\n"
+)
+
+
 def test_plans_compile_lazily():
     script = (
         "import contextlib, io\n"
         "import rgupzeeman.cli\n"
-        "from rgupzeeman.spectrum import _PLANS, Regime\n"
-        "def compiled():\n"
-        "    return [(key, part) for key, plan in _PLANS.items() for part in plan._functions]\n"
+        + _COMPILED +
         "assert compiled() == [], compiled()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert rgupzeeman.cli.main(['shift', '--l', '1', '--mj', '0.5',\n"
         "                                '--regime', 'rgup']) == 0\n"
-        "assert compiled() == [((Regime.RGUP, False), ('all', True))], compiled()\n"
+        "assert compiled() == [('rgup derived', 'shift')], compiled()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, parts", [
+    (["shift", "--l", "1", "--mj", "0.5", "--regime", "lande"], [("lande derived", "shift")]),
+    (["lines", "--upper-l", "1", "--lower-l", "0", "--regime", "lande"],
+     [("lande derived", "level"), ("lande derived", "magnetic"), ("lande derived", "offset")]),
+    (["sweep", "--param", "B", "--values", "1,2", "--l", "1", "--mj", "0.5",
+      "--regime", "lande"], [("lande derived", "level"), ("lande derived", "row")]),
+    (["discrepancy", "--l", "1", "--mj", "0.5"],
+     [("gup as-published", "shift"), ("gup derived", "shift"),
+      ("rgup as-published", "shift"), ("rgup derived", "shift")]),
+], ids=("shift", "lines", "sweep", "discrepancy"))
+def test_a_command_compiles_only_the_parts_it_runs(argv, parts):
+    script = (
+        "import contextlib, io\n"
+        "import rgupzeeman.cli\n"
+        + _COMPILED +
+        "assert compiled() == [], compiled()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert rgupzeeman.cli.main({argv!r}) == 0\n"
+        f"assert compiled() == {parts!r}, compiled()\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from rgupzeeman.oracle import radial_expectation
+from rgupzeeman import spectrum
+from rgupzeeman.oracle import closed_form_r_expectation, radial_expectation
 from rgupzeeman.spectrum import (
     Branch,
     Mode,
@@ -17,9 +18,7 @@ from rgupzeeman.spectrum import (
     REGIME_TERM_LABELS,
     ZeemanLine,
     discrepancy_report,
-    _sz,
     energy_shift_B,
-    exp_ls,
     exp_p2_angular,
     hls_shift,
     lande_g_factor,
@@ -126,26 +125,27 @@ def test_breakdowns_are_pinned():
         "9356cf041827d5d3906e23cab4d6aca4408e10c403f2e424fa3571f3efccbb8e"
 
 
+def level_half(state, regime=Regime.RGUP, constants=C):
+    """The level and m_j halves of a state, by name, as a plan computes them."""
+    plan = spectrum._plan_of(regime, Mode.DERIVED)
+    return dict(zip(plan.names()[0], plan.level(state, constants)))
+
+
 def test_exp_sz_values():
     # <Sz> = +- mj hbar / (2l + 1), the sign being the branch's
-    assert _sz(0, 1.0, 0.5, C.hbar) == 0.5 * C.hbar
-    assert _sz(1, 1.0, 1.5, C.hbar) == 0.5 * C.hbar
-    assert _sz(1, -1.0, 0.5, C.hbar) == pytest.approx(-C.hbar / 6.0, rel=1e-15)
+    def sz(l, branch, mj):
+        return level_half(QuantumState(n=l + 1, l=l, branch=branch, mj=mj))["sz"]
+    assert sz(0, Branch.PLUS, 0.5) == 0.5 * C.hbar
+    assert sz(1, Branch.PLUS, 1.5) == 0.5 * C.hbar
+    assert sz(1, Branch.MINUS, 0.5) == pytest.approx(-C.hbar / 6.0, rel=1e-15)
 
 
 def test_exp_sz_sum_rule():
     # the multiplet sum vanishes exactly for both branches
     for l, branch in ((0, Branch.PLUS), (1, Branch.PLUS), (1, Branch.MINUS),
                       (3, Branch.PLUS), (3, Branch.MINUS)):
-        sgn = 1.0 if branch is Branch.PLUS else -1.0
         states = level_states(l + 1, l, branch)
-        assert math.fsum(_sz(l, sgn, s.mj, C.hbar) for s in states) == 0.0
-
-
-def test_exp_ls():
-    assert exp_ls(1, 0.5) == 0.5 * C.hbar**2
-    assert exp_ls(0, 0.5) == 0.0
-    assert exp_ls(-2, -0.5) == C.hbar**2
+        assert math.fsum(level_half(s)["sz"] for s in states) == 0.0
 
 
 def test_exp_p2_angular():
@@ -372,6 +372,15 @@ def test_hls_zero_product():
     assert hls_shift(state, params_zero_gamma()) == 0.0
 
 
+def test_hls_takes_ls_from_the_decoupled_labels():
+    # <L.S> = hbar^2 m_l m_s: the ladder terms average out in the decoupled basis
+    inv_r3 = closed_form_r_expectation(3, 2, 1, -3)
+    for ml, ms, ls in ((1, 0.5, 0.5 * C.hbar**2), (0, 0.5, 0.0), (-2, -0.5, C.hbar**2)):
+        state = QuantumState(n=3, l=2, branch=Branch.PLUS, mj=ml + ms, ml=ml, ms=ms)
+        assert hls_shift(state, params_zero_gamma()) == \
+            1.0 * ls / (2.0 * C.m_e**2 * C.c**2) * 1 * C.e**2 * inv_r3
+
+
 def test_hls_textbook_limit_and_quadrature_cross_check():
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=1.5, ml=1, ms=0.5)
     params = params_zero_gamma()
@@ -460,71 +469,92 @@ def test_lines_delta_l_selection():
 ], ids=("shift-difference", "offset-sum", "state-total", "term"))
 def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset,
                                                           field):
-    from rgupzeeman import spectrum
+    """The plan's parts give the values below, unchecked; the magnetic ones take
+    the sign of m_j, and row names a failure as the generated row does."""
+    plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
+    labels = tuple(label for label, _, _ in plan.terms)
 
-    def function(plan, part, deformed):
-        """The given values, unchecked; the magnetic ones take the sign of m_j."""
-        def magnetic_of(subs):
-            return tuple(math.copysign(v, subs.mj) for v in magnetic)
-        return {"magnetic": magnetic_of, "offset": lambda subs: offset,
-                "all": lambda subs: magnetic_of(subs) + offset}[part]
-    monkeypatch.setattr(spectrum._Plan, "function", function)
+    def magnetic_of(mj):
+        return tuple(math.copysign(v, mj) for v in magnetic)
+
+    def row(mj, params):
+        values = magnetic_of(mj) + offset
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            total = math.nan
+        if not math.isfinite(total):
+            spectrum._name_failure(labels, values, total)
+    monkeypatch.setattr(plan, "level", lambda state, constants: state.mj)  # H is the m_j
+    monkeypatch.setattr(plan, "offset", lambda mj, params: (None, offset))
+    monkeypatch.setattr(plan, "magnetic", lambda _, P, mj: magnetic_of(mj))
+    monkeypatch.setattr(plan, "row", row)
     with pytest.raises(ValidationError) as caught:
         zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
                      PLANCK, Regime.RGUP)
     assert caught.value.field == field
 
 
+#: every name a form may read: the records' fields and what the halves bind
+_BOUND = {*QuantumState._fields, *PhysicalParams._fields, *spectrum.ConstantsTable._fields,
+          *(name for half in (spectrum._LEVEL_HALF, spectrum._MJ_HALF, spectrum._PARAMS_HALF)
+            for name, _ in half)}
+
+
 def _names_read(form):
-    """{(name, attribute)} a term expression reads; it reads nothing else."""
+    """The names a term expression reads besides math; it reads nothing else."""
     nodes = list(ast.walk(ast.parse(form, mode="eval")))
-    assert {n.id for n in nodes if isinstance(n, ast.Name)} <= {"s", "math"}, form
     attributes = [n for n in nodes if isinstance(n, ast.Attribute)]
-    assert all(isinstance(n.value, ast.Name) for n in attributes), form
-    return {(n.value.id, n.attr) for n in attributes}
+    assert all(isinstance(n.value, ast.Name) and n.value.id == "math"
+               and isinstance(getattr(math, n.attr, None), float) for n in attributes), form
+    return {n.id for n in nodes if isinstance(n, ast.Name)} - {"math"}
+
+
+def _plans():
+    return [plan for pair in spectrum._PLANS.values() for plan in pair]
 
 
 def test_every_plan_compiles_from_the_substitutions_and_math():
-    from rgupzeeman import spectrum
     forms = [form for t in spectrum._TERMS for form in (t.derived, t.published)
              if form is not None]
     for form in forms:
-        for obj, attribute in _names_read(form):
-            if obj == "s":
-                assert attribute in spectrum._Substitutions.__slots__, form
-            else:
-                assert isinstance(getattr(math, attribute, None), float), form
+        assert _names_read(form) <= _BOUND, form
     state = QuantumState(n=4, l=3, branch=Branch.MINUS, mj=-1.5)
-    for (regime, _), plan in spectrum._PLANS.items():
-        subs = spectrum._Substitutions(state, params_with_scale(1e-3), regime)
+    for plan in _plans():
         assert set(plan.forms) <= set(forms)
-        for deformed in (False, True):
-            values = plan.function("all", deformed)(subs)
+        mode = Mode.AS_PUBLISHED if plan.name.endswith("as-published") else Mode.DERIVED
+        for params, deformed in ((params_with_scale(1e-3), True),
+                                 (params_with_scale(0.0), False)):
+            half = plan.level(state, params.constants)
+            scale, values, total = plan.row(half, params)
             assert [v is None for v in values] == [d and not deformed
                                                    for d in plan.deformation]
-            for part, is_offset in (("magnetic", False), ("offset", True)):
-                assert list(plan.function(part, deformed)(subs)) == [
-                    v for (_, _, tags), v in zip(plan.terms, values)
-                    if v is not None and ("non-magnetic" in tags) == is_offset]
+            on = [(label, tags, v) for (label, _, tags), v in zip(plan.terms, values)
+                  if v is not None]
+            assert total == math.fsum(v for _, _, v in on)
+            breakdown = plan.shift(state, params, mode)
+            assert breakdown.correction_scale == scale
+            if plan.regime is not Regime.GUP:
+                assert scale == params.correction_scale
+            assert [(t.label, t.tags, t.value_erg) for t in breakdown.terms] == on
+            P, offsets = plan.offset(half, params)
+            assert list(offsets) == [v for _, tags, v in on if "non-magnetic" in tags]
+            assert list(plan.magnetic(half, P, state.mj)) == [
+                v for _, tags, v in on if "non-magnetic" not in tags]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("regime", list(Regime))
 def test_level_offsets_read_no_mj(regime, mode):
     """zeeman_lines sums a level's offset terms once, at its first m_j."""
-    from rgupzeeman import spectrum
     plan = spectrum._plan_of(regime, mode)
     for (label, _, tags), form in zip(plan.terms, plan.forms):
         if "non-magnetic" in tags:
-            assert not {attr for _, attr in _names_read(form)} & {"mj", "jz", "sz"}, label
+            assert not _names_read(form) & {"mj", "jz", "sz"}, label
+    params = params_with_scale(1e-3)
     for level in ((4, 3, Branch.PLUS), (4, 3, Branch.MINUS), (2, 0, Branch.PLUS)):
-        states = level_states(*level)
-        subs = spectrum._Substitutions(states[0], params_with_scale(1e-3), regime)
-        offset_of = plan.function("offset", subs.deformed)
-        bits = set()
-        for state in states:
-            subs.set_mj(state.mj)
-            bits.add(tuple(v.hex() for v in offset_of(subs)))
+        bits = {tuple(v.hex() for v in plan.offset(plan.level(state, C), params)[1])
+                for state in level_states(*level)}
         assert len(bits) == 1
 
 
@@ -534,16 +564,14 @@ def test_lines_empty_sets_rejected():
 
 
 def test_lines_build_one_substitution_per_level(monkeypatch):
-    from rgupzeeman import spectrum
-    built = []
+    """The level half is computed once per level."""
+    plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
+    level_of, built = plan.level, []
 
-    class Counted(spectrum._Substitutions):
-        __slots__ = ()
-
-        def __init__(self, state, *rest):
-            built.append(state)
-            super().__init__(state, *rest)
-    monkeypatch.setattr(spectrum, "_Substitutions", Counted)
+    def counted(state, constants):
+        built.append(state)
+        return level_of(state, constants)
+    monkeypatch.setattr(plan, "level", counted)
     upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
     assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
     assert built == [upper[0], lower[0]]
@@ -623,3 +651,143 @@ def test_discrepancy_l0_momentum_entries_absent():
     assert "rgup_p4_level" not in labels
     assert "gup_cross" not in labels
     assert report.uncatalogued == ()
+
+
+# -- failures named against a plain per-term reference ---------------------------
+
+_COMPILED_FORMS = {}
+
+
+def _reference_terms(state, params, regime, mode):
+    """(scale, [(label, tags, value)] of the addends that are on): each form
+    evaluated by itself over names computed one by one, with no plan."""
+    K = params.constants
+    l, mj = state.l, state.mj
+    sgn = 1.0 if state.branch is Branch.PLUS else -1.0
+    p2 = exp_p2_angular(l, constants=K)
+    if regime is Regime.GUP:
+        scale, on = -params.eps_gamma2 * p2 + 0.0, params.eps_gamma2 != 0.0
+    else:
+        scale = params.correction_scale
+        on = scale != 0.0
+    names = {**K._asdict(), "l": l, "ll": l * (l + 1), "sgn": sgn,
+             "plus": 1.0 + sgn / (2 * l + 1), "minus": 1.0 - sgn / (2 * l + 1),
+             "p2": p2, "p4": p2 * p2, "mj": mj, "jz": mj * K.hbar,
+             "sz": sgn * mj * K.hbar / (2 * l + 1), "B": params.B,
+             "base": K.e * params.B / (2.0 * K.m_e * K.c),
+             "eps_gamma2": params.eps_gamma2, "scale": scale}
+    quoted = mode is Mode.AS_PUBLISHED and regime in (Regime.GUP, Regime.RGUP)
+    terms = []
+    for t in spectrum._TERMS:
+        if regime in t.regimes and (on or not t.deformation):
+            form = t.published if quoted and t.published is not None else t.derived
+            code = _COMPILED_FORMS.setdefault(form, compile(form, "<form>", "eval"))
+            terms.append((t.label, t.tags, eval(code, {"math": math}, names) + 0.0))
+    return scale, terms
+
+
+def _outside(field, value):
+    return ValidationError(field, f"{value!r} is outside double precision")
+
+
+def _fsum(values):
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _reference_shift(state, params, regime, mode):
+    """The reference terms, raising for the scale, then for a sum that is not
+    finite: the first term outside double precision, else the total."""
+    scale, terms = _reference_terms(state, params, regime, mode)
+    if not math.isfinite(scale):
+        raise _outside("correction_scale", scale)
+    total = _fsum([v for _, _, v in terms])
+    if not math.isfinite(total):
+        for label, _, value in terms:
+            if not math.isfinite(value):
+                raise _outside(label, value)
+        raise _outside("total", total)
+    return scale, terms
+
+
+def _reference_lines_failure(upper, lower, params, regime, mode):
+    """Raises as zeeman_lines should, from the reference terms of each state."""
+    sums = []
+    for state in upper + lower:
+        _, terms = _reference_terms(state, params, regime, mode)
+        magnetic = _fsum([v for _, tags, v in terms if "non-magnetic" not in tags])
+        offset = _fsum([v for _, tags, v in terms if "non-magnetic" in tags])
+        failed = [(field, value) for field, value in (
+            ("shift", magnetic), ("level_offset", offset), ("total", magnetic + offset))
+            if not math.isfinite(value)]
+        if failed:
+            _reference_shift(state, params, regime, mode)  # the scale, a term or the total
+            raise _outside(*failed[0])
+        _reference_shift(state, params, regime, mode)      # the scale
+        sums.append((magnetic, offset))
+    for u, (mag_u, off_u) in zip(upper, sums):
+        for mj in (u.mj - 1.0, u.mj, u.mj + 1.0):
+            for lo, (mag_l, off_l) in zip(lower, sums[len(upper):]):
+                if lo.mj == mj and abs(u.l - lo.l) == 1 and not (
+                        math.isfinite(mag_u - mag_l) and math.isfinite(off_u - off_l)):
+                    raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
+                                                   "is outside double precision")
+
+
+def _outcome(call):
+    """(field, message) of the ValidationError call raises, else ("ok", its result)."""
+    try:
+        return "ok", call()
+    except ValidationError as error:
+        return error.field, str(error)
+
+
+_OVERFLOWING = [make_params(B=B, epsilon=epsilon, gamma_mode="explicit", gamma=gamma)
+                for B in (0.0, 1e4, 1e280, 2e301, 1.7e308)
+                for epsilon, gamma in ((1.0, C.gamma_planck), (1.0, 1e150), (1.0, 1e167),
+                                       (1.0, 1e170), (1e300, 1e4), (1e300, 1e160),
+                                       (0.0, 1e300))]
+_LARGE_STATES = (QuantumState(2, 1, Branch.PLUS, 0.5), QuantumState(4, 3, Branch.MINUS, -1.5),
+                 QuantumState(10**9 + 1, 10**9, Branch.PLUS, 10**9 + 0.5),
+                 QuantumState(2**53, 2**53 - 1, Branch.MINUS, 0.5))
+
+
+def test_failures_outside_double_precision_name_what_a_per_term_reference_names():
+    seen = set()
+    for regime in Regime:
+        for mode in Mode:
+            for state in _LARGE_STATES:
+                evaluate = spectrum._row_evaluator(regime, mode)
+                for params in _OVERFLOWING:  # one state, so the row reuses its level half
+                    field, want = _outcome(lambda: _reference_shift(state, params, regime, mode))
+                    seen.add(field)
+                    got = _outcome(lambda: energy_shift_B(state, params, regime, mode))
+                    row = _outcome(lambda: evaluate(state, params))
+                    if field != "ok":
+                        assert got == row == (field, want)
+                        continue
+                    scale, terms = want
+                    assert got[1].correction_scale == row[1][0] == scale
+                    assert [(t.label, t.tags, t.value_erg) for t in got[1].terms] == terms
+                    assert [v for v in row[1][1] if v is not None] == [v for _, _, v in terms]
+            upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
+            for params in _OVERFLOWING:
+                got = _outcome(lambda: zeeman_lines(upper, lower, params, regime, mode))
+                want = _outcome(
+                    lambda: _reference_lines_failure(upper, lower, params, regime, mode))
+                assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    for state in _LARGE_STATES:
+        for params in _OVERFLOWING:
+            want = _outcome(lambda: [_reference_shift(state, params, regime, mode)
+                                     for regime in (Regime.RGUP, Regime.GUP) for mode in Mode])
+            got = _outcome(lambda: discrepancy_report(state, params))
+            assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    assert {"ok", "correction_scale", "jz_plus_sz", "p2_jz_minus_sz"} <= seen, seen
+
+
+def test_level_half_p2_is_exp_p2_angular_bit_for_bit():
+    for l in (*range(1001), 2**53 - 1):
+        state = QuantumState(n=l + 1, l=l, branch=Branch.PLUS, mj=0.5)
+        assert level_half(state)["p2"].hex() == exp_p2_angular(l).hex(), l
