@@ -29,6 +29,7 @@ deformation-era terms and in the <p^2> cross term).
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -306,11 +307,24 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
-#: the arguments of each part a plan compiles (see _Plan)
-_PARTS = {"shift": "state, params, mode", "level": "state, C", "row": "H, params",
-          "offset": "H, params", "magnetic": "H, P, mj"}
-
-
+#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill in
+_PARTS = {
+    "shift": "def shift(state, params, mode):\n{state}{params}{level}{mj}{scale}{values}{sum}"
+             "    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
+    "level": "def level(state, params):\n{state}{params}{level}{mj}{scale}"
+             "    return ({h}), ({p}), {offsets}\n",
+    "row": "def row(H, params):\n    {h}= H\n{params}{scale}{values}{sum}"
+           "    return scale, {row}, total\n",
+    "magnetic": "def magnetic(H, P, mj):\n    {h_mj}= H\n    {p}= P\n{mj}    return {magnetic}\n",
+}
+_SUM = """\
+    try:
+        total = fsum(values)
+    except (OverflowError, ValueError):  # overflow, or inf - inf
+        total = nan
+    if not isfinite(total):
+        name_failure(LABELS[deformed], values, total)
+"""
 _SEPARATORS = str.maketrans(dict.fromkeys("()*+-/.,=<>:#", " "))
 
 
@@ -321,9 +335,9 @@ def _words(source: str) -> list[str]:
     return source.translate(_SEPARATORS).split()
 
 
-def _unpack(fields, source: str, keep) -> str:
-    """The statement binding the fields kept from a record, in field order."""
-    return "".join((f if f in keep else "_") + ", " for f in fields) + f"= {source}"
+def _names(fields, keep) -> str:
+    """The fields kept, each followed by a comma, and _ for the others."""
+    return "".join((f if f in keep else "_") + ", " for f in fields)
 
 
 class _Plan:
@@ -338,14 +352,14 @@ class _Plan:
     runs:
 
     - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
-    - level(state, C): the level and m_j halves of a state, a tuple H;
+    - level(state, params): (H, P, the "non-magnetic" values), H the level
+      and m_j halves of the state and P the params half;
     - row(H, params): (scale, values, total), None for an addend gated off;
-    - offset(H, params): (P, the "non-magnetic" values), P the params half;
     - magnetic(H, P, mj): the other values, at the m_j given.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
-    addends are gated as energy_shift_B describes.  shift, row and offset
-    raise ValidationError for a scale outside double precision; shift and
+    addends are gated as energy_shift_B describes.  Each part but magnetic
+    raises ValidationError for a scale outside double precision; shift and
     row, after a sum of the values that is not finite, name the first term
     outside double precision, else the total.  LANDE and REL ignore the
     mode: their terms always take the derived form.
@@ -365,99 +379,83 @@ class _Plan:
         # only a part not compiled yet gets here: compile it and keep it
         if part not in _PARTS:
             raise AttributeError(part)
+        fields = self._fields
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": Branch.PLUS, "REGIME": self.regime,
-                     "new": tuple.__new__, "ShiftTerm": ShiftTerm,
+                     "LABELS": fields["labels"], "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "bad_radius": _bad_radius}
-        exec(compile(self.source(part), f"<{self.name} {part}>", "exec"), namespace)
+        source = _PARTS[part].format(**fields)
+        exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         setattr(self, part, namespace[part])
         return namespace[part]
 
-    def _layout(self):
-        """(the statements of each half the plan needs, every name they and
-        the forms read, the names H holds, the names P holds)."""
+    def names(self) -> tuple[list[str], list[str]]:
+        """The names the tuples H (level and m_j halves) and P (params half) hold."""
+        return self._fields["H"], self._fields["P"]
+
+    @functools.cached_property
+    def _fields(self) -> dict:
+        """The text _PARTS takes from this plan, with the names H and P hold
+        and the labels of the addends on, with the deformation off and on."""
         halves = (_LEVEL_HALF, _MJ_HALF,
                   _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF)
-        read = {*_words(" ".join(self.forms)), *(("deformed",) * any(self.deformation))}
+        read = {*_words(" ".join(self.forms)), "deformed"}
         # a statement reads only names bound before it, so one backward pass
         # finds every statement the forms, the scale check and the gate need
         needed = {"r0", "scale", *read}
-        for name, statement in reversed([b for half in halves for b in half]):
-            if name in needed:
-                needed.update(_words(statement))
-        h = dict.fromkeys((*ConstantsTable._fields, *QuantumState._fields,
-                           *(n for n, _ in (*_LEVEL_HALF, *_MJ_HALF))))
-        p = (*PhysicalParams._fields, *(n for n, _ in _PARAMS_HALF))
-        return ([[s for n, s in half if n in needed] for half in halves], needed,
-                [n for n in h if n in needed], [n for n in p if n in read])
-
-    def names(self) -> tuple[list[str], list[str]]:
-        """The names the tuples H (level and m_j halves) and P (params half) hold."""
-        return self._layout()[2:]
-
-    def source(self, part: str) -> str:
-        """The Python source of one part."""
-        (level, mj, params), needed, h, p = self._layout()
-        lines = []
-        if part in ("shift", "level"):
-            lines.append(_unpack(QuantumState._fields, "state", needed))
-        if part == "shift":
-            lines.append(_unpack(["C" if f == "constants" else f for f in PhysicalParams._fields],
-                                 "params", {*needed, "C"}))
-        if part in ("shift", "level"):
-            lines += [_unpack(ConstantsTable._fields, "C", needed), *level, *mj]
-        if part == "level":
-            lines.append("return (" + "".join(n + ", " for n in h) + ")")
-        elif part == "magnetic":
-            lines += [_unpack(h, "H", set(h) - {"mj", *(n for n, _ in _MJ_HALF)}),
-                      _unpack(p, "P", p), *mj, *self._branches(part)]
-        else:
-            if part != "shift":
-                lines += [_unpack(h, "H", h), _unpack(PhysicalParams._fields, "params", needed)]
-            lines += [*params, "if not isfinite(scale):", "    finite(scale, 'correction_scale')"]
-            if part == "offset":
-                lines += ["P = (" + "".join(n + ", " for n in p) + ")", *self._branches(part)]
+        for half in reversed(halves):
+            for name, statement in reversed(half):
+                if name in needed:
+                    needed.update(_words(statement))
+        code = []
+        for half in halves:
+            code.append("")
+            for name, statement in half:
+                if name in needed:
+                    code[-1] += "    " + statement.replace("\n", "\n    ") + "\n"
+        h, p = [], []
+        for name in (*ConstantsTable._fields, *QuantumState._fields, *dict(_LEVEL_HALF),
+                     *dict(_MJ_HALF)):
+            if name in needed and name not in h:
+                h.append(name)
+        for name in (*PhysicalParams._fields, *dict(_PARAMS_HALF)):
+            if name in read:
+                p.append(name)
+        # the text of each gated field, with the deformation on and off
+        on = {"values": "", "records": "", "row": "", "offsets": "", "magnetic": ""}
+        off = dict(on)
+        always, deformed = "", ""
+        for i, ((label, expression, tags), form) in enumerate(zip(self.terms, self.forms)):
+            value = f"({form}) + 0.0"
+            kind = "offsets" if "non-magnetic" in tags else "magnetic"
+            for branch in (on,) if self.deformation[i] else (on, off):
+                branch["values"] += f"v{i}, "
+                branch["records"] += \
+                    f"new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r})), "
+                branch[kind] += value + ", "
+            on["row"] += f"v{i}, "
+            off["row"] += "None, " if self.deformation[i] else f"v{i}, "
+            if self.deformation[i]:
+                deformed += f"\n        v{i} = {value}"
             else:
-                lines += [*self._branches("values"),
-                          "try:",
-                          "    total = fsum(values)",
-                          "except (OverflowError, ValueError):  # overflow, or inf - inf",
-                          "    total = nan",
-                          "if not isfinite(total):",
-                          "    name_failure(labels, values, total)",
-                          *self._branches(part)]
-        body = "".join("    " + s + "\n" for line in lines for s in line.split("\n"))
-        return f"def {part}({_PARTS[part]}):\n{body}"
-
-    def _branches(self, step: str) -> list[str]:
-        """One step of a part, for the deformation addends on and off: "values"
-        binds v<i> per value, values and labels; "shift" and "row" return from
-        them; "offset" and "magnetic" return their values."""
-        def lines(on: list[int]) -> list[str]:
-            if step == "values":
-                return [*(f"v{i} = ({self.forms[i]}) + 0.0" for i in on),
-                        "values = (" + "".join(f"v{i}, " for i in on) + ")",
-                        f"labels = {tuple(self.terms[i][0] for i in on)!r}"]
-            if step == "row":
-                return ["return scale, (" + "".join(f"v{i}, " if i in on else "None, "
-                                                    for i in range(len(self.forms))) + "), total"]
-            if step == "shift":
-                return ["return new(ShiftBreakdown, (state, REGIME, mode, scale, ("
-                        + "".join(f"new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r})), "
-                                  for i, (label, expression, tags) in enumerate(self.terms)
-                                  if i in on) + ")))"]
-            values = "".join(f"({self.forms[i]}) + 0.0, " for i in on
-                             if ("non-magnetic" in self.terms[i][2]) == (step == "offset"))
-            return [("return P, (" if step == "offset" else "return (") + values + ")"]
-        everything = list(range(len(self.forms)))
-        if not any(self.deformation):
-            return lines(everything)
-        undeformed = [i for i in everything if not self.deformation[i]]
-        on, off = lines(everything), lines(undeformed)
-        if step == "values":
-            return ["if deformed:", *("    " + s for s in on), "else:", *("    " + s for s in off)]
-        return ["if deformed:", *("    " + s for s in on), *off]
+                always += f"    v{i} = {value}\n"
+        fields = {key: f"({on[key]})" if on == off else
+                  f"({on[key]}) if deformed else ({off[key]})" for key in on}
+        fields["values"] = always + (deformed and "    if deformed:" + deformed + "\n") \
+            + f"    values = {fields['values']}\n"
+        mj_half = {"mj", *dict(_MJ_HALF)}
+        fields.update(
+            state=f"    {_names(QuantumState._fields, needed)}= state\n",
+            # the constants are the params' last field
+            params=f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n",
+            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{code[0]}", mj=code[1],
+            scale=f"{code[2]}    if not isfinite(scale):\n"
+                  "        finite(scale, 'correction_scale')\n",
+            sum=_SUM, h=_names(h, h), h_mj=_names(h, set(h) - mj_half), p=_names(p, p), H=h, P=p,
+            labels=tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
+                               if gate or not d) for gate in (False, True)))
+        return fields
 
 
 #: by regime value, (derived, as-published): a dict keyed by the Regime itself
@@ -533,7 +531,7 @@ def _row_evaluator(regime: Regime, mode: Mode):
     def evaluate(row_state: QuantumState, params: PhysicalParams):
         nonlocal half, state, constants
         if row_state is not state or params.constants is not constants:
-            half = level_of(row_state, params.constants)
+            half = level_of(row_state, params)[0]
             state, constants = row_state, params.constants
         return row(half, params)
     return evaluate
@@ -608,8 +606,7 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
     plan = _plan_of(regime, mode)
-    C = params.constants
-    level_of, offset_of, magnetic_of = plan.level, plan.offset, plan.magnetic
+    level_of, magnetic_of = plan.level, plan.magnetic
     l = branch = None
     entries = []  # (state, magnetic sum, offset sum), following upper + lower
     for state in upper + lower:
@@ -617,8 +614,7 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         # enter it, and the offset terms read no m_j, so a level evaluates
         # them once
         if state.l != l or state.branch is not branch:
-            half = level_of(state, C)
-            P, offsets = offset_of(half, params)
+            half, P, offsets = level_of(state, params)
             l, branch, offset = state.l, state.branch, None
         values = magnetic_of(half, P, state.mj)
         # a failure is named as a per-state row names it: the term or the
@@ -630,7 +626,7 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
             _finite(magnetic + offset, "total")
         except ValidationError:
             # names the term that left double precision, or the total, if one did
-            plan.row(level_of(state, C), params)
+            plan.row(level_of(state, params)[0], params)
             raise
         entries.append((state, magnetic, offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys

@@ -260,7 +260,7 @@ def test_plans_compile_lazily():
 @pytest.mark.parametrize("argv, parts", [
     (["shift", "--l", "1", "--mj", "0.5", "--regime", "lande"], [("lande derived", "shift")]),
     (["lines", "--upper-l", "1", "--lower-l", "0", "--regime", "lande"],
-     [("lande derived", "level"), ("lande derived", "magnetic"), ("lande derived", "offset")]),
+     [("lande derived", "level"), ("lande derived", "magnetic")]),
     (["sweep", "--param", "B", "--values", "1,2", "--l", "1", "--mj", "0.5",
       "--regime", "lande"], [("lande derived", "level"), ("lande derived", "row")]),
     (["discrepancy", "--l", "1", "--mj", "0.5"],

@@ -125,10 +125,10 @@ def test_breakdowns_are_pinned():
         "9356cf041827d5d3906e23cab4d6aca4408e10c403f2e424fa3571f3efccbb8e"
 
 
-def level_half(state, regime=Regime.RGUP, constants=C):
+def level_half(state, regime=Regime.RGUP):
     """The level and m_j halves of a state, by name, as a plan computes them."""
     plan = spectrum._plan_of(regime, Mode.DERIVED)
-    return dict(zip(plan.names()[0], plan.level(state, constants)))
+    return dict(zip(plan.names()[0], plan.level(state, PLANCK)[0]))
 
 
 def test_exp_sz_values():
@@ -485,8 +485,7 @@ def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic,
             total = math.nan
         if not math.isfinite(total):
             spectrum._name_failure(labels, values, total)
-    monkeypatch.setattr(plan, "level", lambda state, constants: state.mj)  # H is the m_j
-    monkeypatch.setattr(plan, "offset", lambda mj, params: (None, offset))
+    monkeypatch.setattr(plan, "level", lambda state, params: (state.mj, None, offset))  # H: m_j
     monkeypatch.setattr(plan, "magnetic", lambda _, P, mj: magnetic_of(mj))
     monkeypatch.setattr(plan, "row", row)
     with pytest.raises(ValidationError) as caught:
@@ -525,7 +524,7 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
         mode = Mode.AS_PUBLISHED if plan.name.endswith("as-published") else Mode.DERIVED
         for params, deformed in ((params_with_scale(1e-3), True),
                                  (params_with_scale(0.0), False)):
-            half = plan.level(state, params.constants)
+            half, P, offsets = plan.level(state, params)
             scale, values, total = plan.row(half, params)
             assert [v is None for v in values] == [d and not deformed
                                                    for d in plan.deformation]
@@ -537,7 +536,6 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
             if plan.regime is not Regime.GUP:
                 assert scale == params.correction_scale
             assert [(t.label, t.tags, t.value_erg) for t in breakdown.terms] == on
-            P, offsets = plan.offset(half, params)
             assert list(offsets) == [v for _, tags, v in on if "non-magnetic" in tags]
             assert list(plan.magnetic(half, P, state.mj)) == [
                 v for _, tags, v in on if "non-magnetic" not in tags]
@@ -553,7 +551,7 @@ def test_level_offsets_read_no_mj(regime, mode):
             assert not _names_read(form) & {"mj", "jz", "sz"}, label
     params = params_with_scale(1e-3)
     for level in ((4, 3, Branch.PLUS), (4, 3, Branch.MINUS), (2, 0, Branch.PLUS)):
-        bits = {tuple(v.hex() for v in plan.offset(plan.level(state, C), params)[1])
+        bits = {tuple(v.hex() for v in plan.level(state, params)[2])
                 for state in level_states(*level)}
         assert len(bits) == 1
 
@@ -568,9 +566,9 @@ def test_lines_build_one_substitution_per_level(monkeypatch):
     plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
     level_of, built = plan.level, []
 
-    def counted(state, constants):
+    def counted(state, params):
         built.append(state)
-        return level_of(state, constants)
+        return level_of(state, params)
     monkeypatch.setattr(plan, "level", counted)
     upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
     assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
