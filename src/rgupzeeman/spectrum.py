@@ -310,7 +310,7 @@ _GUP_PARAMS_HALF = (
 #: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill in
 _PARTS = {
     "shift": "def shift(state, params, mode):\n{state}{params}{level}{mj}{scale}{values}{sum}"
-             "    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
+             "{terms}    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
     "level": "def level(state, params):\n{state}{params}{level}{mj}{scale}"
              "    return ({h}), ({p}), {offsets}\n",
     "row": "def row(H, params):\n    {h}= H\n{params}{scale}{values}{sum}"
@@ -329,9 +329,8 @@ _SEPARATORS = str.maketrans(dict.fromkeys("()*+-/.,=<>:#", " "))
 
 
 def _words(source: str) -> list[str]:
-    """The identifiers in some Python source, with words that name nothing
-    a plan binds (a split, not a regular expression: compiling one would
-    add to a cold start)."""
+    """The identifiers in some Python source, and words that name nothing a
+    plan binds (a split: compiling a regular expression slows a cold start)."""
     return source.translate(_SEPARATORS).split()
 
 
@@ -390,14 +389,11 @@ class _Plan:
         setattr(self, part, namespace[part])
         return namespace[part]
 
-    def names(self) -> tuple[list[str], list[str]]:
-        """The names the tuples H (level and m_j halves) and P (params half) hold."""
-        return self._fields["H"], self._fields["P"]
-
     @functools.cached_property
     def _fields(self) -> dict:
-        """The text _PARTS takes from this plan, with the names H and P hold
-        and the labels of the addends on, with the deformation off and on."""
+        """The text _PARTS takes from this plan, with the names that H (the
+        level and m_j halves) and P (the params half) hold, and the labels
+        of the addends on, with the deformation off and on."""
         halves = (_LEVEL_HALF, _MJ_HALF,
                   _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF)
         read = {*_words(" ".join(self.forms)), "deformed"}
@@ -425,25 +421,27 @@ class _Plan:
         # the text of each gated field, with the deformation on and off
         on = {"values": "", "records": "", "row": "", "offsets": "", "magnetic": ""}
         off = dict(on)
-        always, deformed = "", ""
+        # v<i> binds each value and t<i> its record, the deformation addends
+        # under "if deformed:"
+        values, terms = ["", ""], ["", ""]
         for i, ((label, expression, tags), form) in enumerate(zip(self.terms, self.forms)):
             value = f"({form}) + 0.0"
             kind = "offsets" if "non-magnetic" in tags else "magnetic"
             for branch in (on,) if self.deformation[i] else (on, off):
                 branch["values"] += f"v{i}, "
-                branch["records"] += \
-                    f"new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r})), "
+                branch["records"] += f"t{i}, "
                 branch[kind] += value + ", "
             on["row"] += f"v{i}, "
             off["row"] += "None, " if self.deformation[i] else f"v{i}, "
-            if self.deformation[i]:
-                deformed += f"\n        v{i} = {value}"
-            else:
-                always += f"    v{i} = {value}\n"
+            indent = "        " if self.deformation[i] else "    "
+            values[self.deformation[i]] += f"{indent}v{i} = {value}\n"
+            terms[self.deformation[i]] += \
+                f"{indent}t{i} = new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r}))\n"
         fields = {key: f"({on[key]})" if on == off else
                   f"({on[key]}) if deformed else ({off[key]})" for key in on}
-        fields["values"] = always + (deformed and "    if deformed:" + deformed + "\n") \
-            + f"    values = {fields['values']}\n"
+        fields["values"] = (values[0] + (values[1] and "    if deformed:\n" + values[1])
+                            + f"    values = {fields['values']}\n")
+        fields["terms"] = terms[0] + (terms[1] and "    if deformed:\n" + terms[1])
         mj_half = {"mj", *dict(_MJ_HALF)}
         fields.update(
             state=f"    {_names(QuantumState._fields, needed)}= state\n",

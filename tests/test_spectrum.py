@@ -128,7 +128,7 @@ def test_breakdowns_are_pinned():
 def level_half(state, regime=Regime.RGUP):
     """The level and m_j halves of a state, by name, as a plan computes them."""
     plan = spectrum._plan_of(regime, Mode.DERIVED)
-    return dict(zip(plan.names()[0], plan.level(state, PLANCK)[0]))
+    return dict(zip(plan._fields["H"], plan.level(state, PLANCK)[0]))
 
 
 def test_exp_sz_values():
