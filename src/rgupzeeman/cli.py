@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -165,6 +163,7 @@ def _in_unit(values_erg, unit: str) -> list[float]:
 
 def _print_json(payload) -> None:
     """Strict, key-sorted JSON; no payload holds a record (json writes one as a list)."""
+    import json  # here, not at the top: most commands print no JSON
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
@@ -221,14 +220,13 @@ def cmd_shift(args, cfg: RunConfig) -> int:
         return 0
 
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["regime", "mode", "label", "expression",
-                         "value_erg", "value_eV"])
+        # no cell holds , " \r or \n, so a join writes what csv.writer would
+        print("regime,mode,label,expression,value_erg,value_eV")
         for t, value in zip(breakdown.terms, shown):
-            writer.writerow([regime.value, mode.value, t.label, t.expression,
-                             repr(t.value_erg), repr(value)])
-        writer.writerow([regime.value, mode.value, "TOTAL", "",
-                         repr(breakdown.total_erg), repr(total)])
+            print(",".join([regime.value, mode.value, t.label, t.expression,
+                            repr(t.value_erg), repr(value)]))
+        print(",".join([regime.value, mode.value, "TOTAL", "",
+                        repr(breakdown.total_erg), repr(total)]))
         return 0
 
     width = max(len("TOTAL"), *(len(t.label) for t in breakdown.terms))
@@ -545,6 +543,12 @@ def _add_state_flags(sub):
                      help="magnetic quantum number (half-odd-integer)")
 
 
+def _add_regime_flags(sub):
+    sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
+    sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
+    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+
+
 def _add_format_flags(sub, csv_flag=False):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--json", dest="format", action="store_const", const="json",
@@ -579,9 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add_parser("shift", help="energy-shift breakdown for one state")
     _add_state_flags(sub)
     _add_params_flags(sub)
-    sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
-    sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+    _add_regime_flags(sub)
     _add_format_flags(sub, csv_flag=True)
 
     sub = add_parser("sweep", help="sweep one parameter, emit CSV")
@@ -593,9 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated explicit grid (overrides --from/--to)")
     _add_state_flags(sub)
     _add_params_flags(sub)
-    sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
-    sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+    _add_regime_flags(sub)
 
     sub = add_parser("lines", help="allowed Zeeman lines between two levels")
     sub.add_argument("--upper-n", dest="upper_n", type=int, default=None)
@@ -609,9 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lower-branch", dest="lower_branch",
                      choices=("plus", "minus"), default="plus")
     _add_params_flags(sub)
-    sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
-    sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
+    _add_regime_flags(sub)
     _add_format_flags(sub)
 
     sub = add_parser("verify-algebra", help="machine-verify the deformed commutator algebras")

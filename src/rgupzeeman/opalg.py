@@ -362,10 +362,6 @@ def commutator(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
     return normal_product(a, b) - normal_product(b, a)
 
 
-def truncate(poly: OperatorPoly, caps: Mapping[str, int]) -> OperatorPoly:
-    return poly.truncate(caps)
-
-
 # -- deformed operator representations ---------------------------------------
 
 def deformed_ops_nonrel(dim: int = 3) -> tuple[tuple[OperatorPoly, ...],

@@ -1,4 +1,4 @@
-"""Independent hydrogen radial machinery: wavefunctions and quadrature.
+"""Independent hydrogen radial machinery: closed forms and quadrature.
 
 Used to validate closed-form expectation values and to quantify the
 angular-only <p^2> approximation used by the shift formulas.  All
@@ -65,17 +65,12 @@ class RadialGrid(NamedTuple):
     nodes: np.ndarray     # abscissas x of the e^{-x} rule
     weights: np.ndarray   # positive weights
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.nodes / self.scale
 
-
-def make_grid(n: int, Z: int = 1, constants: ConstantsTable | None = None,
+def make_grid(n: int, Z: int = 1, constants: ConstantsTable = DEFAULT_CONSTANTS,
               n_nodes: int = DEFAULT_NODES) -> RadialGrid:
     _check_qn(n, 0, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
     x, w = _laguerre_rule(n_nodes)
-    return RadialGrid(n_nodes=n_nodes, scale=2.0 * Z / (n * table.r0),
+    return RadialGrid(n_nodes=n_nodes, scale=2.0 * Z / (n * constants.r0),
                       nodes=x, weights=w)
 
 
@@ -110,34 +105,15 @@ def _stripped_parts(n: int, l: int, x: np.ndarray, scale: float):
     return G, dG, d2G
 
 
-def radial_wavefunction(n: int, l: int, Z: int, r,
-                        constants: ConstantsTable | None = None) -> float | np.ndarray:
-    """Normalized Coulomb radial function R_nl(r), r in cm."""
-    import numpy as np
-    from scipy.special import eval_genlaguerre
-
-    _check_qn(n, l, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValidationError("r", "radius must be >= 0")
-    s = 2.0 * Z / (n * table.r0)
-    x = s * r_arr
-    A = _norm_constant(n, l, s)
-    value = A * np.exp(-x / 2.0) * x**l * eval_genlaguerre(n - l - 1, 2 * l + 1, x)
-    return float(value) if np.isscalar(r) else value
-
-
 def radial_expectation(n: int, l: int, Z: int, k: int,
-                       constants: ConstantsTable | None = None,
+                       constants: ConstantsTable = DEFAULT_CONSTANTS,
                        n_nodes: int = DEFAULT_NODES) -> float:
     """<r^k> by quadrature, k in -3..2 (k = -3 requires l >= 1)."""
     import numpy as np
 
     _check_qn(n, l, Z)
     _check_moment(l, k)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    grid = make_grid(n, Z, table, n_nodes)
+    grid = make_grid(n, Z, constants, n_nodes)
     s = grid.scale
     x = grid.nodes
     G, _, _ = _stripped_parts(n, l, x, s)
@@ -146,12 +122,11 @@ def radial_expectation(n: int, l: int, Z: int, k: int,
 
 
 def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
-                              constants: ConstantsTable | None = None) -> float:
+                              constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
     """Textbook hydrogenic <r^k> in terms of a = r0/Z, for k in -3..2."""
     _check_qn(n, l, Z)
     _check_moment(l, k)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    a = table.r0 / Z
+    a = constants.r0 / Z
     ll = l * (l + 1)
     if k == 0:
         return 1.0
@@ -167,19 +142,17 @@ def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
 
 
 def energy_level(n: int, Z: int = 1,
-                 constants: ConstantsTable | None = None) -> float:
+                 constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
     """Coulomb bound-state energy -Z^2 e^2 / (2 r0 n^2) in erg."""
     _check_qn(n, 0, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    return -Z * Z * table.e**2 / (2.0 * table.r0 * n * n)
+    return -Z * Z * constants.e**2 / (2.0 * constants.r0 * n * n)
 
 
 def p2_closed_form(n: int, Z: int = 1,
-                   constants: ConstantsTable | None = None) -> float:
+                   constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
     """Virial-identity <p^2> = (Z hbar / (n r0))^2, independent of l."""
     _check_qn(n, 0, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    return (Z * table.hbar / (n * table.r0)) ** 2
+    return (Z * constants.hbar / (n * constants.r0)) ** 2
 
 
 def _laplacian_times_x2(n: int, l: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +165,7 @@ def _laplacian_times_x2(n: int, l: int, grid: RadialGrid) -> tuple[np.ndarray, n
 
 
 def p2_expectation_exact(n: int, l: int, Z: int = 1,
-                         constants: ConstantsTable | None = None,
+                         constants: ConstantsTable = DEFAULT_CONSTANTS,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^2> by quadrature of -hbar^2 R Lap(R) r^2, cross-checked internally.
 
@@ -203,12 +176,11 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
     import numpy as np
 
     _check_qn(n, l, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    grid = make_grid(n, Z, table, n_nodes)
+    grid = make_grid(n, Z, constants, n_nodes)
     G, lap_x2 = _laplacian_times_x2(n, l, grid)
     # R Lap(R) r^2 dr = e^{-x} G * (s^2 Q) * (x^2/s^2) * dx/s with Q x^2 = lap_x2
-    value = -table.hbar**2 * float(np.sum(grid.weights * G * lap_x2)) / grid.scale
-    virial = p2_closed_form(n, Z, table)
+    value = -constants.hbar**2 * float(np.sum(grid.weights * G * lap_x2)) / grid.scale
+    virial = p2_closed_form(n, Z, constants)
     if not abs(value - virial) <= 1e-8 * virial:
         raise RuntimeError(
             f"<p^2> quadrature {value!r} disagrees with virial identity {virial!r}")
@@ -216,24 +188,23 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
 
 
 def p4_expectation_exact(n: int, l: int, Z: int = 1,
-                         constants: ConstantsTable | None = None,
+                         constants: ConstantsTable = DEFAULT_CONSTANTS,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^4> = ||p^2 psi||^2 = hbar^4 int (Lap R)^2 r^2 dr by quadrature."""
     import numpy as np
 
     _check_qn(n, l, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    grid = make_grid(n, Z, table, n_nodes)
+    grid = make_grid(n, Z, constants, n_nodes)
     _, lap_x2 = _laplacian_times_x2(n, l, grid)
     x = grid.nodes
     # (Lap R)^2 r^2 dr = e^{-x} s^4 (lap_x2 / x^2)^2 (x^2/s^2) dx/s
     #                  = e^{-x} s (lap_x2 / x)^2 dx
     integrand = (lap_x2 / x) ** 2
-    return table.hbar**4 * grid.scale * float(np.sum(grid.weights * integrand))
+    return constants.hbar**4 * grid.scale * float(np.sum(grid.weights * integrand))
 
 
 def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
-                   constants: ConstantsTable | None = None,
+                   constants: ConstantsTable = DEFAULT_CONSTANTS,
                    n_nodes: int = DEFAULT_NODES) -> float:
     """Overlap int R_{n1 l} R_{n2 l} r^2 dr on a common-scale grid.
 
@@ -244,9 +215,8 @@ def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
 
     _check_qn(n1, l, Z)
     _check_qn(n2, l, Z)
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    s1 = 2.0 * Z / (n1 * table.r0)
-    s2 = 2.0 * Z / (n2 * table.r0)
+    s1 = 2.0 * Z / (n1 * constants.r0)
+    s2 = 2.0 * Z / (n2 * constants.r0)
     sbar = 0.5 * (s1 + s2)
     u, w = _laguerre_rule(n_nodes)
     G1, _, _ = _stripped_parts(n1, l, s1 * u / sbar, s1)

@@ -35,8 +35,8 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import oracle
-from .units import (ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams, ValidationError,
-                    check_n_l, is_integer)
+from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams,
+                    ValidationError, check_n_l, is_integer)
 
 
 class Branch(Enum):
@@ -130,22 +130,20 @@ def level_states(n: int, l: int, branch: Branch) -> tuple[QuantumState, ...]:
 
 # -- expectation values -------------------------------------------------------
 
-def exp_p2_angular(l: int, r: float | None = None,
-                   constants: ConstantsTable | None = None) -> float:
-    """Angular-only momentum-square estimate hbar^2 l(l+1) / r^2.
+def exp_p2_angular(l: int, constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
+    """Angular-only momentum-square estimate hbar^2 l(l+1) / r0^2.
 
-    This keeps just the centrifugal part of the radial Laplacian at a
-    fixed radius (default r0), which is the substitution the closed-form
-    shift formulas use.  The honest hydrogen <p^2> differs (factor 8 for
-    n=2, l=1); see oracle.p2_expectation_exact.
+    This keeps just the centrifugal part of the radial Laplacian at the
+    fixed radius r0, which is the substitution the closed-form shift
+    formulas use.  The honest hydrogen <p^2> differs (factor 8 for n=2,
+    l=1); see oracle.p2_expectation_exact.  l is an integer below 2**53,
+    as check_n_l allows it.
     """
-    table = constants if constants is not None else DEFAULT_CONSTANTS
-    if l < 0 or not is_integer(l):
-        raise ValidationError("l", f"must be a non-negative integer, got {l!r}")
-    radius = table.r0 if r is None else r
-    if radius <= 0.0:
-        _bad_radius(radius)
-    return table.hbar**2 * l * (l + 1) / radius**2
+    if not 0 <= l < _MAX_EXACT_INT or not is_integer(l):
+        raise ValidationError("l", f"must be a non-negative integer < 2**53, got {l!r}")
+    if constants.r0 <= 0.0:
+        _bad_radius(constants.r0)
+    return constants.hbar**2 * l * (l + 1) / constants.r0**2
 
 
 def _bad_radius(radius: float):
@@ -170,8 +168,6 @@ def _finite_sum(values, what: str) -> float:
 # -- the term table -------------------------------------------------------------
 
 LEVEL_SHIFT_TAGS = ("level-shift", "non-magnetic")
-
-_DEFORMED = (Regime.GUP, Regime.RGUP)
 
 
 class _Term(NamedTuple):
@@ -360,13 +356,11 @@ class _Plan:
     addends are gated as energy_shift_B describes.  Each part but magnetic
     raises ValidationError for a scale outside double precision; shift and
     row, after a sum of the values that is not finite, name the first term
-    outside double precision, else the total.  LANDE and REL ignore the
-    mode: their terms always take the derived form.
+    outside double precision, else the total.
     """
 
     def __init__(self, regime: Regime, published: bool):
-        quoted = published and regime in _DEFORMED
-        rows = [(t, quoted and t.published is not None) for t in _TERMS if regime in t.regimes]
+        rows = [(t, published and t.published is not None) for t in _TERMS if regime in t.regimes]
         self.name = f"{regime.value} {'as-published' if published else 'derived'}"
         self.regime = regime
         self.terms = tuple((t.label, t.published_expression if q else t.expression, t.tags)
@@ -456,9 +450,15 @@ class _Plan:
         return fields
 
 
-#: by regime value, (derived, as-published): a dict keyed by the Regime itself
-#: would call the Python-level Enum.__hash__ on every lookup
-_PLANS = {regime.value: (_Plan(regime, False), _Plan(regime, True)) for regime in Regime}
+def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:
+    derived = _Plan(regime, False)
+    # (derived, as-published): LANDE and REL ignore the mode, so one plan fills both
+    return derived, _Plan(regime, True) if regime in (Regime.GUP, Regime.RGUP) else derived
+
+
+#: by regime value: a dict keyed by the Regime itself would call the
+#: Python-level Enum.__hash__ on every lookup
+_PLANS = {regime.value: _plan_pair(regime) for regime in Regime}
 _TERM_BY_LABEL = {t.label: t for t in _TERMS}
 
 #: per-regime term labels, in emission order (stable CSV schema)
@@ -501,10 +501,18 @@ class ShiftBreakdown(NamedTuple):
         return tuple(t.label for t in self.terms)
 
 
+#: compared as module globals: each Mode.X is an enum-member lookup (~150 ns)
+_DERIVED, _AS_PUBLISHED = Mode.DERIVED, Mode.AS_PUBLISHED
+
+
 def _plan_of(regime: Regime, mode: Mode) -> _Plan:
     if not isinstance(regime, Regime):
         raise ValidationError("regime", f"unknown regime {regime!r}")
-    return _PLANS[regime._value_][mode is Mode.AS_PUBLISHED]
+    if mode is _DERIVED:
+        return _PLANS[regime._value_][0]
+    if mode is _AS_PUBLISHED:
+        return _PLANS[regime._value_][1]
+    raise ValidationError("mode", f"unknown mode {mode!r}")
 
 
 def _name_failure(labels: tuple[str, ...], values: tuple[float, ...], total: float):
@@ -687,7 +695,7 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
     agreements = []
     for regime in (Regime.RGUP, Regime.GUP):
         derived = energy_shift_B(state, params, regime).terms
-        published = energy_shift_B(state, params, regime, Mode.AS_PUBLISHED).terms
+        published = energy_shift_B(state, params, regime, _AS_PUBLISHED).terms
         # the two modes gate off the same deformation addends
         for d, p in zip(derived, published):
             label, dval, pval = d.label, d.value_erg, p.value_erg

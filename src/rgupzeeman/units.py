@@ -103,9 +103,9 @@ def _constant_rows(t: ConstantsTable) -> list[tuple[str, float, str]]:
     return [*zip(t._fields, t, _CONSTANT_UNITS), ("mu_bohr", t.mu_bohr, "erg/G")]
 
 
-def constants_dump(table: ConstantsTable | None = None) -> str:
+def constants_dump(table: ConstantsTable = DEFAULT_CONSTANTS) -> str:
     """Flat text listing (name, value, unit), one constant per line."""
-    rows = _constant_rows(table if table is not None else DEFAULT_CONSTANTS)
+    rows = _constant_rows(table)
     return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in rows)
 
 
@@ -199,7 +199,7 @@ def make_params(
     gamma: float | None = None,
     m: float | None = None,
     Z: int = 1,
-    constants: ConstantsTable | None = None,
+    constants: ConstantsTable = DEFAULT_CONSTANTS,
 ) -> PhysicalParams:
     """Build a validated PhysicalParams record.
 
@@ -208,18 +208,17 @@ def make_params(
     deformation off); m defaults to the table's electron mass.  Raises
     ValidationError naming the offending field.
     """
-    table = constants if constants is not None else DEFAULT_CONSTANTS
     if gamma_mode == "planck":
         if gamma is not None:
             raise ValidationError("gamma", "explicit value supplied with gamma_mode='planck'")
-        gamma = table.gamma_planck
+        gamma = constants.gamma_planck
     elif gamma_mode == "explicit":
         if gamma is None:
             raise ValidationError("gamma", "gamma_mode='explicit' requires a value")
     else:
         raise ValidationError("gamma_mode", f"unknown mode {gamma_mode!r}")
     return PhysicalParams(B=B, epsilon=epsilon, gamma=gamma,
-                          m=table.m_e if m is None else m, Z=Z, constants=table)
+                          m=constants.m_e if m is None else m, Z=Z, constants=constants)
 
 
 def convert_energy(value: float, from_unit: str, to_unit: str) -> float:

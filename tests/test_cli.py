@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from rgupzeeman import cli
+from rgupzeeman import cli, spectrum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -198,7 +198,7 @@ def test_oracle_cli_bad_quadrature_exit_code(argv, code):
 
 
 def test_oracle_cli_non_finite_value_is_exit_4(monkeypatch, capsys):
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     monkeypatch.setattr(cli, "p4_expectation_exact", lambda *a, **k: float("inf"))
     assert cli.main(["oracle", "--n", "2", "--l", "1"]) == 4
     out, err = capsys.readouterr()
@@ -207,7 +207,7 @@ def test_oracle_cli_non_finite_value_is_exit_4(monkeypatch, capsys):
 
 
 def test_oracle_node_cap_exits_before_any_rule_is_built(main, monkeypatch):
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
 
     def quadrature(*args, **kwargs):
         raise AssertionError("a quadrature rule was built")
@@ -236,8 +236,9 @@ def test_only_oracle_loads_numpy_and_scipy():
 _COMPILED = (
     "from rgupzeeman.spectrum import _PARTS, _PLANS\n"
     "def compiled():\n"
-    "    return sorted((plan.name, part) for pair in _PLANS.values() for plan in pair\n"
-    "                  for part in vars(plan) if part in _PARTS)\n"
+    "    plans = {plan for pair in _PLANS.values() for plan in pair}\n"
+    "    return sorted((plan.name, part) for plan in plans for part in vars(plan)\n"
+    "                  if part in _PARTS)\n"
 )
 
 
@@ -298,6 +299,38 @@ def test_no_command_loads_dataclasses_or_inspect():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_json_output_loads_json_and_no_command_loads_csv():
+    script = (
+        "import contextlib, io, sys\n"
+        "import rgupzeeman.cli\n"
+        "def loaded():\n"
+        "    return {'csv', 'json'} & set(sys.modules)\n"
+        "assert not loaded(), loaded()\n"
+        "shift = ['shift', '--l', '1', '--mj', '0.5']\n"
+        "for argv in (shift, shift + ['--csv'], ['lines', '--upper-l', '1', '--lower-l', '0'],\n"
+        "             ['sweep', '--param', 'B', '--values', '1,2', '--l', '1', '--mj', '0.5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rgupzeeman.cli.main(argv) == 0\n"
+        "    assert not loaded(), (argv, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rgupzeeman.cli.main(shift + ['--json']) == 0\n"
+        "assert loaded() == {'json'}, loaded()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_csv_cell_text_needs_quoting():
+    # shift --csv and sweep join their cells with ",", which writes what
+    # csv.writer would only while no text holds a delimiter, quote or newline
+    texts = [text for t in spectrum._TERMS
+             for text in (t.label, t.expression, t.published_expression) if text is not None]
+    assert len(texts) == 28
+    for text in (*texts, *(r.value for r in spectrum.Regime), *(m.value for m in spectrum.Mode)):
+        assert not set(text) & set(',"\r\n'), text
 
 
 def test_config_precedence_flags_env_file_builtin(tmp_path):
@@ -388,7 +421,7 @@ def test_unit_flag_changes_table_not_csv_schema():
 @pytest.fixture
 def main(monkeypatch, capsys):
     """cli.main with RGUPZ_* cleared; returns (exit code, stdout, stderr)."""
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     for name in list(os.environ):
         if name.startswith("RGUPZ_"):
             monkeypatch.delenv(name)
@@ -425,7 +458,7 @@ def test_sweep_prints_all_or_nothing(main, argv, code):
 
 @pytest.mark.parametrize("param", ["B", "epsilon"])
 def test_field_and_epsilon_sweeps_build_one_record_per_row(main, monkeypatch, param):
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     calls = []
 
     def counted(*args, **kwargs):
@@ -633,7 +666,7 @@ def test_dispersion_json_is_strict(main):
         "oracle"))
 def test_json_payloads_hold_no_records(main, monkeypatch, argv):
     # json writes a tuple, and so a named-tuple record, as a bare list
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     payloads = []
     monkeypatch.setattr(cli, "_print_json", payloads.append)
 
@@ -649,7 +682,7 @@ def test_json_payloads_hold_no_records(main, monkeypatch, argv):
 
 
 def test_lines_l_cap_exits_before_any_state_is_built(main, monkeypatch):
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     for argv in (("--upper-l", "1000", "--lower-l", "999"),
                  ("--upper-l", "999", "--lower-l", "1000")):
         status, out, _ = main("lines", *argv, "--json")
@@ -668,7 +701,7 @@ def test_lines_l_cap_exits_before_any_state_is_built(main, monkeypatch):
 
 
 def test_parser_reuse_keeps_no_state_between_calls(main, monkeypatch, tmp_path):
-    from rgupzeeman import cli
+    from rgupzeeman import cli, spectrum
     shift = ("shift", "--l", "1", "--branch", "plus", "--mj", "0.5")
     status, out, _ = main(*shift, "--json")
     assert status == 0 and json.loads(out)["regime"] == "lande"

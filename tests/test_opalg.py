@@ -14,7 +14,6 @@ from rgupzeeman.opalg import (
     normal_product,
     p0,
     p0_squared,
-    truncate,
     unit,
     verify_algebra,
     x0,
@@ -86,7 +85,7 @@ def test_truncate_drops_higher_orders():
 
 def test_truncate_without_capped_params_is_identity():
     poly = unit(E3) + p0(2, E3).scale(Fraction(3, 7)).times("hbar")
-    assert truncate(poly, {"a1": 0, "eps": 0}) == poly
+    assert poly.truncate({"a1": 0, "eps": 0}) == poly
 
 
 def test_truncate_eps_gamma2_product():

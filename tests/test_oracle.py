@@ -13,7 +13,6 @@ from rgupzeeman.oracle import (
     p4_expectation_exact,
     radial_expectation,
     radial_overlap,
-    radial_wavefunction,
 )
 from rgupzeeman.spectrum import exp_p2_angular
 from rgupzeeman.units import DEFAULT_CONSTANTS as C
@@ -22,14 +21,6 @@ from rgupzeeman.units import ValidationError
 ALL_NL = [(n, l) for n in range(1, 6) for l in range(n)]
 # <r^-3> diverges for l = 0
 R_MOMENTS = [(k, n, l) for n, l in ALL_NL for k in range(-3, 3) if k > -3 or l > 0]
-
-
-def test_ground_state_at_origin():
-    assert radial_wavefunction(1, 0, 1, 0.0) == pytest.approx(2.0 / C.r0**1.5, rel=1e-12)
-
-
-def test_r_prefactor_kills_origin_for_l_ge_1():
-    assert radial_wavefunction(2, 1, 1, 0.0) == 0.0
 
 
 def test_normalization_via_quadrature():
@@ -66,7 +57,7 @@ def test_divergent_moment_rejected():
 @pytest.mark.parametrize("n,l,Z", [(0, 0, 1), (2, 2, 1), (2, -1, 1), (2, 1, 0)])
 def test_invalid_quantum_numbers(n, l, Z):
     with pytest.raises(ValidationError):
-        radial_wavefunction(n, l, Z, 0.0)
+        radial_expectation(n, l, Z, 0)
 
 
 @pytest.mark.parametrize("n,l,Z,field", [
@@ -158,14 +149,3 @@ def test_hydrogenic_z_scaling():
         3.0 * radial_expectation(2, 1, 1, -1), rel=1e-10)
     assert p2_expectation_exact(2, 1, 3) == pytest.approx(
         9.0 * p2_expectation_exact(2, 1, 1), rel=1e-10)
-
-
-def test_normalization_integral_scalar_consistency():
-    # spot-check the wavefunction against the moment machinery; the small
-    # grid keeps exp(+x) finite where R^2 has already underflowed
-    n, l = 3, 2
-    grid = make_grid(n, 1, n_nodes=60)
-    values = radial_wavefunction(n, l, 1, grid.r)
-    import numpy as np
-    integrand = values * values * np.exp(grid.nodes) * grid.r**2 / grid.scale
-    assert float(np.sum(grid.weights * integrand)) == pytest.approx(1.0, rel=1e-8)

@@ -151,10 +151,34 @@ def test_exp_sz_sum_rule():
 def test_exp_p2_angular():
     assert exp_p2_angular(0) == 0.0
     assert exp_p2_angular(1) == pytest.approx(2.0 * C.hbar**2 / C.r0**2, rel=1e-15)
-    assert exp_p2_angular(1, r=2.0 * C.r0) == pytest.approx(
+    assert exp_p2_angular(1, C._replace(r0=2.0 * C.r0)) == pytest.approx(
         0.5 * C.hbar**2 / C.r0**2, rel=1e-15)
     with pytest.raises(ValidationError):
-        exp_p2_angular(1, r=0.0)
+        exp_p2_angular(1, C._replace(r0=0.0))
+
+
+@pytest.mark.parametrize("l", [10**400, 2**53, -1, 1.5, math.nan],
+                         ids=("10**400", "2**53", "-1", "1.5", "nan"))
+def test_exp_p2_angular_takes_the_l_of_a_state(l):
+    with pytest.raises(ValidationError) as err:
+        exp_p2_angular(l)
+    assert err.value.field == "l"
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
+    table = C._replace(r0=0.0)
+    params = make_params(B=1e4, constants=table)
+    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
+    upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
+    for call in (lambda: exp_p2_angular(1, table),
+                 lambda: energy_shift_B(state, params, regime),
+                 lambda: zeeman_lines(upper, lower, params, regime),
+                 lambda: spectrum._row_evaluator(regime, Mode.DERIVED)(state, params),
+                 lambda: discrepancy_report(state, params)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.field == "r"
 
 
 # -- energy shifts -------------------------------------------------------------
@@ -554,6 +578,26 @@ def test_level_offsets_read_no_mj(regime, mode):
         bits = {tuple(v.hex() for v in plan.level(state, params)[2])
                 for state in level_states(*level)}
         assert len(bits) == 1
+
+
+def test_only_the_deformed_regimes_have_an_as_published_plan():
+    for regime in Regime:
+        shared = spectrum._plan_of(regime, Mode.AS_PUBLISHED) is \
+            spectrum._plan_of(regime, Mode.DERIVED)
+        assert shared == (regime in (Regime.LANDE, Regime.REL)), regime
+
+
+@pytest.mark.parametrize("mode", ["as-published", None, Regime.RGUP])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_a_mode_that_is_not_a_mode_is_rejected(regime, mode):
+    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
+    upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
+    for call in (lambda: energy_shift_B(state, PLANCK, regime, mode),
+                 lambda: zeeman_lines(upper, lower, PLANCK, regime, mode),
+                 lambda: spectrum._row_evaluator(regime, mode)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.field == "mode"
 
 
 def test_lines_empty_sets_rejected():
