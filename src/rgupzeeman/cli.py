@@ -37,7 +37,7 @@ from .spectrum import (
     QuantumState,
     Regime,
     REGIME_TERM_LABELS,
-    _row_evaluator,
+    _plan_of,
     discrepancy_report,
     energy_shift_B,
     level_states,
@@ -262,6 +262,8 @@ def _sweep_grid(args) -> list[float]:
         steps = args.steps
         if steps < 1:
             raise CLIUsageError("--steps must be >= 1")
+        if steps > MAX_SWEEP_STEPS:
+            raise CLIUsageError(f"--steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
         if steps == 1:
             values = [args.start]
         else:
@@ -321,7 +323,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # at an end of the sorted grid), and so is its value in the display unit,
     # a positive multiple; if both end rows stay inside double precision,
     # every row does
-    evaluate = _row_evaluator(regime, mode)
+    evaluate = _plan_of(regime, mode).row
     for _, params, state in (first, last):
         _, shifts, total = evaluate(state, params)
         _in_unit([*(v for v in shifts if v is not None), total], unit)
@@ -341,6 +343,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
+#: the sorted sweep grid is held in memory
+MAX_SWEEP_STEPS = 10**6
 #: each level holds its 2j + 1 states in memory; l = 1000 takes about 0.25 s
 MAX_LINES_L = 1000
 
@@ -590,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--param", required=True, choices=_SWEEP_COLUMN)
     sub.add_argument("--from", dest="start", type=float, default=None)
     sub.add_argument("--to", dest="stop", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=1)
+    sub.add_argument("--steps", type=int, default=1, help=f"at most {MAX_SWEEP_STEPS}")
     sub.add_argument("--values", default=None,
                      help="comma-separated explicit grid (overrides --from/--to)")
     _add_state_flags(sub)

@@ -12,10 +12,11 @@ report are all read from it.
 Each form is a Python expression over the names three halves bind: the
 level half (from l, the branch and the constants, shared by a level's
 states), the m_j half and the params half (B, eps gamma^2, the
-deformation scale and its gate).  A _Plan generates its functions from
-the forms and those halves, so they read the QuantumState, PhysicalParams
-and ConstantsTable fields themselves; the sweep reuses a state's level and
-m_j halves across rows, and zeeman_lines a level's across its m_j values.
+deformation scale and its gate).  A _Plan generates its three functions
+from the forms and those halves, each taking the QuantumState and
+PhysicalParams records and reading their fields and the ConstantsTable's
+itself: shift gives a breakdown, row a sweep row, and multiplet a level's
+offsets once and its magnetic values at each m_j, for zeeman_lines.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -30,7 +31,9 @@ deformation-era terms and in the <p^2> cross term).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -61,11 +64,15 @@ def _is_half_odd(value: float) -> bool:
     return is_integer(doubled) and int(doubled) % 2 != 0
 
 
+#: compared as module globals: each Branch.X is an enum-member lookup (~150 ns)
+_PLUS, _MINUS = Branch.PLUS, Branch.MINUS
+
+
 def _sign(branch: Branch) -> float:
     """The +- of j = l +- 1/2, which every branch-dependent quantity carries."""
-    if branch is Branch.PLUS:
+    if branch is _PLUS:
         return 1.0
-    if branch is Branch.MINUS:
+    if branch is _MINUS:
         return -1.0
     raise ValidationError("branch", f"must be a Branch member, got {branch!r}")
 
@@ -130,6 +137,13 @@ def level_states(n: int, l: int, branch: Branch) -> tuple[QuantumState, ...]:
 
 # -- expectation values -------------------------------------------------------
 
+def _check_l(l: int):
+    """Raises ValidationError unless l is an integer below 2**53, as
+    check_n_l allows it."""
+    if not 0 <= l < _MAX_EXACT_INT or not is_integer(l):
+        raise ValidationError("l", f"must be a non-negative integer < 2**53, got {l!r}")
+
+
 def exp_p2_angular(l: int, constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
     """Angular-only momentum-square estimate hbar^2 l(l+1) / r0^2.
 
@@ -139,8 +153,7 @@ def exp_p2_angular(l: int, constants: ConstantsTable = DEFAULT_CONSTANTS) -> flo
     l=1); see oracle.p2_expectation_exact.  l is an integer below 2**53,
     as check_n_l allows it.
     """
-    if not 0 <= l < _MAX_EXACT_INT or not is_integer(l):
-        raise ValidationError("l", f"must be a non-negative integer < 2**53, got {l!r}")
+    _check_l(l)
     if constants.r0 <= 0.0:
         _bad_radius(constants.r0)
     return constants.hbar**2 * l * (l + 1) / constants.r0**2
@@ -303,15 +316,16 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
-#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill in
+#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill
+#: in; multiplet's loop rebinds the mj its state unpacks
 _PARTS = {
     "shift": "def shift(state, params, mode):\n{state}{params}{level}{mj}{scale}{values}{sum}"
              "{terms}    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
-    "level": "def level(state, params):\n{state}{params}{level}{mj}{scale}"
-             "    return ({h}), ({p}), {offsets}\n",
-    "row": "def row(H, params):\n    {h}= H\n{params}{scale}{values}{sum}"
+    "row": "def row(state, params):\n{state}{params}{level}{mj}{scale}{values}{sum}"
            "    return scale, {row}, total\n",
-    "magnetic": "def magnetic(H, P, mj):\n    {h_mj}= H\n    {p}= P\n{mj}    return {magnetic}\n",
+    "multiplet": "def multiplet(state, params, mjs):\n{state}{params}{level}{scale}"
+                 "    magnetic = []\n    for mj in mjs:\n{mj_loop}"
+                 "        magnetic.append({magnetic})\n    return {offsets}, magnetic\n",
 }
 _SUM = """\
     try:
@@ -347,15 +361,17 @@ class _Plan:
     runs:
 
     - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
-    - level(state, params): (H, P, the "non-magnetic" values), H the level
-      and m_j halves of the state and P the params half;
-    - row(H, params): (scale, values, total), None for an addend gated off;
-    - magnetic(H, P, mj): the other values, at the m_j given.
+    - row(state, params): (scale, values, total), None for an addend gated
+      off;
+    - multiplet(state, params, mjs): (the "non-magnetic" values, a list of
+      the other values at each m_j given), the level half and the offsets
+      evaluated once and the m_j half in a loop; the state gives l and the
+      branch.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
-    addends are gated as energy_shift_B describes.  Each part but magnetic
-    raises ValidationError for a scale outside double precision; shift and
-    row, after a sum of the values that is not finite, name the first term
+    addends are gated as energy_shift_B describes.  Each part raises
+    ValidationError for a scale outside double precision; shift and row,
+    after a sum of the values that is not finite, name the first term
     outside double precision, else the total.
     """
 
@@ -374,7 +390,7 @@ class _Plan:
             raise AttributeError(part)
         fields = self._fields
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
-                     "isfinite": math.isfinite, "PLUS": Branch.PLUS, "REGIME": self.regime,
+                     "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "LABELS": fields["labels"], "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "bad_radius": _bad_radius}
@@ -385,9 +401,8 @@ class _Plan:
 
     @functools.cached_property
     def _fields(self) -> dict:
-        """The text _PARTS takes from this plan, with the names that H (the
-        level and m_j halves) and P (the params half) hold, and the labels
-        of the addends on, with the deformation off and on."""
+        """The text _PARTS takes from this plan, and the labels of the
+        addends on, with the deformation off and on."""
         halves = (_LEVEL_HALF, _MJ_HALF,
                   _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF)
         read = {*_words(" ".join(self.forms)), "deformed"}
@@ -398,20 +413,10 @@ class _Plan:
             for name, statement in reversed(half):
                 if name in needed:
                     needed.update(_words(statement))
-        code = []
-        for half in halves:
-            code.append("")
-            for name, statement in half:
-                if name in needed:
-                    code[-1] += "    " + statement.replace("\n", "\n    ") + "\n"
-        h, p = [], []
-        for name in (*ConstantsTable._fields, *QuantumState._fields, *dict(_LEVEL_HALF),
-                     *dict(_MJ_HALF)):
-            if name in needed and name not in h:
-                h.append(name)
-        for name in (*PhysicalParams._fields, *dict(_PARAMS_HALF)):
-            if name in read:
-                p.append(name)
+
+        def code(half, indent="    "):
+            return "".join(indent + statement.replace("\n", "\n" + indent) + "\n"
+                           for name, statement in half if name in needed)
         # the text of each gated field, with the deformation on and off
         on = {"values": "", "records": "", "row": "", "offsets": "", "magnetic": ""}
         off = dict(on)
@@ -436,15 +441,15 @@ class _Plan:
         fields["values"] = (values[0] + (values[1] and "    if deformed:\n" + values[1])
                             + f"    values = {fields['values']}\n")
         fields["terms"] = terms[0] + (terms[1] and "    if deformed:\n" + terms[1])
-        mj_half = {"mj", *dict(_MJ_HALF)}
         fields.update(
             state=f"    {_names(QuantumState._fields, needed)}= state\n",
             # the constants are the params' last field
             params=f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n",
-            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{code[0]}", mj=code[1],
-            scale=f"{code[2]}    if not isfinite(scale):\n"
+            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{code(halves[0])}",
+            mj=code(_MJ_HALF), mj_loop=code(_MJ_HALF, "        "),
+            scale=f"{code(halves[2])}    if not isfinite(scale):\n"
                   "        finite(scale, 'correction_scale')\n",
-            sum=_SUM, h=_names(h, h), h_mj=_names(h, set(h) - mj_half), p=_names(p, p), H=h, P=p,
+            sum=_SUM,
             labels=tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
                                if gate or not d) for gate in (False, True)))
         return fields
@@ -523,26 +528,6 @@ def _name_failure(labels: tuple[str, ...], values: tuple[float, ...], total: flo
     _finite(total, "total")
 
 
-def _row_evaluator(regime: Regime, mode: Mode):
-    """A function (state, params) -> (scale, values in plan order, total) for
-    one regime and mode, as _Plan.row gives them.
-
-    While the state and the constants table stay the same objects from one
-    call to the next, only the params half is computed again.
-    """
-    plan = _plan_of(regime, mode)
-    level_of, row = plan.level, plan.row
-    half = state = constants = None
-
-    def evaluate(row_state: QuantumState, params: PhysicalParams):
-        nonlocal half, state, constants
-        if row_state is not state or params.constants is not constants:
-            half = level_of(row_state, params)[0]
-            state, constants = row_state, params.constants
-        return row(half, params)
-    return evaluate
-
-
 def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
                    mode: Mode = Mode.DERIVED) -> ShiftBreakdown:
     """First-order Zeeman shift breakdown for one state.
@@ -557,7 +542,9 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
 
 
 def lande_g_factor(l: int, branch: Branch) -> float:
-    """Textbook Lande g for s = 1/2: g = 1 +- 1/(2l+1)."""
+    """Textbook Lande g for s = 1/2: g = 1 +- 1/(2l+1), for an integer l
+    below 2**53, as check_n_l allows it."""
+    _check_l(l)
     return 1.0 + _sign(branch) / (2 * l + 1)
 
 
@@ -599,6 +586,10 @@ class ZeemanLine(NamedTuple):
     level_offset_erg: float
 
 
+#: what a state's level half reads of it (the constants are the params')
+_level_key = operator.attrgetter("l", "branch")
+
+
 def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                  mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
     """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}.
@@ -612,29 +603,26 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
     plan = _plan_of(regime, mode)
-    level_of, magnetic_of = plan.level, plan.magnetic
-    l = branch = None
+    multiplet = plan.multiplet
     entries = []  # (state, magnetic sum, offset sum), following upper + lower
-    for state in upper + lower:
-        # one level half per level: only l, the branch and the constants
-        # enter it, and the offset terms read no m_j, so a level evaluates
-        # them once
-        if state.l != l or state.branch is not branch:
-            half, P, offsets = level_of(state, params)
-            l, branch, offset = state.l, state.branch, None
-        values = magnetic_of(half, P, state.mj)
-        # a failure is named as a per-state row names it: the term or the
-        # total first, then the shift, then the level's offset sum
-        try:
-            magnetic = _finite_sum(values, "shift")
-            if offset is None:
-                offset = _finite_sum(offsets, "level_offset")
-            _finite(magnetic + offset, "total")
-        except ValidationError:
-            # names the term that left double precision, or the total, if one did
-            plan.row(level_of(state, params)[0], params)
-            raise
-        entries.append((state, magnetic, offset))
+    # only l, the branch and the constants enter the level half, and the
+    # offset terms read no m_j, so each run of states in one level is one call
+    for _, run in itertools.groupby(upper + lower, _level_key):
+        run = tuple(run)
+        offsets, magnetic = multiplet(run[0], params, [state.mj for state in run])
+        offset = None
+        for state, values in zip(run, magnetic):
+            # a failure is named as a per-state row names it: the term or the
+            # total first, then the shift, then the level's offset sum
+            try:
+                shift = _finite_sum(values, "shift")
+                if offset is None:
+                    offset = _finite_sum(offsets, "level_offset")
+                _finite(shift + offset, "total")
+            except ValidationError:
+                plan.row(state, params)  # names the term or total that left, if one did
+                raise
+            entries.append((state, shift, offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
     lower_by_mj = {}
     for entry in entries[len(upper):]:

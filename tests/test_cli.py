@@ -261,9 +261,9 @@ def test_plans_compile_lazily():
 @pytest.mark.parametrize("argv, parts", [
     (["shift", "--l", "1", "--mj", "0.5", "--regime", "lande"], [("lande derived", "shift")]),
     (["lines", "--upper-l", "1", "--lower-l", "0", "--regime", "lande"],
-     [("lande derived", "level"), ("lande derived", "magnetic")]),
+     [("lande derived", "multiplet")]),
     (["sweep", "--param", "B", "--values", "1,2", "--l", "1", "--mj", "0.5",
-      "--regime", "lande"], [("lande derived", "level"), ("lande derived", "row")]),
+      "--regime", "lande"], [("lande derived", "row")]),
     (["discrepancy", "--l", "1", "--mj", "0.5"],
      [("gup as-published", "shift"), ("gup derived", "shift"),
       ("rgup as-published", "shift"), ("rgup derived", "shift")]),
@@ -698,6 +698,15 @@ def test_lines_l_cap_exits_before_any_state_is_built(main, monkeypatch):
         assert status == 2
         assert out == ""
         assert err.startswith("rgupz: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("steps", ["1000001", "1000000000000"])
+def test_sweep_steps_cap_exits_before_the_grid_is_built(main, steps):
+    status, out, err = main("sweep", "--param", "B", "--from", "0", "--to", "1",
+                            "--steps", steps, "--l", "1", "--mj", "0.5")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("rgupz: error: ") and "--steps" in err and len(err.splitlines()) == 1
 
 
 def test_parser_reuse_keeps_no_state_between_calls(main, monkeypatch, tmp_path):

@@ -125,10 +125,14 @@ def test_breakdowns_are_pinned():
         "9356cf041827d5d3906e23cab4d6aca4408e10c403f2e424fa3571f3efccbb8e"
 
 
-def level_half(state, regime=Regime.RGUP):
-    """The level and m_j halves of a state, by name, as a plan computes them."""
-    plan = spectrum._plan_of(regime, Mode.DERIVED)
-    return dict(zip(plan._fields["H"], plan.level(state, PLANCK)[0]))
+def level_half(state):
+    """The level and m_j halves of a state, by name, from the statements a
+    plan compiles them from."""
+    names = {**C._asdict(), **state._asdict(), "PLUS": Branch.PLUS,
+             "bad_radius": spectrum._bad_radius}
+    for _, statement in (*spectrum._LEVEL_HALF, *spectrum._MJ_HALF):
+        exec(statement, names)
+    return names
 
 
 def test_exp_sz_values():
@@ -165,6 +169,14 @@ def test_exp_p2_angular_takes_the_l_of_a_state(l):
     assert err.value.field == "l"
 
 
+@pytest.mark.parametrize("l", [-0.5, 10**400, math.nan, -1, 1.5],
+                         ids=("-0.5", "10**400", "nan", "-1", "1.5"))
+def test_lande_g_factor_takes_the_l_of_a_state(l):
+    with pytest.raises(ValidationError) as err:
+        lande_g_factor(l, Branch.PLUS)
+    assert err.value.field == "l"
+
+
 @pytest.mark.parametrize("regime", list(Regime))
 def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
     table = C._replace(r0=0.0)
@@ -174,7 +186,7 @@ def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
     for call in (lambda: exp_p2_angular(1, table),
                  lambda: energy_shift_B(state, params, regime),
                  lambda: zeeman_lines(upper, lower, params, regime),
-                 lambda: spectrum._row_evaluator(regime, Mode.DERIVED)(state, params),
+                 lambda: spectrum._plan_of(regime, Mode.DERIVED).row(state, params),
                  lambda: discrepancy_report(state, params)):
         with pytest.raises(ValidationError) as err:
             call()
@@ -501,16 +513,16 @@ def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic,
     def magnetic_of(mj):
         return tuple(math.copysign(v, mj) for v in magnetic)
 
-    def row(mj, params):
-        values = magnetic_of(mj) + offset
+    def row(state, params):
+        values = magnetic_of(state.mj) + offset
         try:
             total = math.fsum(values)
         except OverflowError:
             total = math.nan
         if not math.isfinite(total):
             spectrum._name_failure(labels, values, total)
-    monkeypatch.setattr(plan, "level", lambda state, params: (state.mj, None, offset))  # H: m_j
-    monkeypatch.setattr(plan, "magnetic", lambda _, P, mj: magnetic_of(mj))
+    monkeypatch.setattr(plan, "multiplet",
+                        lambda state, params, mjs: (offset, [magnetic_of(mj) for mj in mjs]))
     monkeypatch.setattr(plan, "row", row)
     with pytest.raises(ValidationError) as caught:
         zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
@@ -542,42 +554,49 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
              if form is not None]
     for form in forms:
         assert _names_read(form) <= _BOUND, form
-    state = QuantumState(n=4, l=3, branch=Branch.MINUS, mj=-1.5)
+    states = level_states(4, 3, Branch.MINUS)
     for plan in _plans():
         assert set(plan.forms) <= set(forms)
         mode = Mode.AS_PUBLISHED if plan.name.endswith("as-published") else Mode.DERIVED
         for params, deformed in ((params_with_scale(1e-3), True),
                                  (params_with_scale(0.0), False)):
-            half, P, offsets = plan.level(state, params)
-            scale, values, total = plan.row(half, params)
-            assert [v is None for v in values] == [d and not deformed
-                                                   for d in plan.deformation]
-            on = [(label, tags, v) for (label, _, tags), v in zip(plan.terms, values)
-                  if v is not None]
-            assert total == math.fsum(v for _, _, v in on)
-            breakdown = plan.shift(state, params, mode)
-            assert breakdown.correction_scale == scale
-            if plan.regime is not Regime.GUP:
-                assert scale == params.correction_scale
-            assert [(t.label, t.tags, t.value_erg) for t in breakdown.terms] == on
-            assert list(offsets) == [v for _, tags, v in on if "non-magnetic" in tags]
-            assert list(plan.magnetic(half, P, state.mj)) == [
-                v for _, tags, v in on if "non-magnetic" not in tags]
+            offsets, magnetic = plan.multiplet(states[0], params, [s.mj for s in states])
+            assert len(magnetic) == len(states)
+            for state, magnetic_values in zip(states, magnetic):
+                scale, values, total = plan.row(state, params)
+                assert [v is None for v in values] == [d and not deformed
+                                                       for d in plan.deformation]
+                on = [(label, tags, v) for (label, _, tags), v in zip(plan.terms, values)
+                      if v is not None]
+                assert total == math.fsum(v for _, _, v in on)
+                breakdown = plan.shift(state, params, mode)
+                assert breakdown.correction_scale == scale
+                if plan.regime is not Regime.GUP:
+                    assert scale == params.correction_scale
+                assert [(t.label, t.tags, t.value_erg) for t in breakdown.terms] == on
+                assert [v.hex() for v in offsets] == [
+                    v.hex() for _, tags, v in on if "non-magnetic" in tags]
+                assert [v.hex() for v in magnetic_values] == [
+                    v.hex() for _, tags, v in on if "non-magnetic" not in tags]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("regime", list(Regime))
 def test_level_offsets_read_no_mj(regime, mode):
-    """zeeman_lines sums a level's offset terms once, at its first m_j."""
+    """zeeman_lines sums a level's offset terms once, for all its m_j."""
     plan = spectrum._plan_of(regime, mode)
     for (label, _, tags), form in zip(plan.terms, plan.forms):
         if "non-magnetic" in tags:
             assert not _names_read(form) & {"mj", "jz", "sz"}, label
     params = params_with_scale(1e-3)
+    offset = ["non-magnetic" in tags for _, _, tags in plan.terms]
     for level in ((4, 3, Branch.PLUS), (4, 3, Branch.MINUS), (2, 0, Branch.PLUS)):
-        bits = {tuple(v.hex() for v in plan.level(state, params)[2])
-                for state in level_states(*level)}
-        assert len(bits) == 1
+        states = level_states(*level)
+        offsets, _ = plan.multiplet(states[0], params, [s.mj for s in states])
+        for state in states:
+            _, values, _ = plan.row(state, params)
+            assert [v.hex() for v, o in zip(values, offset) if o] == \
+                [v.hex() for v in offsets], state
 
 
 def test_only_the_deformed_regimes_have_an_as_published_plan():
@@ -594,7 +613,7 @@ def test_a_mode_that_is_not_a_mode_is_rejected(regime, mode):
     upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
     for call in (lambda: energy_shift_B(state, PLANCK, regime, mode),
                  lambda: zeeman_lines(upper, lower, PLANCK, regime, mode),
-                 lambda: spectrum._row_evaluator(regime, mode)):
+                 lambda: spectrum._plan_of(regime, mode).row):
         with pytest.raises(ValidationError) as err:
             call()
         assert err.value.field == "mode"
@@ -606,14 +625,18 @@ def test_lines_empty_sets_rejected():
 
 
 def test_lines_build_one_substitution_per_level(monkeypatch):
-    """The level half is computed once per level."""
+    """The level half is computed once per level, and no row on success."""
     plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
-    level_of, built = plan.level, []
+    multiplet, built = plan.multiplet, []
 
-    def counted(state, params):
+    def counted(state, params, mjs):
         built.append(state)
-        return level_of(state, params)
-    monkeypatch.setattr(plan, "level", counted)
+        return multiplet(state, params, mjs)
+
+    def row(state, params):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(plan, "multiplet", counted)
+    monkeypatch.setattr(plan, "row", row)
     upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
     assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
     assert built == [upper[0], lower[0]]
@@ -801,8 +824,8 @@ def test_failures_outside_double_precision_name_what_a_per_term_reference_names(
     for regime in Regime:
         for mode in Mode:
             for state in _LARGE_STATES:
-                evaluate = spectrum._row_evaluator(regime, mode)
-                for params in _OVERFLOWING:  # one state, so the row reuses its level half
+                evaluate = spectrum._plan_of(regime, mode).row
+                for params in _OVERFLOWING:
                     field, want = _outcome(lambda: _reference_shift(state, params, regime, mode))
                     seen.add(field)
                     got = _outcome(lambda: energy_shift_B(state, params, regime, mode))
