@@ -269,7 +269,8 @@ def _sweep_grid(args) -> list[float]:
         else:
             span = (args.stop - args.start) / (steps - 1)
             values = [args.start + k * span for k in range(steps)]
-    return sorted(values)
+    values.sort()  # in place: a sorted copy would hold a second 10**6-slot list
+    return values
 
 
 def _sweep_records(values, args, param_values):
@@ -309,8 +310,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # validate the grid before the first write, keeping nothing, so a bad
     # grid point prints no partial CSV and a long sweep stays streamed.  The
     # B and epsilon rules are intervals, so a NaN (which does not sort) and
-    # the sorted grid's two ends stand for every row; l, n and mj are checked
-    # row by row
+    # the sorted grid's two ends stand for every row: each row between two
+    # valid ends of a sorted, NaN-free grid is valid, and no record is built
+    # for it.  The trans-Planckian bound 8q <= 1, q = eps gamma^2 (mc)^2, is
+    # an interval in epsilon too.  l, n and mj are checked row by row
     if args.param in ("B", "epsilon"):
         checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]]
     else:
@@ -323,23 +326,20 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # at an end of the sorted grid), and so is its value in the display unit,
     # a positive multiple; if both end rows stay inside double precision,
     # every row does
-    evaluate = _plan_of(regime, mode).row
+    plan = _plan_of(regime, mode)
     for _, params, state in (first, last):
-        _, shifts, total = evaluate(state, params)
+        _, shifts, total = plan.row(state, params)
         _in_unit([*(v for v in shifts if v is not None), total], unit)
 
-    per_erg = convert_energy(1.0, "erg", unit)  # same bits as per-value calls
-    regime_text = regime.value  # Enum.value is a Python-level property
     # no cell needs CSV quoting (finite float reprs, a regime value, fixed
-    # labels), so a join writes what csv.writer would, at a fifth of the cost
+    # labels), so the part writes what csv.writer would, a line at a time
     write = sys.stdout.write
     write(",".join([_SWEEP_COLUMN[args.param], "regime", *REGIME_TERM_LABELS[regime],
                     "total"]) + "\n")
-    for value, params, state in _sweep_records(values, args, param_values):
-        _, shifts, total = evaluate(state, params)
-        write(",".join([repr(value), regime_text,
-                        *[repr(0.0 if v is None else v * per_erg) for v in shifts],
-                        repr(total * per_erg)]) + "\n")
+    _, params, state = first
+    # the first row's records give every field the sweep does not rebind
+    getattr(plan, "sweep_" + args.param)(state, params, values,
+                                         convert_energy(1.0, "erg", unit), write)
     return 0
 
 

@@ -12,11 +12,14 @@ report are all read from it.
 Each form is a Python expression over the names three halves bind: the
 level half (from l, the branch and the constants, shared by a level's
 states), the m_j half and the params half (B, eps gamma^2, the
-deformation scale and its gate).  A _Plan generates its three functions
-from the forms and those halves, each taking the QuantumState and
-PhysicalParams records and reading their fields and the ConstantsTable's
-itself: shift gives a breakdown, row a sweep row, and multiplet a level's
-offsets once and its magnetic values at each m_j, for zeeman_lines.
+deformation scale and its gate).  A _Plan generates its functions from
+the forms and those halves, each taking the QuantumState and PhysicalParams
+records and reading their fields and the ConstantsTable's itself: shift
+gives a breakdown, row the values of one state, multiplet a level's offsets
+once and its magnetic values at each m_j, for zeeman_lines, and one sweep
+part per swept field (B, epsilon, l, n, m_j) the CSV rows of a sweep.  A
+sweep part evaluates before its loop every statement, value and cell text
+that does not read the swept field, so each row runs only what does.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -38,8 +41,8 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import oracle
-from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, PhysicalParams,
-                    ValidationError, check_n_l, is_integer)
+from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA,
+                    PhysicalParams, ValidationError, check_n_l, is_integer)
 
 
 class Branch(Enum):
@@ -77,6 +80,14 @@ def _sign(branch: Branch) -> float:
     raise ValidationError("branch", f"must be a Branch member, got {branch!r}")
 
 
+def _branch_sign(l: int, branch: Branch) -> float:
+    """_sign of a branch that l has: j = l - 1/2 needs l >= 1."""
+    sgn = _sign(branch)
+    if sgn < 0.0 and l == 0:
+        raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
+    return sgn
+
+
 def _j(l: int, sgn: float) -> float:
     return l + 0.5 * sgn
 
@@ -99,9 +110,7 @@ class QuantumState(_StateFields):
 
     def __new__(cls, n, l, branch, mj, ml=None, ms=None):
         check_n_l(n, l)
-        sgn = _sign(branch)
-        if sgn < 0.0 and l == 0:
-            raise ValidationError("branch", "j = l - 1/2 requires l >= 1")
+        sgn = _branch_sign(l, branch)
         if not _is_half_odd(mj):
             raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
         j = _j(l, sgn)
@@ -316,6 +325,17 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
+#: the field each sweep part rebinds per row, and the value it binds: B from
+#: tesla, as the CLI converts it, and l and n as the ints a state holds
+_SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
+          "sweep_l": ("l", "int(value)"), "sweep_n": ("n", "int(value)"),
+          "sweep_mj": ("mj", "value")}
+#: a sweep evaluates its records as row does, then per row only what reads
+#: the swept field (c<i> holds the text of a cell that does not)
+_SWEEP = ("def sweep_{swept}(state, params, grid, per, write):\n"
+          "{state}{params}{level}{mj}{scale}{values}{sum}{hoisted}"
+          "    for value in grid:\n{loop}"
+          "        write(f\"{{value!r}},{line}\\n\")\n")
 #: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill
 #: in; multiplet's loop rebinds the mj its state unpacks
 _PARTS = {
@@ -326,7 +346,9 @@ _PARTS = {
     "multiplet": "def multiplet(state, params, mjs):\n{state}{params}{level}{scale}"
                  "    magnetic = []\n    for mj in mjs:\n{mj_loop}"
                  "        magnetic.append({magnetic})\n    return {offsets}, magnetic\n",
+    **dict.fromkeys(_SWEPT, _SWEEP),
 }
+_SCALE_CHECK = ("scale", "if not isfinite(scale):\n    finite(scale, 'correction_scale')")
 _SUM = """\
     try:
         total = fsum(values)
@@ -349,6 +371,12 @@ def _names(fields, keep) -> str:
     return "".join((f if f in keep else "_") + ", " for f in fields)
 
 
+def _code(half, keep, indent="    ") -> str:
+    """The statements of a half whose names are kept, indented."""
+    return "".join(indent + statement.replace("\n", "\n" + indent) + "\n"
+                   for name, statement in half if name in keep)
+
+
 class _Plan:
     """The terms of one regime and mode, and the functions compiled from them.
 
@@ -366,13 +394,21 @@ class _Plan:
     - multiplet(state, params, mjs): (the "non-magnetic" values, a list of
       the other values at each m_j given), the level half and the offsets
       evaluated once and the m_j half in a loop; the state gives l and the
-      branch.
+      branch;
+    - sweep_B, sweep_epsilon, sweep_l, sweep_n and sweep_mj(state, params,
+      grid, per, write): the CSV rows of a sweep of that field over the grid
+      (B in tesla), each written as "value,regime,cells,total\n" with every
+      value times per, and "0.0" for an addend gated off.  The records give
+      every other field.  Each evaluates the records as row does, then per
+      row only the statements, values and cells that read the swept field,
+      directly or through another statement (a gated addend also when the
+      gate does), and the total once any value does.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  Each part raises
-    ValidationError for a scale outside double precision; shift and row,
-    after a sum of the values that is not finite, name the first term
-    outside double precision, else the total.
+    ValidationError for a scale outside double precision; every part but
+    multiplet, after a sum of the values that is not finite, names the
+    first term outside double precision, else the total.
     """
 
     def __init__(self, regime: Regime, published: bool):
@@ -388,35 +424,41 @@ class _Plan:
         # only a part not compiled yet gets here: compile it and keep it
         if part not in _PARTS:
             raise AttributeError(part)
-        fields = self._fields
+        fields = self._fields if part not in _SWEPT else self._sweep_fields(*_SWEPT[part])
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "LABELS": fields["labels"], "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
-                     "name_failure": _name_failure, "bad_radius": _bad_radius}
+                     "name_failure": _name_failure, "bad_radius": _bad_radius,
+                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA}
         source = _PARTS[part].format(**fields)
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         setattr(self, part, namespace[part])
         return namespace[part]
 
     @functools.cached_property
-    def _fields(self) -> dict:
-        """The text _PARTS takes from this plan, and the labels of the
-        addends on, with the deformation off and on."""
-        halves = (_LEVEL_HALF, _MJ_HALF,
-                  _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF)
-        read = {*_words(" ".join(self.forms)), "deformed"}
+    def _halves(self) -> tuple:
+        """The level, m_j and params halves, the last ending in the scale check."""
+        params = _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF
+        return _LEVEL_HALF, _MJ_HALF, (*params, _SCALE_CHECK)
+
+    @functools.cached_property
+    def _needed(self) -> set:
+        """The names of the statements the forms, the checks and the gate need."""
+        needed = {"r0", "scale", "deformed", *_words(" ".join(self.forms))}
         # a statement reads only names bound before it, so one backward pass
-        # finds every statement the forms, the scale check and the gate need
-        needed = {"r0", "scale", *read}
-        for half in reversed(halves):
+        # finds every statement needed
+        for half in reversed(self._halves):
             for name, statement in reversed(half):
                 if name in needed:
                     needed.update(_words(statement))
+        return needed
 
-        def code(half, indent="    "):
-            return "".join(indent + statement.replace("\n", "\n" + indent) + "\n"
-                           for name, statement in half if name in needed)
+    @functools.cached_property
+    def _fields(self) -> dict:
+        """The text _PARTS takes from this plan, and the labels of the
+        addends on, with the deformation off and on."""
+        halves, needed = self._halves, self._needed
         # the text of each gated field, with the deformation on and off
         on = {"values": "", "records": "", "row": "", "offsets": "", "magnetic": ""}
         off = dict(on)
@@ -438,21 +480,55 @@ class _Plan:
                 f"{indent}t{i} = new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r}))\n"
         fields = {key: f"({on[key]})" if on == off else
                   f"({on[key]}) if deformed else ({off[key]})" for key in on}
+        fields["gather"] = f"values = {fields['values']}\n"
         fields["values"] = (values[0] + (values[1] and "    if deformed:\n" + values[1])
-                            + f"    values = {fields['values']}\n")
+                            + "    " + fields["gather"])
         fields["terms"] = terms[0] + (terms[1] and "    if deformed:\n" + terms[1])
         fields.update(
             state=f"    {_names(QuantumState._fields, needed)}= state\n",
             # the constants are the params' last field
             params=f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n",
-            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{code(halves[0])}",
-            mj=code(_MJ_HALF), mj_loop=code(_MJ_HALF, "        "),
-            scale=f"{code(halves[2])}    if not isfinite(scale):\n"
-                  "        finite(scale, 'correction_scale')\n",
+            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{_code(halves[0], needed)}",
+            mj=_code(_MJ_HALF, needed), mj_loop=_code(_MJ_HALF, needed, "        "),
+            scale=_code(halves[2], needed),
             sum=_SUM,
             labels=tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
                                if gate or not d) for gate in (False, True)))
         return fields
+
+    def _sweep_fields(self, swept: str, binding: str) -> dict:
+        """The text _SWEEP takes for a sweep of one field, bound per row as
+        binding gives it."""
+        needed = self._needed
+        # one forward pass marks what reads the swept field, directly or
+        # through a statement marked before
+        marked = {swept}
+        for half in self._halves:
+            for name, statement in half:
+                if name in needed and marked.intersection(_words(statement)):
+                    marked.add(name)
+        loop = f"        {swept} = {binding}\n" if swept in needed else ""
+        loop += "".join(_code(half, needed & marked, "        ") for half in self._halves)
+        values, hoisted, cells = ["", ""], "", [self.regime.value]
+        for i, (form, gated) in enumerate(zip(self.forms, self.deformation)):
+            if gated and "deformed" in marked or marked.intersection(_words(form)):
+                values[gated] += f"{'    ' * (2 + gated)}v{i} = ({form}) + 0.0\n"
+                cells.append(f"{{repr(v{i} * per) if deformed else '0.0'}}" if gated
+                             else f"{{v{i} * per!r}}")
+            else:
+                hoisted += f"    c{i} = repr(v{i} * per)" + \
+                    (" if deformed else '0.0'\n" if gated else "\n")
+                cells.append(f"{{c{i}}}")
+        if values != ["", ""]:
+            loop += (values[0] + (values[1] and "        if deformed:\n" + values[1])
+                     + "        " + self._fields["gather"]
+                     + "".join("    " + line for line in _SUM.splitlines(True)))
+            cells.append("{total * per!r}")
+        else:
+            hoisted += "    ct = repr(total * per)\n"
+            cells.append("{ct}")
+        return dict(self._fields, swept=swept, hoisted=hoisted, loop=loop,
+                    line=",".join(cells))
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:
@@ -543,9 +619,9 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
 
 def lande_g_factor(l: int, branch: Branch) -> float:
     """Textbook Lande g for s = 1/2: g = 1 +- 1/(2l+1), for an integer l
-    below 2**53, as check_n_l allows it."""
+    below 2**53, as check_n_l allows it, and a branch that l has."""
     _check_l(l)
-    return 1.0 + _sign(branch) / (2 * l + 1)
+    return 1.0 + _branch_sign(l, branch) / (2 * l + 1)
 
 
 def hls_shift(state: QuantumState, params: PhysicalParams) -> float:

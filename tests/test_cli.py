@@ -263,7 +263,7 @@ def test_plans_compile_lazily():
     (["lines", "--upper-l", "1", "--lower-l", "0", "--regime", "lande"],
      [("lande derived", "multiplet")]),
     (["sweep", "--param", "B", "--values", "1,2", "--l", "1", "--mj", "0.5",
-      "--regime", "lande"], [("lande derived", "row")]),
+      "--regime", "lande"], [("lande derived", "row"), ("lande derived", "sweep_B")]),
     (["discrepancy", "--l", "1", "--mj", "0.5"],
      [("gup as-published", "shift"), ("gup derived", "shift"),
       ("rgup as-published", "shift"), ("rgup derived", "shift")]),
@@ -793,3 +793,69 @@ def test_large_sweep_output_is_pinned(main):
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "62281618f02912b01580d5203f5f681e45bdb8c0c35e21c4d79e9375594e0908"
+
+
+#: sweeps of the other fields, with q = eps gamma^2 (mc)^2 <= 0.11 < 1/8:
+#: epsilon from 0 turns the deformation on after the first row, l with a
+#: fixed n moves GUP's scale per row, n moves nothing the forms read, and mj
+#: runs over a level of 82 states
+_OTHER_SWEEPS = {
+    "epsilon": ("--param", "epsilon", "--from", "0", "--to", "1.5", "--steps", "301",
+                "--l", "2", "--branch", "minus", "--mj", "0.5", "--B-tesla", "3",
+                "--unit", "Hz"),
+    "l": ("--param", "l", "--from", "0", "--to", "39", "--steps", "40", "--n", "40",
+          "--branch", "plus", "--mj", "0.5", "--epsilon", "1.5", "--unit", "cm-1"),
+    "n": ("--param", "n", "--from", "3", "--to", "200", "--steps", "198", "--l", "2",
+          "--branch", "plus", "--mj", "-1.5", "--epsilon", "0.7"),
+    "mj": ("--param", "mj", "--from", "-40.5", "--to", "40.5", "--steps", "82",
+           "--l", "40", "--branch", "plus", "--epsilon", "1.5", "--B-tesla", "0.25",
+           "--unit", "erg"),
+}
+
+
+@pytest.mark.parametrize("regime, param, digest", [
+    ("gup", "epsilon", "204cc6aa80d14a925877131a909826f684d450de8b80a7971307ba0788aa4a6f"),
+    ("gup", "l", "d80df5063153633ac248b58731d0cca8b82c9e3f6467b32dc2fc4c0791362376"),
+    ("gup", "n", "677c748ef0ccbd970c6883620792c905e99d59e6ac0460a1a1a0cd1a6d779add"),
+    ("gup", "mj", "e7fc9529df654fbc3b0d34e05679f673eb10566e65e34c25af0d19c7ed65caa4"),
+    ("rgup", "epsilon", "5a81a4ab1999f08ac3ed557d9e24ab1b591eaef028039a20b2d787abc2cf6b07"),
+    ("rgup", "l", "a178cbdc950927325814fcee46d5d073989b21b12522d64f1234358860303791"),
+    ("rgup", "n", "f51350fac571cc13fe374d0603dcef2a3bc7f17cce7d3c3bf9111c0b2c5ba1c7"),
+    ("rgup", "mj", "f44b49a1916eeb3114a72b4f60720791c114b267f1bf17fe0a12a059a94dd4af"),
+], ids=[f"{regime}-{param}" for regime in ("gup", "rgup") for param in _OTHER_SWEEPS])
+def test_other_sweep_fields_are_pinned(main, regime, param, digest):
+    # sha256 of the same command's stdout before each sweep was compiled into one loop
+    status, out, _ = main("sweep", *_OTHER_SWEEPS[param], "--regime", regime,
+                          "--gamma", "1e16")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("param, grid, first, second", [
+    ("B", "0,0.5,4", ("--epsilon", "1.5", "--gamma", "1e16", "--l", "2", "--mj", "0.5",
+                      "--unit", "Hz"),
+     ("--epsilon", "0", "--gamma", "1e15", "--l", "1", "--branch", "minus", "--mj", "-0.5")),
+    ("epsilon", "0,0.5,1.5", ("--B-tesla", "3", "--gamma", "1e16", "--l", "2", "--mj", "1.5"),
+     ("--B-tesla", "0", "--l", "3", "--branch", "minus", "--mj", "0.5", "--unit", "cm-1")),
+    ("l", "1,2,5", ("--n", "9", "--mj", "0.5", "--gamma", "1e16", "--epsilon", "1.5"),
+     ("--branch", "minus", "--mj", "-0.5", "--B-tesla", "7", "--gamma", "0",
+      "--unit", "erg")),
+    ("n", "4,6,9", ("--l", "2", "--mj", "1.5", "--gamma", "1e16", "--unit", "Hz"),
+     ("--l", "3", "--branch", "minus", "--mj", "-2.5", "--epsilon", "0.2",
+      "--B-tesla", "0.1")),
+    ("mj", "-1.5,0.5,1.5", ("--l", "1", "--gamma", "1e16", "--epsilon", "1.5"),
+     ("--l", "2", "--branch", "minus", "--B-tesla", "12", "--unit", "cm-1")),
+], ids=("B", "epsilon", "l", "n", "mj"))
+@pytest.mark.parametrize("regime", ["gup", "rgup"])
+def test_a_compiled_sweep_keeps_no_state_between_jobs(main, regime, param, grid, first,
+                                                      second):
+    # the same plan and field run twice in one process, with different
+    # records, unit and fixed values, print what each prints in a fresh process
+    jobs = [("sweep", "--param", param, "--values=" + grid, "--regime", regime, *fixed)
+            for fixed in (first, second)]
+    outputs = [main(*argv) for argv in jobs]
+    for argv, (status, out, err) in zip(jobs, outputs):
+        fresh = run_cli(*argv)
+        assert (status, err) == (fresh.returncode, fresh.stderr.decode()) == (0, "")
+        assert out.encode() == fresh.stdout
+    assert outputs[0][1] != outputs[1][1]

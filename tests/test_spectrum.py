@@ -177,6 +177,18 @@ def test_lande_g_factor_takes_the_l_of_a_state(l):
     assert err.value.field == "l"
 
 
+def test_lande_g_factor_takes_the_branch_of_a_state():
+    # j = l - 1/2 has no level at l = 0, so there is no g factor to give
+    errors = []
+    for call in (lambda: QuantumState(n=1, l=0, branch=Branch.MINUS, mj=0.5),
+                 lambda: lande_g_factor(0, Branch.MINUS)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        errors.append((err.value.field, str(err.value)))
+    assert errors == [("branch", "branch: j = l - 1/2 requires l >= 1")] * 2
+    assert lande_g_factor(1, Branch.MINUS) == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("regime", list(Regime))
 def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
     table = C._replace(r0=0.0)
@@ -578,6 +590,39 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
                     v.hex() for _, tags, v in on if "non-magnetic" in tags]
                 assert [v.hex() for v in magnetic_values] == [
                     v.hex() for _, tags, v in on if "non-magnetic" not in tags]
+
+
+def test_a_sweep_reruns_only_what_reads_the_swept_field():
+    level = [statement.partition("\n")[0] for _, statement in spectrum._LEVEL_HALF]
+    for plan in _plans():
+        loops = {part: plan._sweep_fields(*swept)["loop"]
+                 for part, swept in spectrum._SWEPT.items()}
+        # no form reads n, so an n sweep only writes each row's value cell
+        assert loops["sweep_n"] == "", plan.name
+        # the level half reads l, the branch and the constants only
+        for part in ("sweep_B", "sweep_epsilon", "sweep_mj"):
+            assert not [s for s in level if s in loops[part]], (plan.name, part)
+        assert "sz = " in loops["sweep_l"], plan.name
+
+
+def test_a_gated_addend_follows_its_gate_through_a_sweep():
+    # every gated form of the table reads the scale; one that reads nothing
+    # the sweep moves must still switch on with the gate mid-sweep
+    plan = spectrum._Plan(Regime.RGUP, False)
+    i = plan.deformation.index(True)
+    plan.forms = (*plan.forms[:i], "hbar", *plan.forms[i + 1:])
+    state = QuantumState(n=3, l=2, branch=Branch.PLUS, mj=0.5)
+    params = params_with_scale(0.0)  # the scale is epsilon
+    grid = [0.0, 1e-3, 2e-3]
+    lines = []
+    plan.sweep_epsilon(state, params, grid, 1.0, lines.append)
+    expected = []
+    for epsilon in grid:
+        _, values, total = plan.row(state, params._replace(epsilon=epsilon))
+        cells = ["0.0" if v is None else repr(v) for v in values]
+        expected.append(",".join([repr(epsilon), "rgup", *cells, repr(total)]) + "\n")
+    assert lines == expected
+    assert [line.split(",")[2 + i] for line in lines] == ["0.0", repr(C.hbar), repr(C.hbar)]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
