@@ -63,7 +63,8 @@ class CLIUsageError(Exception):
 
 
 #: config key -> (the args attribute of the flag that overrides it, builtin
-#: text, how text is read, the allowed texts or None for any)
+#: text, how text is read, the allowed texts or None for any); the formats a
+#: command prints are its own args.formats (see _add_format_flags)
 _SETTINGS = {
     "params.b_tesla": ("B_tesla", "1.0", float, None),
     "params.epsilon": ("epsilon", "1.0", float, None),
@@ -71,7 +72,7 @@ _SETTINGS = {
     # a float, so a configured 2.5 reaches the integer rule and exits 3
     "params.z": ("Z", "1", float, None),
     "output.unit": ("unit", "eV", str, ENERGY_UNITS),
-    "output.format": ("format", "table", str, ("table", "json", "csv")),
+    "output.format": ("format", "table", str, None),
 }
 
 
@@ -109,6 +110,8 @@ class RunConfig(NamedTuple):
         argparse typed (--B-tesla, --Z) is used as parsed; text is read and
         checked here.  args must have the key's flag."""
         flag, builtin, read, choices = _SETTINGS[key]
+        if key == "output.format":
+            choices = args.formats
         value = getattr(args, flag)
         if value is None:
             value = self.env_values.get(key, self.file_values.get(key, builtin))
@@ -560,6 +563,90 @@ def _add_format_flags(sub, csv_flag=False):
     if csv_flag:
         group.add_argument("--csv", dest="format", action="store_const", const="csv",
                            help="emit CSV rows")
+    # what output.format may name here: the table and what each flag prints
+    sub.set_defaults(formats=("table", *(action.const for action in group._group_actions)))
+
+
+class _Parser(argparse.ArgumentParser):
+    """The rgupz parser.  parse_args reads a plain argv -- the subcommand, then
+    only exact --flag value or --flag=value pairs of its single-value store
+    flags -- from a table compiled from that subparser's own actions, and
+    hands every other argv to argparse unchanged, which stays the one source
+    of help, usage, error text and exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._tables = {}
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if namespace is None and args:
+            parsed = self._parse_plain(args)
+            if parsed is not None:
+                return parsed
+        return super().parse_args(args, namespace)
+
+    def _table(self, command: str):
+        """(flag -> (dest, type, choices), the namespace defaults, the
+        required dests, the negative-number matcher) of a subcommand, or
+        None if no subcommand has that name."""
+        if command not in self._tables:
+            commands = next(action for action in self._actions
+                            if isinstance(action, argparse._SubParsersAction))
+            sub = commands.choices.get(command)
+            if sub is None:
+                return None
+            exclusive = {action for group in sub._mutually_exclusive_groups
+                         for action in group._group_actions}
+            flags, defaults = {}, {}
+            for action in sub._actions:
+                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                    default = action.default
+                    if isinstance(default, str) and action.type is not None:
+                        default = action.type(default)  # as argparse converts it
+                    defaults.setdefault(action.dest, default)
+                if type(action) is argparse._StoreAction and action.nargs is None \
+                        and action not in exclusive:
+                    for flag in action.option_strings:
+                        flags[flag] = (action.dest, action.type, action.choices)
+            for dest, default in sub._defaults.items():
+                defaults.setdefault(dest, default)
+            required = {action.dest for action in sub._actions if action.required}
+            self._tables[command] = (flags, {commands.dest: command, **defaults},
+                                     required, sub._negative_number_matcher)
+        return self._tables[command]
+
+    def _parse_plain(self, args: list[str]):
+        """The namespace argparse would give a plain argv, or None."""
+        table = self._table(args[0])
+        if table is None:
+            return None
+        flags, defaults, required, negative_number = table
+        values = {}
+        tokens = iter(args[1:])
+        for token in tokens:
+            flag, equals, value = token.partition("=")
+            if flag not in flags:
+                return None
+            if not equals:
+                value = next(tokens, None)
+                # argparse reads any other token that starts with - as a flag
+                if value is None or value[:1] == "-" and not negative_number.match(value):
+                    return None
+            elif value == "--":  # before 3.13 argparse reads --flag=-- as []
+                return None
+            dest, convert, choices = flags[flag]
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError):
+                    return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        if not required <= values.keys():
+            return None
+        return argparse.Namespace(**{**defaults, **values})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,12 +658,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--banner", action="store_true", default=argparse.SUPPRESS,
                         help="print the version banner before any output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rgupz",
         description="Zeeman shifts for hydrogen-like atoms under "
                     "minimal-length deformed algebras.",
         parents=[common])
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kwargs):
         return commands.add_parser(name, parents=[common], **kwargs)

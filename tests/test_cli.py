@@ -570,6 +570,19 @@ def test_a_key_applies_exactly_where_its_flag_exists(main, monkeypatch, command,
         assert err.startswith(f"rgupz: error: {key}: ")
     else:
         assert (status, out) == (0, clean)
+    if key == "output.format" and "format" in flags:
+        # a format the command has no flag for is as unreadable as "abc"
+        printed = ["table", *(action.const for action in _SUBCOMMANDS[command]._actions
+                              if action.dest == "format")]
+        for fmt in ("table", "json", "csv"):
+            monkeypatch.setenv("RGUPZ_OUTPUT_FORMAT", fmt)
+            status, out, err = main(*argv)
+            if fmt in printed:
+                assert status == 0 and out
+            else:
+                assert (status, out) == (2, "")
+                assert err == (f"rgupz: error: output.format: expected one of "
+                               f"{', '.join(printed)}, got {fmt!r}\n")
 
 
 def test_readme_lists_exactly_the_supported_keys():

@@ -7,12 +7,19 @@ discrepancy, and every --Z, are also drawn past 2**53, where a double no
 longer holds every integer.  The rest stay bounded so each run is short:
 oracle's n and l and lines' n and l <= 12 (their cost grows with them),
 --steps <= 50, --nodes <= 200.
+
+The parser's table path must give argparse's namespace for every argv it
+takes, and take none that argparse rejects.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
+import random
+import runpy
 from unittest import mock
 
 import pytest
@@ -115,3 +122,115 @@ def test_every_argv_follows_the_exit_code_contract(command, data):
     text = out.getvalue().removeprefix(f"rgupz {cli.__version__}\n")
     if code == 0 and ("--json" in argv or text.startswith("{")):
         json.loads(text, parse_constant=_reject)
+
+
+_PARSER = cli.build_parser()
+_SUBPARSERS = next(action.choices for action in _PARSER._actions
+                   if isinstance(action, argparse._SubParsersAction))
+#: values each flag reads, and values that are negative numbers (-1e5 reads
+#: as one only on some Pythons), lone dashes, NaN, bad types or bad choices
+_TYPED = {int: ("1", "-3"), float: ("0.5", "-0.5", "1e300"), None: ("planck", "0.5,1")}
+_ODD = ("--", "-0.5", "-1e5", "-", "nan", "abc", "")
+_ROOT_FLAGS = st.sampled_from([[]] * 9 + [["--banner"], ["--config", "rgupz.cfg"], ["-h"]])
+
+
+def _flag(flags, values, forms=("=", " ")):
+    """One of the flags, with one of the values as --flag=value or --flag value,
+    or bare."""
+    def tokens(flag, value, form):
+        return {"=": [f"{flag}={value}"], " ": [flag, value], "": [flag]}[form]
+    return st.builds(tokens, st.sampled_from(flags), st.sampled_from(values),
+                     st.sampled_from(forms))
+
+
+def _any_argv(command):
+    """The subcommand between optional root flags and its own flags, in any
+    order: all of its required flags or none, any others (repeats included),
+    and at most one odd one: abbreviated, bare, oddly valued, or a flag that
+    takes no value."""
+    actions = [action for action in _SUBPARSERS[command]._actions if action.option_strings]
+    plain = {action: [str(value) for value in action.choices or _TYPED[action.type]]
+             for action in actions if action.nargs is None}
+    required = st.tuples(*(_flag(action.option_strings, plain[action])
+                           for action in actions if action.required))
+    good = [_flag(action.option_strings, values) for action, values in plain.items()]
+    odd = [strategy for action, values in plain.items() for strategy in (
+        _flag([flag[:-1] for flag in action.option_strings], values),
+        _flag(action.option_strings, values, ("",)),
+        _flag(action.option_strings, _ODD))]
+    odd += [_flag(action.option_strings, _ODD, ("", "=")) for action in actions
+            if action not in plain]
+    flags = st.builds(lambda *parts: [flag for part in parts for flag in part],
+                      st.one_of(required, st.just(())),
+                      st.lists(st.one_of(good), max_size=4) if good else st.just([]),
+                      st.lists(st.one_of(odd), max_size=1))
+
+    def argv(before, flags, after):
+        return [*before, command, *(token for flag in flags for token in flag), *after]
+    return st.builds(argv, _ROOT_FLAGS, flags.flatmap(st.permutations), _ROOT_FLAGS)
+
+
+_ARGV = {command: _any_argv(command) for command in _SUBPARSERS}
+
+
+def _outcome(parse, argv):
+    """parse(argv) as each attribute's repr (so NaN equals NaN), or as its
+    exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return {name: repr(value) for name, value in vars(parse(argv)).items()}
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _check_the_table_path(argv, parser=_PARSER):
+    """parse_args gives what argparse alone gives, and the table declines
+    every argv that argparse rejects."""
+    expected = _outcome(lambda argv: argparse.ArgumentParser.parse_args(parser, argv), argv)
+    assert _outcome(parser.parse_args, argv) == expected, argv
+    if isinstance(expected, tuple):
+        assert parser._parse_plain(argv) is None, argv
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_the_table_path_parses_as_argparse_does(command, data):
+    _check_the_table_path(data.draw(_ARGV[command]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "--l", "1", "--mj", "-0.5"],
+    ["shift", "--mj", "-1e5"],  # a negative number only on some Pythons
+    ["shift", "--gamma=--"],  # before 3.13 argparse reads it as []
+    ["shift", "--gamma", "--"],
+    ["shift", "--regime", "abc"],
+    ["shift", "--branc", "plus"],
+    ["shift", "--json", "--csv"],
+    ["--config", "rgupz.cfg", "shift"],
+    ["sweep", "--l", "1"],
+    ["shift", "-h"],
+])
+def test_the_table_path_parses_edge_argv_as_argparse_does(argv):
+    _check_the_table_path(argv)
+
+
+def test_the_table_reads_string_defaults_and_parser_defaults_as_argparse_does():
+    parser = cli._Parser(prog="rgupz")
+    sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser) \
+        .add_parser("probe")
+    sub.add_argument("--k", type=int, default="7")
+    sub.add_argument("--x", type=float, required=True)
+    sub.set_defaults(extra="text")
+    for argv in (["probe", "--x", "1"], ["probe", "--x=-2", "--k", "3"], ["probe"]):
+        _check_the_table_path(argv, parser)
+    assert parser._parse_plain(["probe", "--x", "1"]) is not None
+
+
+def test_every_benchmark_sweep_job_takes_the_table_path():
+    inputs = runpy.run_path(str(pathlib.Path(__file__).parent.parent / "perfbench" / "inputs.py"))
+    for seed in range(3):
+        for argv in map(list, inputs["sweep_round"](random.Random(seed))):
+            assert _PARSER._parse_plain(argv) is not None, argv
+            _check_the_table_path(argv)
