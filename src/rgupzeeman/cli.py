@@ -50,6 +50,7 @@ from .units import (
     _constant_rows,
     constants_dump,
     convert_energy,
+    in_unit,
     is_integer,
     load_constants,
     make_params,
@@ -155,15 +156,6 @@ def _state_from(args, l: int | None = None, n: int | None = None,
     return QuantumState(n=n_val, l=l_val, branch=Branch(args.branch), mj=mj_val)
 
 
-def _in_unit(values_erg, unit: str) -> list[float]:
-    """The erg values in the display unit; ValidationError unless all stay finite."""
-    per_erg = convert_energy(1.0, "erg", unit)  # same bits as one call per value
-    values = [value * per_erg for value in values_erg]
-    if not all(map(math.isfinite, values)):
-        raise ValidationError("unit", f"a value is outside double precision in {unit}")
-    return values
-
-
 def _print_json(payload) -> None:
     """Strict, key-sorted JSON; no payload holds a record (json writes one as a list)."""
     import json  # here, not at the top: most commands print no JSON
@@ -201,8 +193,9 @@ def cmd_shift(args, cfg: RunConfig) -> int:
     breakdown = energy_shift_B(state, params, regime, mode)
     fmt = cfg.get(args, "output.format")
     # the table shows the display unit; json and csv carry eV next to erg
-    *shown, total = _in_unit([*(t.value_erg for t in breakdown.terms),
-                              breakdown.total_erg], unit if fmt == "table" else "eV")
+    shown_unit = unit if fmt == "table" else "eV"
+    *shown, total = in_unit([*(t.value_erg for t in breakdown.terms), breakdown.total_erg],
+                            convert_energy(1.0, "erg", shown_unit), shown_unit)
 
     if fmt == "json":
         payload = {
@@ -317,32 +310,21 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # valid ends of a sorted, NaN-free grid is valid, and no record is built
     # for it.  The trans-Planckian bound 8q <= 1, q = eps gamma^2 (mc)^2, is
     # an interval in epsilon too.  l, n and mj are checked row by row
-    if args.param in ("B", "epsilon"):
-        checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]]
-    else:
-        checked = values
-    first = last = None
-    for last in _sweep_records(checked, args, param_values):
-        if first is None:
-            first = last
+    checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]] \
+        if args.param in ("B", "epsilon") else values
+    rows = _sweep_records(checked, args, param_values)
+    _, params, state = next(rows)  # every field the sweep part does not rebind
+    for _ in rows:  # each row's records are built, so checked, and dropped
+        pass
     # each term is monotone in the swept B, epsilon, l or |mj| (and |mj| peaks
     # at an end of the sorted grid), and so is its value in the display unit,
-    # a positive multiple; if both end rows stay inside double precision,
-    # every row does
-    plan = _plan_of(regime, mode)
-    for _, params, state in (first, last):
-        _, shifts, total = plan.row(state, params)
-        _in_unit([*(v for v in shifts if v is not None), total], unit)
-
-    # no cell needs CSV quoting (finite float reprs, a regime value, fixed
-    # labels), so the part writes what csv.writer would, a line at a time
-    write = sys.stdout.write
-    write(",".join([_SWEEP_COLUMN[args.param], "regime", *REGIME_TERM_LABELS[regime],
-                    "total"]) + "\n")
-    _, params, state = first
-    # the first row's records give every field the sweep does not rebind
-    getattr(plan, "sweep_" + args.param)(state, params, values,
-                                         convert_energy(1.0, "erg", unit), write)
+    # a positive multiple, so the part checks the two end rows before it
+    # writes the header and streams each row as csv.writer would (no cell
+    # needs quoting: finite float reprs, a regime value, fixed labels)
+    header = ",".join([_SWEEP_COLUMN[args.param], "regime", *REGIME_TERM_LABELS[regime],
+                       "total"]) + "\n"
+    getattr(_plan_of(regime, mode), "sweep_" + args.param)(
+        state, params, values, convert_energy(1.0, "erg", unit), unit, header, sys.stdout.write)
     return 0
 
 
@@ -382,7 +364,8 @@ def cmd_lines(args, cfg: RunConfig) -> int:
         _print_json(payload)
         return 0
 
-    shown = _in_unit([v for ln in lines for v in (ln.shift_erg, ln.level_offset_erg)], unit)
+    shown = in_unit([v for ln in lines for v in (ln.shift_erg, ln.level_offset_erg)],
+                    convert_energy(1.0, "erg", unit), unit)
     print(f"lines ({len(lines)}), regime {regime.value}, unit {unit}")
     for ln, shift, offset in zip(lines, shown[::2], shown[1::2]):
         print(f"mj {ln.upper.mj:+.1f} -> {ln.lower.mj:+.1f}  {ln.polarization:<6} "
@@ -585,6 +568,16 @@ class _Parser(argparse.ArgumentParser):
             if parsed is not None:
                 return parsed
         return super().parse_args(args, namespace)
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        # before 3.13 argparse stores an explicit --flag=-- as [], which no
+        # flag here takes: exit 2, as 3.13 does
+        command = getattr(parsed, "command", None)
+        for flag, (dest, _, _) in (self._table(command)[0] if command else {}).items():
+            if isinstance(getattr(parsed, dest, None), list):
+                self.exit(2, f"{self.prog}: error: argument {flag}: expected one argument\n")
+        return parsed, extras
 
     def _table(self, command: str):
         """(flag -> (dest, type, choices), the namespace defaults, the

@@ -15,11 +15,11 @@ states), the m_j half and the params half (B, eps gamma^2, the
 deformation scale and its gate).  A _Plan generates its functions from
 the forms and those halves, each taking the QuantumState and PhysicalParams
 records and reading their fields and the ConstantsTable's itself: shift
-gives a breakdown, row the values of one state, multiplet a level's offsets
-once and its magnetic values at each m_j, for zeeman_lines, and one sweep
-part per swept field (B, epsilon, l, n, m_j) the CSV rows of a sweep.  A
-sweep part evaluates before its loop every statement, value and cell text
-that does not read the swept field, so each row runs only what does.
+gives a breakdown, and every other part is a sweep of one field over a grid
+that evaluates once what does not read the field and per grid value what
+does.  One sweep part per field (B, epsilon, l, n, m_j) checks its grid's two
+end rows, then writes the CSV rows of a sweep; multiplet, an m_j sweep, gives
+zeeman_lines a level's offsets once and its magnetic values at each m_j.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 from . import oracle
 from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA,
-                    PhysicalParams, ValidationError, check_n_l, is_integer)
+                    PhysicalParams, ValidationError, check_n_l, in_unit, is_integer)
 
 
 class Branch(Enum):
@@ -325,29 +325,24 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
-#: the field each sweep part rebinds per row, and the value it binds: B from
-#: tesla, as the CLI converts it, and l and n as the ints a state holds
+#: the field each swept part rebinds per grid value, and the value it binds:
+#: B from tesla, as the CLI converts it, and l and n as the ints a state holds
 _SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
           "sweep_l": ("l", "int(value)"), "sweep_n": ("n", "int(value)"),
-          "sweep_mj": ("mj", "value")}
-#: a sweep evaluates its records as row does, then per row only what reads
-#: the swept field (c<i> holds the text of a cell that does not)
-_SWEEP = ("def sweep_{swept}(state, params, grid, per, write):\n"
-          "{state}{params}{level}{mj}{scale}{values}{sum}{hoisted}"
-          "    for value in grid:\n{loop}"
-          "        write(f\"{{value!r}},{line}\\n\")\n")
-#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill
-#: in; multiplet's loop rebinds the mj its state unpacks
+          "sweep_mj": ("mj", "value"), "multiplet": ("mj", "value")}
+#: a swept part evaluates once what does not read the swept field, then per
+#: grid value what does, and emits it (see _Plan._sweep_fields)
+_SWEEP = ("def {part}(state, params, grid, {arguments}):\n{unpack}{before}{ends}"
+          "    for value in grid:\n{loop}        {emit}\n{after}")
+#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill in
 _PARTS = {
-    "shift": "def shift(state, params, mode):\n{state}{params}{level}{mj}{scale}{values}{sum}"
+    "shift": "def shift(state, params, mode):\n{unpack}{statements}{values}{sum}"
              "{terms}    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
-    "row": "def row(state, params):\n{state}{params}{level}{mj}{scale}{values}{sum}"
-           "    return scale, {row}, total\n",
-    "multiplet": "def multiplet(state, params, mjs):\n{state}{params}{level}{scale}"
-                 "    magnetic = []\n    for mj in mjs:\n{mj_loop}"
-                 "        magnetic.append({magnetic})\n    return {offsets}, magnetic\n",
     **dict.fromkeys(_SWEPT, _SWEEP),
 }
+#: what _Plan._assign writes per addend i: its value, and its ShiftTerm record
+_VALUE = "v{i} = ({form}) + 0.0"
+_RECORD = "t{i} = new(ShiftTerm, ({term[0]!r}, {term[1]!r}, v{i}, {term[2]!r}))"
 _SCALE_CHECK = ("scale", "if not isfinite(scale):\n    finite(scale, 'correction_scale')")
 _SUM = """\
     try:
@@ -389,20 +384,20 @@ class _Plan:
     runs:
 
     - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
-    - row(state, params): (scale, values, total), None for an addend gated
-      off;
-    - multiplet(state, params, mjs): (the "non-magnetic" values, a list of
-      the other values at each m_j given), the level half and the offsets
-      evaluated once and the m_j half in a loop; the state gives l and the
-      branch;
     - sweep_B, sweep_epsilon, sweep_l, sweep_n and sweep_mj(state, params,
-      grid, per, write): the CSV rows of a sweep of that field over the grid
-      (B in tesla), each written as "value,regime,cells,total\n" with every
-      value times per, and "0.0" for an addend gated off.  The records give
-      every other field.  Each evaluates the records as row does, then per
-      row only the statements, values and cells that read the swept field,
-      directly or through another statement (a gated addend also when the
-      gate does), and the total once any value does.
+      grid, per, unit, header, write): a sweep of that field over the grid
+      (B in tesla; the records give every other field).  It runs the rows of
+      the grid's two ends first, with ValidationError("unit") for a value
+      times per (from erg into unit) outside double precision, then writes
+      the header and "value,regime,cells,total\n" per grid value, each value
+      times per and "0.0" for an addend gated off;
+    - multiplet(state, params, grid, out): the m_j sweep of zeeman_lines.  It
+      calls out with the values that read m_j at each m_j of the grid, and
+      returns the others, the "non-magnetic" ones.
+
+    _sweep_fields generates every part but shift: before its loop what does
+    not read the swept field, and per grid value what does, directly or
+    through another statement (a gated addend also when the gate does).
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  Each part raises
@@ -424,23 +419,24 @@ class _Plan:
         # only a part not compiled yet gets here: compile it and keep it
         if part not in _PARTS:
             raise AttributeError(part)
-        fields = self._fields if part not in _SWEPT else self._sweep_fields(*_SWEPT[part])
+        fields = self._fields if part == "shift" else \
+            self._sweep_fields(*_SWEPT[part], collect=part == "multiplet")
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "LABELS": fields["labels"], "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "bad_radius": _bad_radius,
-                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA}
-        source = _PARTS[part].format(**fields)
+                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit}
+        source = _PARTS[part].format(part=part, **fields)
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         setattr(self, part, namespace[part])
         return namespace[part]
 
     @functools.cached_property
-    def _halves(self) -> tuple:
-        """The level, m_j and params halves, the last ending in the scale check."""
+    def _statements(self) -> tuple:
+        """The level, m_j and params halves in evaluation order, then the scale check."""
         params = _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF
-        return _LEVEL_HALF, _MJ_HALF, (*params, _SCALE_CHECK)
+        return (*_LEVEL_HALF, *_MJ_HALF, *params, _SCALE_CHECK)
 
     @functools.cached_property
     def _needed(self) -> set:
@@ -448,87 +444,89 @@ class _Plan:
         needed = {"r0", "scale", "deformed", *_words(" ".join(self.forms))}
         # a statement reads only names bound before it, so one backward pass
         # finds every statement needed
-        for half in reversed(self._halves):
-            for name, statement in reversed(half):
-                if name in needed:
-                    needed.update(_words(statement))
+        for name, statement in reversed(self._statements):
+            if name in needed:
+                needed.update(_words(statement))
         return needed
+
+    def _assign(self, template: str, addends, indent: str = "    ") -> str:
+        """The template for each addend index, formatted with its index i, form
+        and term, the deformation addends' under "if deformed:"."""
+        code = ["", ""]
+        for i in addends:
+            gated = self.deformation[i]
+            code[gated] += (indent + "    " * gated
+                            + template.format(i=i, form=self.forms[i], term=self.terms[i]) + "\n")
+        return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
+
+    def _gather(self, addends, prefix: str = "v") -> str:
+        """The tuple of the addends given, without those gated off."""
+        on = "".join(f"{prefix}{i}, " for i in addends)
+        off = "".join(f"{prefix}{i}, " for i in addends if not self.deformation[i])
+        return f"({on})" if on == off else f"({on}) if deformed else ({off})"
 
     @functools.cached_property
     def _fields(self) -> dict:
         """The text _PARTS takes from this plan, and the labels of the
         addends on, with the deformation off and on."""
-        halves, needed = self._halves, self._needed
-        # the text of each gated field, with the deformation on and off
-        on = {"values": "", "records": "", "row": "", "offsets": "", "magnetic": ""}
-        off = dict(on)
-        # v<i> binds each value and t<i> its record, the deformation addends
-        # under "if deformed:"
-        values, terms = ["", ""], ["", ""]
-        for i, ((label, expression, tags), form) in enumerate(zip(self.terms, self.forms)):
-            value = f"({form}) + 0.0"
-            kind = "offsets" if "non-magnetic" in tags else "magnetic"
-            for branch in (on,) if self.deformation[i] else (on, off):
-                branch["values"] += f"v{i}, "
-                branch["records"] += f"t{i}, "
-                branch[kind] += value + ", "
-            on["row"] += f"v{i}, "
-            off["row"] += "None, " if self.deformation[i] else f"v{i}, "
-            indent = "        " if self.deformation[i] else "    "
-            values[self.deformation[i]] += f"{indent}v{i} = {value}\n"
-            terms[self.deformation[i]] += \
-                f"{indent}t{i} = new(ShiftTerm, ({label!r}, {expression!r}, v{i}, {tags!r}))\n"
-        fields = {key: f"({on[key]})" if on == off else
-                  f"({on[key]}) if deformed else ({off[key]})" for key in on}
-        fields["gather"] = f"values = {fields['values']}\n"
-        fields["values"] = (values[0] + (values[1] and "    if deformed:\n" + values[1])
-                            + "    " + fields["gather"])
-        fields["terms"] = terms[0] + (terms[1] and "    if deformed:\n" + terms[1])
-        fields.update(
-            state=f"    {_names(QuantumState._fields, needed)}= state\n",
-            # the constants are the params' last field
-            params=f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n",
-            level=f"    {_names(ConstantsTable._fields, needed)}= C\n{_code(halves[0], needed)}",
-            mj=_code(_MJ_HALF, needed), mj_loop=_code(_MJ_HALF, needed, "        "),
-            scale=_code(halves[2], needed),
-            sum=_SUM,
+        needed = self._needed
+        every = range(len(self.forms))
+        return dict(
+            unpack=(f"    {_names(QuantumState._fields, needed)}= state\n"
+                    # the constants are the params' last field
+                    f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n"
+                    f"    {_names(ConstantsTable._fields, needed)}= C\n"),
+            statements=_code(self._statements, needed),
+            # v<i> binds each value and t<i> its record
+            values=self._assign(_VALUE, every) + f"    values = {self._gather(every)}\n",
+            sum=_SUM, terms=self._assign(_RECORD, every), records=self._gather(every, "t"),
             labels=tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
                                if gate or not d) for gate in (False, True)))
-        return fields
 
-    def _sweep_fields(self, swept: str, binding: str) -> dict:
-        """The text _SWEEP takes for a sweep of one field, bound per row as
-        binding gives it."""
+    def _sweep_fields(self, swept: str, binding: str, collect: bool = False) -> dict:
+        """The text _SWEEP takes for a sweep of one field, bound per grid value
+        as binding gives it: a sweep part's, or with collect multiplet's."""
         needed = self._needed
         # one forward pass marks what reads the swept field, directly or
         # through a statement marked before
         marked = {swept}
-        for half in self._halves:
-            for name, statement in half:
-                if name in needed and marked.intersection(_words(statement)):
-                    marked.add(name)
-        loop = f"        {swept} = {binding}\n" if swept in needed else ""
-        loop += "".join(_code(half, needed & marked, "        ") for half in self._halves)
-        values, hoisted, cells = ["", ""], "", [self.regime.value]
-        for i, (form, gated) in enumerate(zip(self.forms, self.deformation)):
-            if gated and "deformed" in marked or marked.intersection(_words(form)):
-                values[gated] += f"{'    ' * (2 + gated)}v{i} = ({form}) + 0.0\n"
-                cells.append(f"{{repr(v{i} * per) if deformed else '0.0'}}" if gated
-                             else f"{{v{i} * per!r}}")
+        for name, statement in self._statements:
+            if name in needed and marked.intersection(_words(statement)):
+                marked.add(name)
+        moving = [i for i, (form, gated) in enumerate(zip(self.forms, self.deformation))
+                  if gated and "deformed" in marked or marked.intersection(_words(form))]
+        fixed = [i for i in range(len(self.forms)) if i not in moving]
+        before = _code(self._statements, needed - marked) + self._assign(_VALUE, fixed)
+        loop = (f"        {swept} = {binding}\n" if swept in needed else "") \
+            + _code(self._statements, needed & marked, "        ") \
+            + self._assign(_VALUE, moving, "        ")
+        if collect:
+            return dict(self._fields, arguments="out", before=before, ends="", loop=loop,
+                        emit=f"out({self._gather(moving)})",
+                        after=f"    return {self._gather(fixed)}\n")
+        # c<i> holds the text of a cell that reads no swept value
+        cells, hoisted = [self.regime.value], ""
+        for i, gated in enumerate(self.deformation):
+            text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
+            if i in moving:
+                cells.append(f"{{{text}}}" if gated else f"{{v{i} * per!r}}")
             else:
-                hoisted += f"    c{i} = repr(v{i} * per)" + \
-                    (" if deformed else '0.0'\n" if gated else "\n")
+                hoisted += f"    c{i} = {text}\n"
                 cells.append(f"{{c{i}}}")
-        if values != ["", ""]:
-            loop += (values[0] + (values[1] and "        if deformed:\n" + values[1])
-                     + "        " + self._fields["gather"]
-                     + "".join("    " + line for line in _SUM.splitlines(True)))
+        check = "        values = " + self._gather(range(len(self.forms))) + "\n" \
+            + "".join("    " + line for line in _SUM.splitlines(True))
+        if moving:
+            loop += check
             cells.append("{total * per!r}")
         else:
             hoisted += "    ct = repr(total * per)\n"
             cells.append("{ct}")
-        return dict(self._fields, swept=swept, hoisted=hoisted, loop=loop,
-                    line=",".join(cells))
+        # each end row runs a row's checks in a row's order, then the display
+        # unit's; every row between two valid ends is valid (see cli.cmd_sweep)
+        ends = (f"    for value in grid[0], grid[-1]:\n{loop}{'' if moving else check}"
+                "        in_unit((*values, total), per, unit)\n" + hoisted + "    write(header)\n")
+        return dict(self._fields, arguments="per, unit, header, write", before=before, ends=ends,
+                    loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:
@@ -684,19 +682,19 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
     # only l, the branch and the constants enter the level half, and the
     # offset terms read no m_j, so each run of states in one level is one call
     for _, run in itertools.groupby(upper + lower, _level_key):
-        run = tuple(run)
-        offsets, magnetic = multiplet(run[0], params, [state.mj for state in run])
+        run, magnetic = tuple(run), []
+        offsets = multiplet(run[0], params, [state.mj for state in run], magnetic.append)
         offset = None
         for state, values in zip(run, magnetic):
-            # a failure is named as a per-state row names it: the term or the
-            # total first, then the shift, then the level's offset sum
+            # a failure is named as the state's shift names it: the term or
+            # the total first, then the shift, then the level's offset sum
             try:
                 shift = _finite_sum(values, "shift")
                 if offset is None:
                     offset = _finite_sum(offsets, "level_offset")
                 _finite(shift + offset, "total")
             except ValidationError:
-                plan.row(state, params)  # names the term or total that left, if one did
+                plan.shift(state, params, mode)  # names the term or total that left, if one did
                 raise
             entries.append((state, shift, offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys

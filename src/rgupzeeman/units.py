@@ -232,3 +232,11 @@ def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
     except KeyError:
         raise ValidationError("unit", f"unknown energy unit {to_unit!r}") from None
     return value * (scale_from / scale_to)
+
+
+def in_unit(values, per: float, unit: str) -> list[float]:
+    """The values times per, from erg into unit; ValidationError unless all stay finite."""
+    values = [value * per for value in values]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("unit", f"a value is outside double precision in {unit}")
+    return values

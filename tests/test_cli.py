@@ -263,7 +263,7 @@ def test_plans_compile_lazily():
     (["lines", "--upper-l", "1", "--lower-l", "0", "--regime", "lande"],
      [("lande derived", "multiplet")]),
     (["sweep", "--param", "B", "--values", "1,2", "--l", "1", "--mj", "0.5",
-      "--regime", "lande"], [("lande derived", "row"), ("lande derived", "sweep_B")]),
+      "--regime", "lande"], [("lande derived", "sweep_B")]),
     (["discrepancy", "--l", "1", "--mj", "0.5"],
      [("gup as-published", "shift"), ("gup derived", "shift"),
       ("rgup as-published", "shift"), ("rgup derived", "shift")]),
@@ -454,6 +454,32 @@ def test_sweep_prints_all_or_nothing(main, argv, code):
     assert status == code
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_a_sweep_part_checks_its_grid_ends_before_it_writes(main):
+    """sweep_B raises for an end row outside double precision in the display
+    unit before it writes anything, and otherwise writes what rgupz sweep
+    writes."""
+    from rgupzeeman.spectrum import Branch, Mode, QuantumState, Regime
+    from rgupzeeman.units import ValidationError, convert_energy, make_params
+    plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
+    state = QuantumState(101, 100, Branch.PLUS, 100.5)
+    # finite in erg at every B below, and outside double precision in Hz at 1e9 T
+    params = make_params(B=0.0, epsilon=1e30, gamma_mode="explicit", gamma=1e145)
+    header = ",".join(["B_tesla", "regime", *spectrum.REGIME_TERM_LABELS[Regime.RGUP],
+                       "total"]) + "\n"
+    per = convert_energy(1.0, "erg", "Hz")
+    written = []
+    with pytest.raises(ValidationError) as err:
+        plan.sweep_B(state, params, [0.0, 1.0, 1e9], per, "Hz", header, written.append)
+    assert err.value.field == "unit"
+    assert written == []
+    plan.sweep_B(state, params, [0.0, 1.0, 1e8], per, "Hz", header, written.append)
+    status, out, _ = main("sweep", "--param", "B", "--values", "1e8,0,1", "--l", "100",
+                          "--mj", "100.5", "--regime", "rgup", "--epsilon", "1e30",
+                          "--gamma", "1e145", "--unit", "Hz")
+    assert status == 0
+    assert len(written) == 4 and "".join(written) == out
 
 
 @pytest.mark.parametrize("param", ["B", "epsilon"])

@@ -124,6 +124,44 @@ def test_every_argv_follows_the_exit_code_contract(command, data):
         json.loads(text, parse_constant=_reject)
 
 
+#: a valid argv of each subcommand
+_VALID = {"constants": [], "shift": ["--l", "1", "--mj", "0.5"],
+          "sweep": ["--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5"],
+          "lines": ["--upper-l", "1", "--lower-l", "0"], "verify-algebra": [],
+          "dispersion": [], "discrepancy": ["--l", "1", "--mj", "0.5"],
+          "oracle": ["--n", "2", "--l", "1"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_flag_given_no_number_follows_the_exit_code_contract(command):
+    """Every valued flag of the subcommand, --config included, as --flag=--
+    (which argparse before 3.13 stores as []), --flag -- or --flag -1e5
+    (which only some Pythons read as a number), after a valid argv; --config
+    also before the subcommand."""
+    parser = cli.build_parser()
+    sub = next(action.choices for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))[command]
+    flags = [flag for action in sub._actions if action.option_strings and action.nargs is None
+             for flag in action.option_strings]
+    assert "--config" in flags
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    for flag in flags:
+        for odd in ([f"{flag}=--"], [flag, "--"], [flag, "-1e5"]):
+            for argv in ([command, *_VALID[command], *odd],
+                         *([[*odd, command, *_VALID[command]]] if flag == "--config" else [])):
+                out = io.StringIO()
+                with mock.patch.dict(os.environ, env, clear=True), \
+                        contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:  # argparse rejects a flag this way
+                        code = exc.code
+                assert code in (0, 2, 3, 4), argv
+                if code in (2, 3):
+                    assert out.getvalue() == "", argv
+
+
 _PARSER = cli.build_parser()
 _SUBPARSERS = next(action.choices for action in _PARSER._actions
                    if isinstance(action, argparse._SubParsersAction))

@@ -198,7 +198,8 @@ def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
     for call in (lambda: exp_p2_angular(1, table),
                  lambda: energy_shift_B(state, params, regime),
                  lambda: zeeman_lines(upper, lower, params, regime),
-                 lambda: spectrum._plan_of(regime, Mode.DERIVED).row(state, params),
+                 lambda: spectrum._plan_of(regime, Mode.DERIVED).sweep_B(
+                     state, params, [1.0], 1.0, "eV", "", [].append),
                  lambda: discrepancy_report(state, params)):
         with pytest.raises(ValidationError) as err:
             call()
@@ -518,14 +519,19 @@ def test_lines_delta_l_selection():
 def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic, offset,
                                                           field):
     """The plan's parts give the values below, unchecked; the magnetic ones take
-    the sign of m_j, and row names a failure as the generated row does."""
+    the sign of m_j, and shift names a failure as the generated shift does."""
     plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
     labels = tuple(label for label, _, _ in plan.terms)
 
     def magnetic_of(mj):
         return tuple(math.copysign(v, mj) for v in magnetic)
 
-    def row(state, params):
+    def multiplet(state, params, grid, out):
+        for mj in grid:
+            out(magnetic_of(mj))
+        return offset
+
+    def shift(state, params, mode):
         values = magnetic_of(state.mj) + offset
         try:
             total = math.fsum(values)
@@ -533,9 +539,8 @@ def test_lines_outside_double_precision_are_domain_errors(monkeypatch, magnetic,
             total = math.nan
         if not math.isfinite(total):
             spectrum._name_failure(labels, values, total)
-    monkeypatch.setattr(plan, "multiplet",
-                        lambda state, params, mjs: (offset, [magnetic_of(mj) for mj in mjs]))
-    monkeypatch.setattr(plan, "row", row)
+    monkeypatch.setattr(plan, "multiplet", multiplet)
+    monkeypatch.setattr(plan, "shift", shift)
     with pytest.raises(ValidationError) as caught:
         zeeman_lines(level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS),
                      PLANCK, Regime.RGUP)
@@ -561,6 +566,15 @@ def _plans():
     return [plan for pair in spectrum._PLANS.values() for plan in pair]
 
 
+def _row(plan, state, params):
+    """(scale, values, total) of one state, from the plan's shift; None for
+    an addend gated off."""
+    breakdown = plan.shift(state, params, Mode.DERIVED)
+    values = {t.label: t.value_erg for t in breakdown.terms}
+    return (breakdown.correction_scale, tuple(values.get(label) for label, _, _ in plan.terms),
+            breakdown.total_erg)
+
+
 def test_every_plan_compiles_from_the_substitutions_and_math():
     forms = [form for t in spectrum._TERMS for form in (t.derived, t.published)
              if form is not None]
@@ -572,10 +586,11 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
         mode = Mode.AS_PUBLISHED if plan.name.endswith("as-published") else Mode.DERIVED
         for params, deformed in ((params_with_scale(1e-3), True),
                                  (params_with_scale(0.0), False)):
-            offsets, magnetic = plan.multiplet(states[0], params, [s.mj for s in states])
+            magnetic = []
+            offsets = plan.multiplet(states[0], params, [s.mj for s in states], magnetic.append)
             assert len(magnetic) == len(states)
             for state, magnetic_values in zip(states, magnetic):
-                scale, values, total = plan.row(state, params)
+                scale, values, total = _row(plan, state, params)
                 assert [v is None for v in values] == [d and not deformed
                                                        for d in plan.deformation]
                 on = [(label, tags, v) for (label, _, tags), v in zip(plan.terms, values)
@@ -615,14 +630,14 @@ def test_a_gated_addend_follows_its_gate_through_a_sweep():
     params = params_with_scale(0.0)  # the scale is epsilon
     grid = [0.0, 1e-3, 2e-3]
     lines = []
-    plan.sweep_epsilon(state, params, grid, 1.0, lines.append)
-    expected = []
+    plan.sweep_epsilon(state, params, grid, 1.0, "erg", "header\n", lines.append)
+    expected = ["header\n"]
     for epsilon in grid:
-        _, values, total = plan.row(state, params._replace(epsilon=epsilon))
+        _, values, total = _row(plan, state, params._replace(epsilon=epsilon))
         cells = ["0.0" if v is None else repr(v) for v in values]
         expected.append(",".join([repr(epsilon), "rgup", *cells, repr(total)]) + "\n")
     assert lines == expected
-    assert [line.split(",")[2 + i] for line in lines] == ["0.0", repr(C.hbar), repr(C.hbar)]
+    assert [line.split(",")[2 + i] for line in lines[1:]] == ["0.0", repr(C.hbar), repr(C.hbar)]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -637,9 +652,9 @@ def test_level_offsets_read_no_mj(regime, mode):
     offset = ["non-magnetic" in tags for _, _, tags in plan.terms]
     for level in ((4, 3, Branch.PLUS), (4, 3, Branch.MINUS), (2, 0, Branch.PLUS)):
         states = level_states(*level)
-        offsets, _ = plan.multiplet(states[0], params, [s.mj for s in states])
+        offsets = plan.multiplet(states[0], params, [s.mj for s in states], [].append)
         for state in states:
-            _, values, _ = plan.row(state, params)
+            _, values, _ = _row(plan, state, params)
             assert [v.hex() for v, o in zip(values, offset) if o] == \
                 [v.hex() for v in offsets], state
 
@@ -658,7 +673,7 @@ def test_a_mode_that_is_not_a_mode_is_rejected(regime, mode):
     upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
     for call in (lambda: energy_shift_B(state, PLANCK, regime, mode),
                  lambda: zeeman_lines(upper, lower, PLANCK, regime, mode),
-                 lambda: spectrum._plan_of(regime, mode).row):
+                 lambda: spectrum._plan_of(regime, mode).shift):
         with pytest.raises(ValidationError) as err:
             call()
         assert err.value.field == "mode"
@@ -670,18 +685,18 @@ def test_lines_empty_sets_rejected():
 
 
 def test_lines_build_one_substitution_per_level(monkeypatch):
-    """The level half is computed once per level, and no row on success."""
+    """The level half is computed once per level, and no shift on success."""
     plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
     multiplet, built = plan.multiplet, []
 
-    def counted(state, params, mjs):
+    def counted(state, params, grid, out):
         built.append(state)
-        return multiplet(state, params, mjs)
+        return multiplet(state, params, grid, out)
 
-    def row(state, params):
-        raise AssertionError("a row was evaluated")
+    def shift(state, params, mode):
+        raise AssertionError("a shift was evaluated")
     monkeypatch.setattr(plan, "multiplet", counted)
-    monkeypatch.setattr(plan, "row", row)
+    monkeypatch.setattr(plan, "shift", shift)
     upper, lower = level_states(4, 3, Branch.PLUS), level_states(3, 2, Branch.MINUS)
     assert len(zeeman_lines(upper, lower, PLANCK, Regime.RGUP)) == 12
     assert built == [upper[0], lower[0]]
@@ -869,12 +884,12 @@ def test_failures_outside_double_precision_name_what_a_per_term_reference_names(
     for regime in Regime:
         for mode in Mode:
             for state in _LARGE_STATES:
-                evaluate = spectrum._plan_of(regime, mode).row
+                plan = spectrum._plan_of(regime, mode)
                 for params in _OVERFLOWING:
                     field, want = _outcome(lambda: _reference_shift(state, params, regime, mode))
                     seen.add(field)
                     got = _outcome(lambda: energy_shift_B(state, params, regime, mode))
-                    row = _outcome(lambda: evaluate(state, params))
+                    row = _outcome(lambda: _row(plan, state, params))
                     if field != "ok":
                         assert got == row == (field, want)
                         continue
