@@ -37,6 +37,7 @@ from .spectrum import (
     QuantumState,
     Regime,
     REGIME_TERM_LABELS,
+    _check_mj,
     _plan_of,
     discrepancy_report,
     energy_shift_B,
@@ -48,6 +49,7 @@ from .units import (
     GAUSS_PER_TESLA,
     ValidationError,
     _constant_rows,
+    check_n_l,
     constants_dump,
     convert_energy,
     in_unit,
@@ -270,15 +272,18 @@ def _sweep_grid(args) -> list[float]:
 
 
 def _sweep_records(values, args, param_values):
-    """Yield (value, params, state) for each grid point.
+    """The params and the state of the first grid value, after checking
+    every value as its shift call would.
 
-    Only the swept record is built per row; the fixed one is built on the
-    first row and reused.  Params come before the state within a row, so the
-    first bad row raises what the matching `shift` call would.
+    Params come before the state within a value, so the first bad value
+    raises what the matching `shift` call would.  Only the swept record is
+    built per value, and the fixed one for the first; an n or mj value after
+    the first is checked by the state's rule on that field alone, since no
+    other rule of the state reads it.
     """
     param = args.param
     b_tesla, epsilon, gamma, Z = param_values
-    params = state = None
+    first = params = state = None
     for value in values:
         if param == "B":
             params = _make_params(value, epsilon, gamma, Z)
@@ -286,16 +291,18 @@ def _sweep_records(values, args, param_values):
             params = _make_params(b_tesla, value, gamma, Z)
         elif params is None:
             params = _make_params(b_tesla, epsilon, gamma, Z)
-        if param == "mj":
-            state = _state_from(args, mj=value)
-        elif param in ("l", "n"):
-            if not is_integer(value):
-                raise ValidationError(param, f"swept {param} must be an integer, "
-                                             f"got {value!r}")
-            state = _state_from(args, **{param: int(value)})
-        elif state is None:
-            state = _state_from(args)
-        yield value, params, state
+        if param in ("l", "n") and not is_integer(value):
+            raise ValidationError(param, f"swept {param} must be an integer, got {value!r}")
+        if state is None or param == "l":
+            swept = {param: int(value)} if param in ("l", "n") else \
+                {"mj": value} if param == "mj" else {}
+            state = _state_from(args, **swept)
+        elif param == "n":
+            check_n_l(int(value), state.l)
+        elif param == "mj":
+            _check_mj(value, state.j)
+        first = first or (params, state)
+    return first
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
@@ -312,10 +319,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # an interval in epsilon too.  l, n and mj are checked row by row
     checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]] \
         if args.param in ("B", "epsilon") else values
-    rows = _sweep_records(checked, args, param_values)
-    _, params, state = next(rows)  # every field the sweep part does not rebind
-    for _ in rows:  # each row's records are built, so checked, and dropped
-        pass
+    # every field the sweep part does not rebind
+    params, state = _sweep_records(checked, args, param_values)
     # each term is monotone in the swept B, epsilon, l or |mj| (and |mj| peaks
     # at an end of the sorted grid), and so is its value in the display unit,
     # a positive multiple, so the part checks the two end rows before it

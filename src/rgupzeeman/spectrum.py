@@ -15,11 +15,14 @@ states), the m_j half and the params half (B, eps gamma^2, the
 deformation scale and its gate).  A _Plan generates its functions from
 the forms and those halves, each taking the QuantumState and PhysicalParams
 records and reading their fields and the ConstantsTable's itself: shift
-gives a breakdown, and every other part is a sweep of one field over a grid
-that evaluates once what does not read the field and per grid value what
-does.  One sweep part per field (B, epsilon, l, n, m_j) checks its grid's two
-end rows, then writes the CSV rows of a sweep; multiplet, an m_j sweep, gives
-zeeman_lines a level's offsets once and its magnetic values at each m_j.
+gives a breakdown, and every other part is a sweep of one field over a grid.
+A part called more than twice evaluates every subexpression once, at the
+outermost of three levels whose names it reads: once per constants table,
+once per call, or once per grid value; only whole subexpressions of a form
+move, so no value changes a bit.  One sweep part per field (B, epsilon, l,
+n, m_j) checks its grid's two end rows, then writes the CSV rows of a sweep;
+multiplet, an m_j sweep, gives zeeman_lines a level's offsets once and its
+magnetic values at each m_j.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -92,6 +95,14 @@ def _j(l: int, sgn: float) -> float:
     return l + 0.5 * sgn
 
 
+def _check_mj(mj: float, j: float):
+    """Raises ValidationError unless m_j is a half-odd integer with |m_j| <= j."""
+    if not _is_half_odd(mj):
+        raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
+    if abs(mj) > j + 1e-12:
+        raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
+
+
 class _StateFields(NamedTuple):
     n: int
     l: int
@@ -110,12 +121,7 @@ class QuantumState(_StateFields):
 
     def __new__(cls, n, l, branch, mj, ml=None, ms=None):
         check_n_l(n, l)
-        sgn = _branch_sign(l, branch)
-        if not _is_half_odd(mj):
-            raise ValidationError("mj", f"must be half-odd-integer, got {mj!r}")
-        j = _j(l, sgn)
-        if abs(mj) > j + 1e-12:
-            raise ValidationError("mj", f"|mj| = {abs(mj)!r} exceeds j = {j!r}")
+        _check_mj(mj, _j(l, _branch_sign(l, branch)))
         if (ml is None) != (ms is None):
             raise ValidationError("ml", "ml and ms must be given together")
         if ml is not None:
@@ -310,10 +316,12 @@ _MJ_HALF = (
 _PARAMS_HALF = (
     ("base", "base = e * B / (2.0 * m_e * c)"),
     ("eps_gamma2", "eps_gamma2 = epsilon * gamma * gamma"),
-    ("scale", "try:\n"
-              "    scale = epsilon * (gamma * (m * c)) ** 2\n"
-              "except OverflowError:  # float ** raises where float * gives inf\n"
-              "    scale = epsilon * inf"),
+    # (gamma m c)^2, its own statement so that an epsilon sweep squares once
+    ("gmc2", "try:\n"
+             "    gmc2 = (gamma * (m * c)) ** 2\n"
+             "except OverflowError:  # float ** raises where float * gives inf\n"
+             "    gmc2 = inf"),
+    ("scale", "scale = epsilon * gmc2"),
     ("deformed", "deformed = scale != 0.0"),
 )
 #: GUP's params half: in the nonrelativistic limit p0.p0 -> -hbar^2 grad^2
@@ -325,6 +333,9 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
+#: the call of a part that compiles it with its subtrees moved out (see _Plan):
+#: past the two multiplet calls of a cold `rgupz lines`
+_WARM = 3
 #: the field each swept part rebinds per grid value, and the value it binds:
 #: B from tesla, as the CLI converts it, and l and n as the ints a state holds
 _SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
@@ -366,10 +377,18 @@ def _names(fields, keep) -> str:
     return "".join((f if f in keep else "_") + ", " for f in fields)
 
 
-def _code(half, keep, indent="    ") -> str:
-    """The statements of a half whose names are kept, indented."""
-    return "".join(indent + statement.replace("\n", "\n" + indent) + "\n"
+def _code(half, keep, indent="    ", render=str) -> str:
+    """The statements of a half whose names are kept, each through render, indented."""
+    return "".join(indent + render(statement).replace("\n", "\n" + indent) + "\n"
                    for name, statement in half if name in keep)
+
+
+def _gate(lines, indent: str) -> str:
+    """(line, gated) pairs as code, the gated lines under "if deformed:"."""
+    code = ["", ""]
+    for line, gated in lines:
+        code[gated] += indent + "    " * gated + line + "\n"
+    return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
 
 
 class _Plan:
@@ -395,9 +414,24 @@ class _Plan:
       calls out with the values that read m_j at each m_j of the grid, and
       returns the others, the "non-magnetic" ones.
 
-    _sweep_fields generates every part but shift: before its loop what does
-    not read the swept field, and per grid value what does, directly or
-    through another statement (a gated addend also when the gate does).
+    From its _WARM-th call on, each part evaluates every subexpression
+    once, at the outermost level whose names it reads (see
+    _subtrees.Subtrees); its first calls run it as written, so a cold start
+    pays no parse:
+
+    - once per constants table: a rel, gup or rgup shift keeps what reads
+      only the ConstantsTable fields, literals and math, ungated, in TABLE,
+      one tuple that starts with its table and is replaced whole when a
+      call brings another (see _subtrees._LOOKUP).  For a table where one
+      of them raises, the call runs shift as written, which raises where
+      the forms do;
+    - once per call: _sweep_fields generates every part but shift, with
+      before its loop what does not read the swept field, and after the
+      checks, the subexpressions of the loop body that read no marked name;
+    - once per grid value: what reads the swept field, directly or through
+      another statement (a gated addend also when the gate does).  A sweep
+      part's two end rows evaluate every subexpression in place and run
+      every check; a row between them binds only what its cells read.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  Each part raises
@@ -416,20 +450,38 @@ class _Plan:
         self.deformation = tuple(t.deformation for t, _ in rows)
 
     def __getattr__(self, part: str):
-        # only a part not compiled yet gets here: compile it and keep it
+        # only a part not compiled yet gets here: compile it and keep it.  Its
+        # first calls run it as written; the _WARM-th compiles it with its
+        # subtrees moved out, which costs a parse, for the calls after it, so
+        # a cold start, which runs a part once or twice, never pays the parse
         if part not in _PARTS:
             raise AttributeError(part)
-        fields = self._fields if part == "shift" else \
-            self._sweep_fields(*_SWEPT[part], collect=part == "multiplet")
+        cold, calls = self._compile(part), itertools.count(1)
+
+        def warming(*args):
+            if next(calls) == _WARM and vars(self).get(part) is warming:
+                setattr(self, part, self._compile(part, moved=True))
+            return cold(*args)
+        setattr(self, part, warming)
+        return warming
+
+    def _compile(self, part: str, moved: bool = False):
+        """The function of a part, with its subtrees moved out or as written."""
+        # a table level pays in shift, which runs once per state: with it a rel,
+        # gup or rgup shift ran 4-10% faster, a lande one (whose one subtree
+        # there is 2.0 * m_e * c) no faster; a swept part evaluates such a
+        # subtree once per call anyway, and ran no faster with one
+        fields = self._fields(moved and self.regime is not Regime.LANDE) if part == "shift" \
+            else self._sweep_fields(*_SWEPT[part], collect=part == "multiplet", moved=moved)
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
-                     "LABELS": fields["labels"], "new": tuple.__new__, "ShiftTerm": ShiftTerm,
+                     "LABELS": self._labels, "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "bad_radius": _bad_radius,
-                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit}
-        source = _PARTS[part].format(part=part, **fields)
+                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit,
+                     "TABLE": (None,), "plain": functools.cache(lambda: self._compile(part))}
+        source = _PARTS[part].format(part=part, **fields) + fields.get("table", "")
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
-        setattr(self, part, namespace[part])
         return namespace[part]
 
     @functools.cached_property
@@ -449,15 +501,23 @@ class _Plan:
                 needed.update(_words(statement))
         return needed
 
-    def _assign(self, template: str, addends, indent: str = "    ") -> str:
+    @functools.cached_property
+    def _labels(self) -> tuple:
+        """The labels of the addends on, with the deformation off and on."""
+        return tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
+                           if gate or not d) for gate in (False, True))
+
+    def _assign(self, template: str, addends, indent: str = "    ", render=None) -> str:
         """The template for each addend index, formatted with its index i, form
-        and term, the deformation addends' under "if deformed:"."""
-        code = ["", ""]
-        for i in addends:
-            gated = self.deformation[i]
-            code[gated] += (indent + "    " * gated
-                            + template.format(i=i, form=self.forms[i], term=self.terms[i]) + "\n")
-        return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
+        (through render(form, gated) when given) and term, the deformation
+        addends' under "if deformed:", after the others."""
+        lines = []
+        for gated in (False, True):
+            for i in addends:
+                if self.deformation[i] == gated:
+                    form = self.forms[i] if render is None else render(self.forms[i], gated)
+                    lines.append((template.format(i=i, form=form, term=self.terms[i]), gated))
+        return _gate(lines, indent)
 
     def _gather(self, addends, prefix: str = "v") -> str:
         """The tuple of the addends given, without those gated off."""
@@ -465,27 +525,42 @@ class _Plan:
         off = "".join(f"{prefix}{i}, " for i in addends if not self.deformation[i])
         return f"({on})" if on == off else f"({on}) if deformed else ({off})"
 
-    @functools.cached_property
-    def _fields(self) -> dict:
-        """The text _PARTS takes from this plan, and the labels of the
-        addends on, with the deformation off and on."""
-        needed = self._needed
-        every = range(len(self.forms))
-        return dict(
-            unpack=(f"    {_names(QuantumState._fields, needed)}= state\n"
-                    # the constants are the params' last field
-                    f"    {_names(PhysicalParams._fields[:-1], needed)}C, = params\n"
-                    f"    {_names(ConstantsTable._fields, needed)}= C\n"),
-            statements=_code(self._statements, needed),
-            # v<i> binds each value and t<i> its record
-            values=self._assign(_VALUE, every) + f"    values = {self._gather(every)}\n",
-            sum=_SUM, terms=self._assign(_RECORD, every), records=self._gather(every, "t"),
-            labels=tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
-                               if gate or not d) for gate in (False, True)))
+    @staticmethod
+    def _unpack(body: str, lookup: str = "") -> str:
+        """The record fields a part with this body reads, the table level's
+        lookup before the constants'."""
+        read = set(_words(body))
+        return (f"    {_names(QuantumState._fields, read)}= state\n"
+                # the constants are the params' last field
+                f"    {_names(PhysicalParams._fields[:-1], read)}C, = params\n"
+                f"{lookup}    {_names(ConstantsTable._fields, read)}= C\n")
 
-    def _sweep_fields(self, swept: str, binding: str, collect: bool = False) -> dict:
+    def _fields(self, table: bool = False) -> dict:
+        """The text _PARTS takes for shift: its statements and values once
+        per call, and with table their subtrees that read only the constants
+        once per table."""
+        every = range(len(self.forms))
+        render, lookup, function = None, "", ""
+        if table:
+            from ._subtrees import PER_CALL, Subtrees
+            subtrees = Subtrees([*(statement for name, statement in self._statements
+                                   if name in self._needed), *self.forms], table=True)
+            render = functools.partial(subtrees.rendered, level=PER_CALL)
+        statements = _code(self._statements, self._needed, render=render or str)
+        values = self._assign(_VALUE, every, render=render)
+        if table:
+            lookup, function = subtrees.table_level()
+        return dict(unpack=self._unpack(statements + values, lookup), statements=statements,
+                    # v<i> binds each value and t<i> its record
+                    values=values + f"    values = {self._gather(every)}\n",
+                    sum=_SUM, terms=self._assign(_RECORD, every), records=self._gather(every, "t"),
+                    table=function)
+
+    def _sweep_fields(self, swept: str, binding: str, collect: bool = False,
+                      moved: bool = False) -> dict:
         """The text _SWEEP takes for a sweep of one field, bound per grid value
-        as binding gives it: a sweep part's, or with collect multiplet's."""
+        as binding gives it: a sweep part's, or with collect multiplet's; with
+        moved, the loop's subtrees that read no marked name go before it."""
         needed = self._needed
         # one forward pass marks what reads the swept field, directly or
         # through a statement marked before
@@ -497,36 +572,60 @@ class _Plan:
                   if gated and "deformed" in marked or marked.intersection(_words(form))]
         fixed = [i for i in range(len(self.forms)) if i not in moving]
         before = _code(self._statements, needed - marked) + self._assign(_VALUE, fixed)
-        loop = (f"        {swept} = {binding}\n" if swept in needed else "") \
-            + _code(self._statements, needed & marked, "        ") \
-            + self._assign(_VALUE, moving, "        ")
+        hoisted, render = "", None
+        if moved:
+            from ._subtrees import PER_CALL, PER_ROW, Subtrees
+            subtrees = Subtrees([*(s for name, s in self._statements if name in needed & marked),
+                                 *(self.forms[i] for i in moving)], marked)
+            render = functools.partial(subtrees.rendered, level=PER_ROW)
+
+        def body(half, keep, render=None):
+            return ((f"        {swept} = {binding}\n" if swept in keep else "")
+                    + _code(half, keep & marked, "        ", render or str)
+                    + self._assign(_VALUE, moving, "        ", render))
+        # the end rows evaluate every subtree in place, with every check
+        ends = "" if collect else body(self._statements, needed)
+        # a row between the two checked ends binds only what its values read
+        row = {"deformed"} if any(self.deformation[i] for i in moving) else set()
+        row.update(*(_words(self.forms[i]) for i in moving))
+        for name, statement in reversed(self._statements):
+            if name in row:
+                row.update(_words(statement))
+        loop = body(self._statements[:-1], row, render)  # [:-1]: no scale check
+        if moved:
+            # what the rows read that no grid value moves, after every check
+            hoisted = _gate([(f"{name} = {text}", gated)
+                             for name, text, gated in subtrees.outer[PER_CALL]], "    ")
         if collect:
-            return dict(self._fields, arguments="out", before=before, ends="", loop=loop,
-                        emit=f"out({self._gather(moving)})",
-                        after=f"    return {self._gather(fixed)}\n")
-        # c<i> holds the text of a cell that reads no swept value
-        cells, hoisted = [self.regime.value], ""
-        for i, gated in enumerate(self.deformation):
-            text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
-            if i in moving:
-                cells.append(f"{{{text}}}" if gated else f"{{v{i} * per!r}}")
-            else:
-                hoisted += f"    c{i} = {text}\n"
-                cells.append(f"{{c{i}}}")
-        check = "        values = " + self._gather(range(len(self.forms))) + "\n" \
-            + "".join("    " + line for line in _SUM.splitlines(True))
-        if moving:
-            loop += check
-            cells.append("{total * per!r}")
+            fields = dict(arguments="out", before=before + hoisted, ends="", loop=loop,
+                          emit=f"out({self._gather(moving)})",
+                          after=f"    return {self._gather(fixed)}\n")
         else:
-            hoisted += "    ct = repr(total * per)\n"
-            cells.append("{ct}")
-        # each end row runs a row's checks in a row's order, then the display
-        # unit's; every row between two valid ends is valid (see cli.cmd_sweep)
-        ends = (f"    for value in grid[0], grid[-1]:\n{loop}{'' if moving else check}"
-                "        in_unit((*values, total), per, unit)\n" + hoisted + "    write(header)\n")
-        return dict(self._fields, arguments="per, unit, header, write", before=before, ends=ends,
-                    loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
+            # c<i> holds the text of a cell that reads no swept value
+            cells, fixed_cells = [self.regime.value], ""
+            for i, gated in enumerate(self.deformation):
+                text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
+                if i in moving:
+                    cells.append(f"{{{text}}}" if gated else f"{{v{i} * per!r}}")
+                else:
+                    fixed_cells += f"    c{i} = {text}\n"
+                    cells.append(f"{{c{i}}}")
+            check = "        values = " + self._gather(range(len(self.forms))) + "\n" \
+                + "".join("    " + line for line in _SUM.splitlines(True))
+            if moving:
+                loop += check
+                cells.append("{total * per!r}")
+            else:
+                fixed_cells += "    ct = repr(total * per)\n"
+                cells.append("{ct}")
+            # each end row runs a row's checks in a row's order, then the display
+            # unit's; every row between two valid ends is valid (see cli.cmd_sweep)
+            ends = (f"    for value in grid[0], grid[-1]:\n{ends}{check}"
+                    "        in_unit((*values, total), per, unit)\n"
+                    + fixed_cells + hoisted + "    write(header)\n")
+            fields = dict(arguments="per, unit, header, write", before=before, ends=ends,
+                          loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
+        return dict(fields, unpack=self._unpack("".join(fields.values())))
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:
@@ -662,6 +761,12 @@ class ZeemanLine(NamedTuple):
 
 #: what a state's level half reads of it (the constants are the params')
 _level_key = operator.attrgetter("l", "branch")
+#: (delta m_j, polarization) of the lines from an upper m_j to the lower
+#: m_j - 1, m_j and m_j + 1, in that order
+_TRANSITIONS = ((1.0, "sigma+"), (0.0, "pi"), (-1.0, "sigma-"))
+#: the order of the lines; the sort is stable, so equal keys keep the scan's
+#: order: upper input order, then lower input order
+_LINE_ORDER = operator.attrgetter("upper.mj", "lower.mj")
 
 
 def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
@@ -677,48 +782,53 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
         raise ValidationError("states", "upper and lower level sets must be non-empty")
 
     plan = _plan_of(regime, mode)
-    multiplet = plan.multiplet
-    entries = []  # (state, magnetic sum, offset sum), following upper + lower
+    multiplet, fsum, isfinite = plan.multiplet, math.fsum, math.isfinite
+    entries = []  # (state, l, magnetic sum, offset sum), following upper + lower
     # only l, the branch and the constants enter the level half, and the
     # offset terms read no m_j, so each run of states in one level is one call
     for _, run in itertools.groupby(upper + lower, _level_key):
         run, magnetic = tuple(run), []
         offsets = multiplet(run[0], params, [state.mj for state in run], magnetic.append)
-        offset = None
-        for state, values in zip(run, magnetic):
-            # a failure is named as the state's shift names it: the term or
-            # the total first, then the shift, then the level's offset sum
-            try:
-                shift = _finite_sum(values, "shift")
-                if offset is None:
-                    offset = _finite_sum(offsets, "level_offset")
-                _finite(shift + offset, "total")
-            except ValidationError:
-                plan.shift(state, params, mode)  # names the term or total that left, if one did
-                raise
-            entries.append((state, shift, offset))
+        try:
+            offset = fsum(offsets)
+            shifts = list(map(fsum, magnetic))
+        except (OverflowError, ValueError):  # overflow, or inf - inf
+            shifts = None
+        # a state's total is finite only where its two sums are too
+        if shifts is None or not all(map(isfinite, map(offset.__add__, shifts))):
+            offset = None
+            for state, values in zip(run, magnetic):
+                # a failure is named as the state's shift names it: the term or
+                # the total first, then the shift, then the level's offset sum
+                try:
+                    shift = _finite_sum(values, "shift")
+                    if offset is None:
+                        offset = _finite_sum(offsets, "level_offset")
+                    _finite(shift + offset, "total")
+                except ValidationError:
+                    # names the term or the total that left, if one did
+                    plan.shift(state, params, mode)
+                    raise
+        entries += zip(run, itertools.repeat(run[0].l), shifts, itertools.repeat(offset))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
     lower_by_mj = {}
     for entry in entries[len(upper):]:
         lower_by_mj.setdefault(entry[0].mj, []).append(entry)
 
     lines = []
-    for u, mag_u, off_u in entries[:len(upper)]:
-        for mj in (u.mj - 1.0, u.mj, u.mj + 1.0):
-            for lo, mag_l, off_l in lower_by_mj.get(mj, ()):
-                if abs(u.l - lo.l) != 1:
+    append = lines.append
+    for u, l, mag_u, off_u in entries[:len(upper)]:
+        mj = u.mj
+        for delta, pol in _TRANSITIONS:
+            for lo, l_lo, mag_l, off_l in lower_by_mj.get(mj - delta, ()):
+                if abs(l - l_lo) != 1:
                     continue
-                delta = u.mj - lo.mj
-                if delta == 0.0:
-                    pol = "pi"
-                else:
-                    pol = "sigma+" if delta > 0 else "sigma-"
                 shift, offset = mag_u - mag_l, off_u - off_l
-                if not (math.isfinite(shift) and math.isfinite(offset)):
-                    raise ValidationError("shift", f"line mj {u.mj!r} -> {lo.mj!r} "
+                if not (isfinite(shift) and isfinite(offset)):
+                    raise ValidationError("shift", f"line mj {mj!r} -> {lo.mj!r} "
                                                    "is outside double precision")
-                lines.append(_new(ZeemanLine, (u, lo, delta, pol, shift, offset)))
-    lines.sort(key=lambda ln: (ln.upper.mj, ln.lower.mj))
+                append(_new(ZeemanLine, (u, lo, delta, pol, shift, offset)))
+    lines.sort(key=_LINE_ORDER)
     return tuple(lines)
 
 

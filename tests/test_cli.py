@@ -222,12 +222,36 @@ def test_oracle_node_cap_exits_before_any_rule_is_built(main, monkeypatch):
 
 def test_only_oracle_loads_numpy_and_scipy():
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, sys, typing\n"
+        "ast_before = 'ast' in sys.modules  # typing imports it on some Pythons\n"
         "import rgupzeeman, rgupzeeman.cli\n"
         "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules\n"
+        "assert ast_before or 'ast' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert rgupzeeman.cli.main(['oracle', '--n', '2', '--l', '1']) == 0\n"
         "assert 'numpy' in sys.modules and 'scipy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_cold_start_does_not_load_ast():
+    # a part's third call parses its forms with _subtrees and the built-in
+    # _ast, so a command, which calls a part once or twice, loads neither
+    script = (
+        "import contextlib, io, sys, typing\n"
+        "before = {'ast', '_ast'} & set(sys.modules)  # typing imports them on some Pythons\n"
+        "import rgupzeeman, rgupzeeman.cli\n"
+        "def loaded():\n"
+        "    return ({'ast', '_ast', 'rgupzeeman._subtrees'} - before) & set(sys.modules)\n"
+        "assert not loaded(), loaded()\n"
+        "for argv in (['shift', '--l', '1', '--mj', '0.5', '--regime', 'rgup'],\n"
+        "             ['lines', '--upper-l', '2', '--lower-l', '1', '--regime', 'rgup'],\n"
+        "             ['sweep', '--param', 'B', '--values', '0,1', '--l', '1', '--mj', '0.5'],\n"
+        "             ['discrepancy', '--l', '1', '--mj', '0.5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rgupzeeman.cli.main(argv) == 0\n"
+        "    assert not loaded(), (argv, loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr
@@ -498,6 +522,55 @@ def test_field_and_epsilon_sweeps_build_one_record_per_row(main, monkeypatch, pa
                           "--regime", "rgup")
     assert status == 0 and len(out.splitlines()) == rows + 1
     assert len(calls) <= rows + 3
+
+
+@pytest.mark.parametrize("param, argv", [
+    ("n", ("--from", "3", "--to", "1002", "--steps", "1000", "--l", "2", "--mj", "0.5")),
+    ("mj", ("--from", "-499.5", "--to", "499.5", "--steps", "1000", "--l", "500")),
+])
+def test_n_and_mj_sweeps_build_no_state_per_row(main, monkeypatch, param, argv):
+    from rgupzeeman.spectrum import QuantumState
+    built = []
+    new = QuantumState.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(QuantumState, "__new__", counted)
+    status, out, _ = main("sweep", "--param", param, *argv)
+    assert status == 0 and len(out.splitlines()) == 1001
+    assert len(built) <= 2
+
+
+@pytest.mark.parametrize("param, values, fixed", [
+    ("n", "9,2,4,3.5", ("--l", "2", "--mj", "0.5")),        # l < n fails at n = 2
+    ("n", "5,3.5,4", ("--l", "2", "--mj", "0.5")),          # not an integer
+    ("n", "3,0,4", ("--l", "0", "--mj", "-0.5")),           # n >= 1
+    ("n", "3,4", ("--l", "2", "--mj", "3.5")),              # the fixed mj, on every row
+    ("mj", "0.5,2.5,-0.7,1.5", ("--l", "1",)),              # not half-odd
+    ("mj", "0.5,2.5,1.5", ("--l", "1", "--branch", "minus")),  # |mj| > j
+    ("mj", "0.5,-1.5", ("--l", "0", "--branch", "minus")),  # the fixed branch
+], ids=("n-below-l", "n-fraction", "n-zero", "n-fixed-mj", "mj-fraction", "mj-above-j",
+        "mj-fixed-branch"))
+def test_n_and_mj_sweeps_fail_on_the_row_a_state_would(main, param, values, fixed):
+    """The first bad value of the sorted grid, its field and its message are
+    those of the state a shift at that value would build."""
+    from rgupzeeman.spectrum import Branch, QuantumState
+    from rgupzeeman.units import ValidationError, is_integer
+    flags = dict(zip(fixed[::2], fixed[1::2]))
+    l, branch = int(flags["--l"]), Branch(flags.get("--branch", "plus"))
+    want = None
+    for value in sorted(float(v) for v in values.split(",")):
+        try:
+            if param == "n" and not is_integer(value):
+                raise ValidationError("n", f"swept n must be an integer, got {value!r}")
+            QuantumState(n=int(value) if param == "n" else l + 1, l=l, branch=branch,
+                         mj=value if param == "mj" else float(flags["--mj"]))
+        except ValidationError as error:
+            want = f"rgupz: domain error: {error}\n"
+            break
+    status, out, err = main("sweep", "--param", param, "--values", values, *fixed)
+    assert (status, out, err) == (3, "", want)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,12 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgupzeeman import spectrum
 from rgupzeeman.oracle import closed_form_r_expectation, radial_expectation
@@ -916,3 +920,105 @@ def test_level_half_p2_is_exp_p2_angular_bit_for_bit():
     for l in (*range(1001), 2**53 - 1):
         state = QuantumState(n=l + 1, l=l, branch=Branch.PLUS, mj=0.5)
         assert level_half(state)["p2"].hex() == exp_p2_angular(l).hex(), l
+
+
+# -- lines against the per-state reference; the table level ----------------------
+
+#: (l, branch) of a level: j = l - 1/2 needs l >= 1
+_LEVEL_SHAPES = st.tuples(st.integers(0, 3), st.sampled_from(list(Branch))).filter(
+    lambda shape: shape[0] or shape[1] is Branch.PLUS)
+_FINITE = [PLANCK, params_zero_gamma(), params_with_scale(1e-3), params_with_scale(0.05, B=3.7e4),
+           make_params(B=1e4, gamma_mode="explicit", gamma=1e-160)]
+
+
+def _hexed(lines):
+    return [(ln.upper, ln.lower, ln.delta_mj.hex(), ln.polarization, ln.shift_erg.hex(),
+             ln.level_offset_erg.hex()) for ln in lines]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_lines_match_a_per_state_reference_bit_for_bit(data):
+    """Interleaved and repeated states of up to three levels, in every regime
+    and mode: the lines of the per-state reference, floats compared by hex,
+    or the failure the per-term reference names."""
+    pool = [state for l, branch in data.draw(st.lists(_LEVEL_SHAPES, min_size=1, max_size=3))
+            for state in level_states(l + data.draw(st.integers(1, 2)), l, branch)]
+    states = st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+    upper, lower = data.draw(states), data.draw(states)
+    params = data.draw(st.sampled_from(_OVERFLOWING + _FINITE))
+    regime, mode = data.draw(st.sampled_from(list(Regime))), data.draw(st.sampled_from(list(Mode)))
+    got = _outcome(lambda: zeeman_lines(upper, lower, params, regime, mode))
+    want = _outcome(lambda: _reference_lines_failure(upper, lower, params, regime, mode))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert _hexed(got[1]) == _hexed(_reference_lines(upper, lower, params, regime, mode))
+    else:
+        assert got == want
+
+
+#: two tables a part's table level switches between
+_TABLES = (C, C._replace(r0=1.5 * C.r0))
+_PLAN_KEYS = [(regime, published) for regime in Regime for published in (False, True)
+              if not published or regime in (Regime.GUP, Regime.RGUP)]
+
+
+def _every_part(plan, params, sweeps=True):
+    """What each part of the plan gives for the params, as text: repr keeps
+    every bit of a float."""
+    state = QuantumState(n=5, l=3, branch=Branch.MINUS, mj=1.5)
+    magnetic = []
+    offsets = plan.multiplet(state, params, [-2.5, 0.5, 2.5], magnetic.append)
+    out = [repr(plan.shift(state, params, Mode.DERIVED)), repr((offsets, magnetic))]
+    for part, (field, _) in spectrum._SWEPT.items():
+        if sweeps and part != "multiplet":
+            written = []
+            grid = {"l": [1.0, 3.0], "n": [5.0, 9.0], "mj": [-2.5, 2.5]}.get(field, [0.0, 2.0])
+            getattr(plan, part)(state, params, grid, 1.0, "erg", "", written.append)
+            out.append("".join(written))
+    return out
+
+
+def test_every_part_gives_each_table_what_a_single_table_plan_gives():
+    params = [make_params(B=3.7e4, gamma_mode="explicit", gamma=1e15, constants=table)
+              for table in _TABLES]
+    # each table through plans that never saw another
+    want = {(key, i): _every_part(spectrum._Plan(*key), params[i])
+            for key in _PLAN_KEYS for i in (0, 1)}
+    plans = {key: spectrum._plan_of(key[0], Mode(key[1] and "as-published" or "derived"))
+             for key in _PLAN_KEYS}
+    for i in (0, 1, 0, 1, 1, 0):
+        for key, plan in plans.items():
+            assert _every_part(plan, params[i]) == want[key, i], (key, i)
+
+    failed = []
+
+    def alternate(i):
+        for _ in range(100):
+            for key, plan in plans.items():
+                if _every_part(plan, params[i], sweeps=False) != want[key, i][:2]:
+                    failed.append((key, i))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-lookup too
+    try:
+        threads = [threading.Thread(target=alternate, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failed, failed[:3]
+
+
+def test_a_table_that_leaves_double_precision_fails_as_without_a_table_level():
+    # m_e**3 overflows at the table level, while the scale check comes first in the shift
+    params = make_params(B=1e4, gamma_mode="explicit", gamma=1e300, m=C.m_e,
+                         constants=C._replace(m_e=1e200))
+    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
+    for regime in (Regime.REL, Regime.RGUP):
+        plan = spectrum._Plan(regime, False)
+        moved = plan._compile("shift", moved=True)
+        assert _outcome(lambda: moved(state, params, Mode.DERIVED)) == \
+            _outcome(lambda: plan._compile("shift")(state, params, Mode.DERIVED))
+    assert _outcome(lambda: moved(state, params, Mode.DERIVED))[0] == "correction_scale"
