@@ -18,6 +18,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import sys
 import warnings
 from typing import NamedTuple
@@ -66,8 +67,8 @@ class CLIUsageError(Exception):
 
 
 #: config key -> (the args attribute of the flag that overrides it, builtin
-#: text, how text is read, the allowed texts or None for any); the formats a
-#: command prints are its own args.formats (see _add_format_flags)
+#: text, how text is read, the allowed texts or None for any); output.format
+#: names table or a format of the command's own flags (see _COMMANDS)
 _SETTINGS = {
     "params.b_tesla": ("B_tesla", "1.0", float, None),
     "params.epsilon": ("epsilon", "1.0", float, None),
@@ -90,7 +91,7 @@ class RunConfig(NamedTuple):
             try:
                 with open(config_path, encoding="utf-8") as config_file:
                     text = config_file.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise CLIUsageError(f"cannot read config file: {exc}") from None
             for lineno, line in enumerate(text.splitlines(), 1):
                 line = line.split("#", 1)[0].strip()
@@ -114,7 +115,7 @@ class RunConfig(NamedTuple):
         checked here.  args must have the key's flag."""
         flag, builtin, read, choices = _SETTINGS[key]
         if key == "output.format":
-            choices = args.formats
+            choices = ("table", *_COMMANDS[args.command][2])
         value = getattr(args, flag)
         if value is None:
             value = self.env_values.get(key, self.file_values.get(key, builtin))
@@ -518,53 +519,103 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def _add_params_flags(sub):
-    sub.add_argument("--B-tesla", dest="B_tesla", type=float, default=None,
-                     help="field magnitude in tesla (converted to gauss internally)")
-    sub.add_argument("--epsilon", type=float, default=None,
-                     help="dimensionless deformation strength")
-    sub.add_argument("--gamma", default=None,
-                     help="'planck' for 1/(M_Pl c), or an explicit value in s/(g cm)")
-    sub.add_argument("--Z", type=int, default=None, help="nuclear charge")
+class _Flag(NamedTuple):
+    """One single-value flag: the add_argument keywords that build_parser
+    passes, and what the plain-argv table reads."""
+    option: str
+    dest: str
+    type: type | None = None
+    choices: tuple | dict | None = None
+    default: object = None
+    help: str | None = None
+    required: bool = False
 
 
-def _add_state_flags(sub):
-    sub.add_argument("--n", type=int, default=None,
-                     help="principal quantum number (default l+1)")
-    sub.add_argument("--l", type=int, default=None, help="orbital quantum number")
-    sub.add_argument("--branch", choices=("plus", "minus"), default="plus",
-                     help="fine-structure branch j = l +- 1/2")
-    sub.add_argument("--mj", type=float, default=None,
-                     help="magnetic quantum number (half-odd-integer)")
+_BRANCHES = ("plus", "minus")
+_CONFIG = _Flag("--config", "config", default=argparse.SUPPRESS, help="key = value defaults file")
+_PARAMS_FLAGS = (
+    _Flag("--B-tesla", "B_tesla", float,
+          help="field magnitude in tesla (converted to gauss internally)"),
+    _Flag("--epsilon", "epsilon", float, help="dimensionless deformation strength"),
+    _Flag("--gamma", "gamma",
+          help="'planck' for 1/(M_Pl c), or an explicit value in s/(g cm)"),
+    _Flag("--Z", "Z", int, help="nuclear charge"),
+)
+_STATE_FLAGS = (
+    _Flag("--n", "n", int, help="principal quantum number (default l+1)"),
+    _Flag("--l", "l", int, help="orbital quantum number"),
+    _Flag("--branch", "branch", choices=_BRANCHES, default="plus",
+          help="fine-structure branch j = l +- 1/2"),
+    _Flag("--mj", "mj", float, help="magnetic quantum number (half-odd-integer)"),
+)
+_REGIME_FLAGS = (
+    _Flag("--regime", "regime", choices=tuple(r.value for r in Regime), default="lande"),
+    _Flag("--mode", "mode", choices=tuple(m.value for m in Mode), default="derived"),
+    _Flag("--unit", "unit", choices=ENERGY_UNITS, help="energy display unit (default eV)"),
+)
+_LEVEL_FLAGS = tuple(flag for side in ("upper", "lower") for flag in (
+    _Flag(f"--{side}-n", f"{side}_n", int),
+    _Flag(f"--{side}-l", f"{side}_l", int, help=f"at most {MAX_LINES_L}", required=True),
+    _Flag(f"--{side}-branch", f"{side}_branch", choices=_BRANCHES, default="plus")))
+_FORMAT_HELP = {"json": "emit a single JSON object", "csv": "emit CSV rows"}
 
+#: subcommand -> (its help, its flags in help order, the formats of its
+#: mutually exclusive --json/--csv flags); output.format may also name table
+_COMMANDS = {
+    "constants": ("dump the constants table", (), ("json",)),
+    "shift": ("energy-shift breakdown for one state",
+              (*_STATE_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ("json", "csv")),
+    "sweep": ("sweep one parameter, emit CSV", (
+        _Flag("--param", "param", choices=_SWEEP_COLUMN, required=True),
+        _Flag("--from", "start", float),
+        _Flag("--to", "stop", float),
+        _Flag("--steps", "steps", int, default=1, help=f"at most {MAX_SWEEP_STEPS}"),
+        _Flag("--values", "values",
+              help="comma-separated explicit grid (overrides --from/--to)"),
+        *_STATE_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ()),
+    "lines": ("allowed Zeeman lines between two levels",
+              (*_LEVEL_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ("json",)),
+    "verify-algebra": ("machine-verify the deformed commutator algebras", (
+        _Flag("--case", "case", choices=(*opalg.VERIFICATION_CASES, "all"), default="all"),
+        _Flag("--target", "target", choices=("derived", "quoted"), default="derived",
+              help="'quoted' checks the printed special-case cross "
+                   "coefficient a1 and fails by the known factor 2")), ("json",)),
+    "dispersion": ("deformed mass-shell root", (
+        _Flag("--mc", "mc", float, help="mc in test units (pairs with --eps-gamma2)"),
+        _Flag("--eps-gamma2", "eps_gamma2", float, help="the product eps * gamma^2"),
+        _Flag("--m-grams", "m_grams", float),
+        _Flag("--epsilon", "epsilon", float),
+        _Flag("--gamma", "gamma"),
+        _Flag("--order", "order", int, choices=(1, 2), default=1)), ("json",)),
+    "discrepancy": ("derived vs as-published per-term comparison",
+                    (*_STATE_FLAGS, *_PARAMS_FLAGS), ("json",)),
+    "oracle": ("hydrogen radial expectation values (JSON)", (
+        _Flag("--n", "n", int, required=True),
+        _Flag("--l", "l", int, required=True),
+        _Flag("--Z", "Z", int),
+        _Flag("--nodes", "nodes", int, default=120,
+              help=f"quadrature nodes, 1 to {MAX_ORACLE_NODES}")), ()),
+}
 
-def _add_regime_flags(sub):
-    sub.add_argument("--regime", choices=[r.value for r in Regime], default="lande")
-    sub.add_argument("--mode", choices=[m.value for m in Mode], default="derived")
-    sub.add_argument("--unit", choices=ENERGY_UNITS, help="energy display unit (default eV)")
-
-
-def _add_format_flags(sub, csv_flag=False):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="format", action="store_const", const="json",
-                       help="emit a single JSON object")
-    if csv_flag:
-        group.add_argument("--csv", dest="format", action="store_const", const="csv",
-                           help="emit CSV rows")
-    # what output.format may name here: the table and what each flag prints
-    sub.set_defaults(formats=("table", *(action.const for action in group._group_actions)))
+#: subcommand -> (option -> (dest, type, choices) of each single-value flag,
+#: the namespace argparse gives when no flag is set, in its order, the
+#: required dests); no row but --config's defaults to SUPPRESS
+_TABLES = {
+    command: ({flag.option: (flag.dest, flag.type, flag.choices) for flag in (_CONFIG, *flags)},
+              {"command": command, **{flag.dest: flag.default for flag in flags},
+               **({"format": None} if formats else {})},
+              {flag.dest for flag in flags if flag.required})
+    for command, (_, flags, formats) in _COMMANDS.items()}
+#: what every supported argparse reads as a negative number; other Pythons
+#: also read forms such as -1e5, which the table leaves to argparse
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class _Parser(argparse.ArgumentParser):
     """The rgupz parser.  parse_args reads a plain argv -- the subcommand, then
-    only exact --flag value or --flag=value pairs of its single-value store
-    flags -- from a table compiled from that subparser's own actions, and
-    hands every other argv to argparse unchanged, which stays the one source
-    of help, usage, error text and exit 2."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._tables = {}
+    only exact --flag value or --flag=value pairs of its single-value flags --
+    from _TABLES, and hands every other argv to argparse unchanged, which
+    stays the one source of help, usage, error text and exit 2."""
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -579,47 +630,18 @@ class _Parser(argparse.ArgumentParser):
         # before 3.13 argparse stores an explicit --flag=-- as [], which no
         # flag here takes: exit 2, as 3.13 does
         command = getattr(parsed, "command", None)
-        for flag, (dest, _, _) in (self._table(command)[0] if command else {}).items():
+        for flag, (dest, _, _) in (_TABLES[command][0] if command else {}).items():
             if isinstance(getattr(parsed, dest, None), list):
                 self.exit(2, f"{self.prog}: error: argument {flag}: expected one argument\n")
         return parsed, extras
 
-    def _table(self, command: str):
-        """(flag -> (dest, type, choices), the namespace defaults, the
-        required dests, the negative-number matcher) of a subcommand, or
-        None if no subcommand has that name."""
-        if command not in self._tables:
-            commands = next(action for action in self._actions
-                            if isinstance(action, argparse._SubParsersAction))
-            sub = commands.choices.get(command)
-            if sub is None:
-                return None
-            exclusive = {action for group in sub._mutually_exclusive_groups
-                         for action in group._group_actions}
-            flags, defaults = {}, {}
-            for action in sub._actions:
-                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                    default = action.default
-                    if isinstance(default, str) and action.type is not None:
-                        default = action.type(default)  # as argparse converts it
-                    defaults.setdefault(action.dest, default)
-                if type(action) is argparse._StoreAction and action.nargs is None \
-                        and action not in exclusive:
-                    for flag in action.option_strings:
-                        flags[flag] = (action.dest, action.type, action.choices)
-            for dest, default in sub._defaults.items():
-                defaults.setdefault(dest, default)
-            required = {action.dest for action in sub._actions if action.required}
-            self._tables[command] = (flags, {commands.dest: command, **defaults},
-                                     required, sub._negative_number_matcher)
-        return self._tables[command]
-
-    def _parse_plain(self, args: list[str]):
+    @staticmethod
+    def _parse_plain(args: list[str]):
         """The namespace argparse would give a plain argv, or None."""
-        table = self._table(args[0])
+        table = _TABLES.get(args[0])
         if table is None:
             return None
-        flags, defaults, required, negative_number = table
+        flags, defaults, required = table
         values = {}
         tokens = iter(args[1:])
         for token in tokens:
@@ -629,7 +651,7 @@ class _Parser(argparse.ArgumentParser):
             if not equals:
                 value = next(tokens, None)
                 # argparse reads any other token that starts with - as a flag
-                if value is None or value[:1] == "-" and not negative_number.match(value):
+                if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
                     return None
             elif value == "--":  # before 3.13 argparse reads --flag=-- as []
                 return None
@@ -647,12 +669,16 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**{**defaults, **values})
 
 
+def _add_flag(parser: argparse.ArgumentParser, flag: _Flag) -> None:
+    keywords = flag._asdict()
+    parser.add_argument(keywords.pop("option"), **keywords)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # --config/--banner are accepted both before and after the subcommand;
     # SUPPRESS keeps a subcommand's absent flag from clobbering the root value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key = value defaults file")
+    _add_flag(common, _CONFIG)
     common.add_argument("--banner", action="store_true", default=argparse.SUPPRESS,
                         help="print the version banner before any output")
 
@@ -663,76 +689,15 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     commands = parser.add_subparsers(dest="command", required=True,
                                      parser_class=argparse.ArgumentParser)
-
-    def add_parser(name, **kwargs):
-        return commands.add_parser(name, parents=[common], **kwargs)
-
-    sub = add_parser("constants", help="dump the constants table")
-    _add_format_flags(sub)
-
-    sub = add_parser("shift", help="energy-shift breakdown for one state")
-    _add_state_flags(sub)
-    _add_params_flags(sub)
-    _add_regime_flags(sub)
-    _add_format_flags(sub, csv_flag=True)
-
-    sub = add_parser("sweep", help="sweep one parameter, emit CSV")
-    sub.add_argument("--param", required=True, choices=_SWEEP_COLUMN)
-    sub.add_argument("--from", dest="start", type=float, default=None)
-    sub.add_argument("--to", dest="stop", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=1, help=f"at most {MAX_SWEEP_STEPS}")
-    sub.add_argument("--values", default=None,
-                     help="comma-separated explicit grid (overrides --from/--to)")
-    _add_state_flags(sub)
-    _add_params_flags(sub)
-    _add_regime_flags(sub)
-
-    sub = add_parser("lines", help="allowed Zeeman lines between two levels")
-    sub.add_argument("--upper-n", dest="upper_n", type=int, default=None)
-    sub.add_argument("--upper-l", dest="upper_l", type=int, required=True,
-                     help=f"at most {MAX_LINES_L}")
-    sub.add_argument("--upper-branch", dest="upper_branch",
-                     choices=("plus", "minus"), default="plus")
-    sub.add_argument("--lower-n", dest="lower_n", type=int, default=None)
-    sub.add_argument("--lower-l", dest="lower_l", type=int, required=True,
-                     help=f"at most {MAX_LINES_L}")
-    sub.add_argument("--lower-branch", dest="lower_branch",
-                     choices=("plus", "minus"), default="plus")
-    _add_params_flags(sub)
-    _add_regime_flags(sub)
-    _add_format_flags(sub)
-
-    sub = add_parser("verify-algebra", help="machine-verify the deformed commutator algebras")
-    sub.add_argument("--case", choices=(*opalg.VERIFICATION_CASES, "all"),
-                     default="all")
-    sub.add_argument("--target", choices=("derived", "quoted"), default="derived",
-                     help="'quoted' checks the printed special-case cross "
-                          "coefficient a1 and fails by the known factor 2")
-    _add_format_flags(sub)
-
-    sub = add_parser("dispersion", help="deformed mass-shell root")
-    sub.add_argument("--mc", type=float, default=None,
-                     help="mc in test units (pairs with --eps-gamma2)")
-    sub.add_argument("--eps-gamma2", dest="eps_gamma2", type=float, default=None,
-                     help="the product eps * gamma^2")
-    sub.add_argument("--m-grams", dest="m_grams", type=float, default=None)
-    sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--gamma", default=None)
-    sub.add_argument("--order", type=int, choices=(1, 2), default=1)
-    _add_format_flags(sub)
-
-    sub = add_parser("discrepancy", help="derived vs as-published per-term comparison")
-    _add_state_flags(sub)
-    _add_params_flags(sub)
-    _add_format_flags(sub)
-
-    sub = add_parser("oracle", help="hydrogen radial expectation values (JSON)")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--l", type=int, required=True)
-    sub.add_argument("--Z", type=int, default=None)
-    sub.add_argument("--nodes", type=int, default=120,
-                     help=f"quadrature nodes, 1 to {MAX_ORACLE_NODES}")
-
+    for command, (summary, flags, formats) in _COMMANDS.items():
+        sub = commands.add_parser(command, parents=[common], help=summary)
+        for flag in flags:
+            _add_flag(sub, flag)
+        if formats:
+            group = sub.add_mutually_exclusive_group()
+            for fmt in formats:
+                group.add_argument(f"--{fmt}", dest="format", action="store_const",
+                                   const=fmt, help=_FORMAT_HELP[fmt])
     return parser
 
 

@@ -43,6 +43,33 @@ def test_golden_byte_equality(name, argv):
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
+def _parser_record(parser: argparse.ArgumentParser) -> dict:
+    """Each parser of build_parser, root and subcommands, as its actions in
+    order.  No golden holds the -h bytes themselves: argparse wraps the root
+    and sweep usage lines differently from Python 3.13 on."""
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    def record(parser):
+        group = {action: k for k, g in enumerate(parser._mutually_exclusive_groups)
+                 for action in g._group_actions}
+        return {"prog": parser.prog, "description": parser.description, "actions": [
+            {"options": action.option_strings, "dest": action.dest,
+             "action": type(action).__name__, "const": repr(action.const),
+             "type": getattr(action.type, "__name__", None),
+             "choices": {choice.dest: choice.help for choice in action._choices_actions}
+             if action is commands else None if action.choices is None else list(action.choices),
+             "default": repr(action.default), "required": action.required,
+             "help": action.help, "group": group.get(action)}
+            for action in parser._actions]}
+    return {"": record(parser), **{name: record(sub) for name, sub in commands.choices.items()}}
+
+
+def test_the_parser_is_pinned():
+    assert _parser_record(cli.build_parser()) == \
+        json.loads((GOLDEN / "parser.json").read_text(encoding="utf-8"))
+
+
 def test_output_is_deterministic():
     for argv in (("constants",),
                  ("shift", "--l", "2", "--branch", "minus", "--mj", "-0.5",
@@ -387,6 +414,15 @@ def test_config_parse_error_is_exit_2(tmp_path):
     proc = run_cli("shift", "--config", str(config), "--l", "1", "--branch",
                    "plus", "--mj", "0.5")
     assert proc.returncode == 2
+
+
+def test_a_config_file_that_is_not_utf8_is_exit_2(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe bad")
+    proc = run_cli("shift", "--l", "1", "--mj", "0.5", "--config", str(config))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"rgupz: error: cannot read config file: ")
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
 
 
 def test_config_file_is_closed(tmp_path):

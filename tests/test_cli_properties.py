@@ -1,12 +1,12 @@
 """Property test of the CLI exit-code contract over random argv.
 
-Every subcommand, run in-process with random flags and RGUPZ_* values, must
-exit 0, 2, 3 or 4 without an escaping exception, print nothing on exit 2 or
-3, and print strict JSON under --json.  Quantum numbers of shift, sweep and
-discrepancy, and every --Z, are also drawn past 2**53, where a double no
-longer holds every integer.  The rest stay bounded so each run is short:
-oracle's n and l and lines' n and l <= 12 (their cost grows with them),
---steps <= 50, --nodes <= 200.
+Every subcommand, run in-process with random flags, RGUPZ_* values and
+--config files, must exit 0, 2, 3 or 4 without an escaping exception,
+print nothing on exit 2 or 3, and print strict JSON under --json.
+Quantum numbers of shift, sweep and discrepancy, and every --Z, are also
+drawn past 2**53, where a double no longer holds every integer.  The rest
+stay bounded so each run is short: oracle's n and l and lines' n and
+l <= 12 (their cost grows with them), --steps <= 50, --nodes <= 200.
 
 The parser's table path must give argparse's namespace for every argv it
 takes, and take none that argparse rejects.
@@ -88,12 +88,33 @@ COMMANDS = {
                                nodes=st.integers(-1, 200).map(str))),
 }
 
+#: the text each config key is given in the environment or a config file
+_SETTING_TEXTS = {
+    "params.b_tesla": numbers, "params.epsilon": numbers,
+    "params.gamma": texts, "params.z": texts,
+    "output.unit": st.sampled_from(["eV", "erg", "cm-1", "Hz", "bogus"]),
+    "output.format": st.sampled_from(["table", "json", "csv", "bogus"]),
+}
 _ENV = st.fixed_dictionaries({}, optional={
-    "RGUPZ_PARAMS_B_TESLA": numbers, "RGUPZ_PARAMS_EPSILON": numbers,
-    "RGUPZ_PARAMS_GAMMA": texts, "RGUPZ_PARAMS_Z": texts,
-    "RGUPZ_OUTPUT_UNIT": st.sampled_from(["eV", "erg", "cm-1", "Hz", "bogus"]),
-    "RGUPZ_OUTPUT_FORMAT": st.sampled_from(["table", "json", "csv", "bogus"]),
-})
+    cli.ENV_PREFIX + key.upper().replace(".", "_"): text
+    for key, text in _SETTING_TEXTS.items()})
+#: a config file of known keys and one unknown key, each with any text
+_CONFIG_TEXT = st.fixed_dictionaries(
+    {}, optional={**_SETTING_TEXTS, "params.bogus": numbers}).map(
+    lambda chosen: "".join(f"{key} = {value}\n" for key, value in chosen.items()))
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """The --config paths a run draws from, written once per module, since
+    hypothesis rejects a function-scoped fixture; each run that draws
+    "valid" writes its own keys and values there."""
+    root = tmp_path_factory.mktemp("config")
+    (root / "no-equals.cfg").write_text("params.b_tesla 2.0\n", encoding="utf-8")
+    (root / "not-utf8.cfg").write_bytes(b"\xff\xfe bad")
+    return {"valid": root / "valid.cfg", "missing": root / "missing.cfg",
+            "directory": root, "no-equals": root / "no-equals.cfg",
+            "not-utf8": root / "not-utf8.cfg"}
 
 
 def _reject(constant):
@@ -103,10 +124,18 @@ def _reject(constant):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(data=st.data())
-def test_every_argv_follows_the_exit_code_contract(command, data):
+def test_every_argv_follows_the_exit_code_contract(command, data, config_files):
     parts = data.draw(COMMANDS[command])
     banner = data.draw(st.sampled_from([[], ["--banner"]]))
-    argv = [*banner, command, *(flag for part in parts for flag in part)]
+    # no --config in half the runs; else one file, before or after the subcommand
+    config = data.draw(st.sampled_from([None] * len(config_files) + list(config_files)))
+    before = after = []
+    if config is not None:
+        if config == "valid":
+            config_files[config].write_text(data.draw(_CONFIG_TEXT), encoding="utf-8")
+        flag = ["--config", str(config_files[config])]
+        before, after = data.draw(st.sampled_from([(flag, []), ([], flag)]))
+    argv = [*banner, *before, command, *(flag for part in parts for flag in part), *after]
     env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
     env.update(data.draw(_ENV))
     out = io.StringIO()
@@ -252,18 +281,6 @@ def test_the_table_path_parses_as_argparse_does(command, data):
 ])
 def test_the_table_path_parses_edge_argv_as_argparse_does(argv):
     _check_the_table_path(argv)
-
-
-def test_the_table_reads_string_defaults_and_parser_defaults_as_argparse_does():
-    parser = cli._Parser(prog="rgupz")
-    sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser) \
-        .add_parser("probe")
-    sub.add_argument("--k", type=int, default="7")
-    sub.add_argument("--x", type=float, required=True)
-    sub.set_defaults(extra="text")
-    for argv in (["probe", "--x", "1"], ["probe", "--x=-2", "--k", "3"], ["probe"]):
-        _check_the_table_path(argv, parser)
-    assert parser._parse_plain(["probe", "--x", "1"]) is not None
 
 
 def test_every_benchmark_sweep_job_takes_the_table_path():
