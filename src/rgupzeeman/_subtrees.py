@@ -1,42 +1,19 @@
 """The subexpressions of a plan part, each bound at the outermost level whose
 names it reads (see spectrum._Plan).
 
-spectrum imports this module when it compiles a part with its subtrees
-moved out, at the part's third call, so a cold start loads neither it nor
-_ast.
+spectrum imports this module when it compiles a part's warm version, at the
+part's third call, so a cold start loads neither it nor _ast.
 """
 
 import _ast  # built in: the parser's own syntax tree, without the ast module
 
 from .units import ConstantsTable
 
-#: the levels a subtree of a part is evaluated at: once per constants table,
-#: once per call, once per grid value
+#: the levels a subtree of a part is evaluated at: once, when the part
+#: compiles for its one constants table; once per call; once per grid value
 PER_TABLE, PER_CALL, PER_ROW = range(3)
-#: what a subtree evaluated once per table may read
+#: what a subtree evaluated at the table level may read
 _CONSTANTS = frozenset((*ConstantsTable._fields, "math"))
-#: shift with a table level reads the values that read only the constants
-#: from one tuple TABLE = (table, value, ...), which table() replaces whole
-#: for another table, so two threads with two tables never mix values
-_LOOKUP = """\
-    k = TABLE
-    if k[0] is not C:
-        k = table(C)
-        if k is None:
-            return plain()(state, params, mode)
-    _, {names}= k
-"""
-_TABLE_PART = """
-def table(C):
-    global TABLE
-    {unpack}= C
-    try:
-        k = (C, {values})
-    except ArithmeticError:  # shift then runs as written, raising where the forms do
-        return None
-    TABLE = k
-    return k
-"""
 #: the tree of each one-line assignment's value and of each form parsed so
 #: far, by source; None for any other statement, which moves only whole
 _TREES = {}
@@ -62,18 +39,17 @@ class Subtrees:
     Only whole subtrees of a form move, so nothing is regrouped and every
     value keeps its bits; an operator's operands are subtrees, while a
     conditional or a comparison moves only whole.  A subtree that reads
-    only the constants and math goes to the table level when the part has
-    one and the subtree is not gated; one in a loop body that reads no
-    marked name goes before the loop, a gated one under the gate there, so
-    only while "deformed" is not marked.  Any other stays where it is; a
-    subtree repeated at its own level is evaluated at each place (binding
-    it with := measured no faster).  Only the sources given are parsed,
-    those that can hold a subtree that moves; any other renders as it is.
-    outer holds the (name, text, gated) bound at the table level and before
-    the loop, one per distinct subtree, in the order they are bound.
+    only the constants and math goes to the table level, gated or not; one
+    in a loop body that reads no marked name goes before the loop, a gated
+    one under the gate there, so only while "deformed" is not marked.  Any
+    other stays where it is; a subtree repeated at its own level is
+    evaluated at each place (binding it with := measured no faster).  A
+    source not given renders as it is.  outer holds the (name, text, gated)
+    bound at the table level and before the loop, one per distinct subtree,
+    in the order they are bound.
     """
 
-    def __init__(self, sources, marked=frozenset(), table=False):
+    def __init__(self, sources, marked):
         missing = [source for source in dict.fromkeys(sources) if source not in _TREES]
         if missing:
             body = compile("\n".join(missing), "<forms>", "exec", _ast.PyCF_ONLY_AST).body
@@ -83,20 +59,9 @@ class Subtrees:
                 if one_line:
                     _annotate(statement.value)
         self.trees = {source: _TREES[source] for source in sources}
-        self.marked, self.table = marked, table
+        self.marked = marked
         self.bound = {}   # key -> [(name, level, gated)]
         self.outer = {PER_TABLE: [], PER_CALL: []}
-
-    def table_level(self) -> tuple:
-        """shift's lookup of what went to the table level, and table(), which
-        fills it; two empty texts when nothing went there."""
-        if not self.outer[PER_TABLE]:
-            return "", ""
-        from .spectrum import _names, _words
-        names, texts, _ = zip(*self.outer[PER_TABLE])
-        return (_LOOKUP.format(names="".join(f"{name}, " for name in names)),
-                _TABLE_PART.format(values=", ".join(texts), unpack=_names(
-                    ConstantsTable._fields, set(_words(" ".join(texts))))))
 
     def rendered(self, source: str, gated: bool = False, *, level: int) -> str:
         """A form, or an assignment with its value, rendered at the level;
@@ -115,7 +80,7 @@ class Subtrees:
         for name, where, only_gated in self.bound.get(key, ()):
             if where <= level and (gated or not only_gated):
                 return name
-        if self.table and not gated and node.reads <= _CONSTANTS:
+        if node.reads <= _CONSTANTS:
             home = PER_TABLE
         elif (level == PER_ROW and not node.reads & self.marked
               and not (gated and "deformed" in self.marked)):

@@ -16,13 +16,14 @@ deformation scale and its gate).  A _Plan generates its functions from
 the forms and those halves, each taking the QuantumState and PhysicalParams
 records and reading their fields and the ConstantsTable's itself: shift
 gives a breakdown, and every other part is a sweep of one field over a grid.
-A part called more than twice evaluates every subexpression once, at the
-outermost of three levels whose names it reads: once per constants table,
-once per call, or once per grid value; only whole subexpressions of a form
-move, so no value changes a bit.  One sweep part per field (B, epsilon, l,
-n, m_j) checks its grid's two end rows, then writes the CSV rows of a sweep;
-multiplet, an m_j sweep, gives zeeman_lines a level's offsets once and its
-magnetic values at each m_j.
+A part called more than twice is compiled again for DEFAULT_CONSTANTS, the
+table the CLI passes (any other table runs it as written), and evaluates
+every subexpression once, at the outermost of three levels whose names it
+reads: once when it compiles, once per call, or once per grid value; only
+whole subexpressions of a form move, so no value changes a bit.  One sweep
+part per field (B, epsilon, l, n, m_j) checks its grid's two end rows, then
+writes the CSV rows of a sweep; multiplet, an m_j sweep, gives zeeman_lines
+a level's offsets once and its magnetic values at each m_j.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -333,29 +334,33 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
-#: the call of a part that compiles it with its subtrees moved out (see _Plan):
-#: past the two multiplet calls of a cold `rgupz lines`
+#: the call of a part that compiles its warm version (see _Plan): past the
+#: two multiplet calls of a cold `rgupz lines`
 _WARM = 3
 #: the field each swept part rebinds per grid value, and the value it binds:
 #: B from tesla, as the CLI converts it, and l and n as the ints a state holds
 _SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
           "sweep_l": ("l", "int(value)"), "sweep_n": ("n", "int(value)"),
           "sweep_mj": ("mj", "value"), "multiplet": ("mj", "value")}
-#: a swept part evaluates once what does not read the swept field, then per
-#: grid value what does, and emits it (see _Plan._sweep_fields)
-_SWEEP = ("def {part}(state, params, grid, {arguments}):\n{unpack}{before}{ends}"
-          "    for value in grid:\n{loop}        {emit}\n{after}")
-#: the source of each part a plan compiles (see _Plan), with _Plan._fields to fill in
+#: every part: a warm part's table level, then the def, the records' fields
+#: and what reads no swept field
+_HEAD = "{constants}def {part}(state, params, {arguments}):\n{unpack}{before}"
+#: the source of each part a plan compiles (see _Plan), with _Plan._fields to
+#: fill in: shift checks its values' sum and gives their records; a swept
+#: part evaluates per grid value what reads the swept field, and emits it
 _PARTS = {
-    "shift": "def shift(state, params, mode):\n{unpack}{statements}{values}{sum}"
-             "{terms}    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
-    **dict.fromkeys(_SWEPT, _SWEEP),
+    "shift": _HEAD + "{check}{terms}"
+                     "    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
+    **dict.fromkeys(_SWEPT, _HEAD + "{ends}    for value in grid:\n{loop}        {emit}\n{after}"),
 }
+#: a warm part runs its as-written function for any other table
+_GUARD = "    if C is not TABLE:\n        return plain(state, params, {arguments})\n"
 #: what _Plan._assign writes per addend i: its value, and its ShiftTerm record
 _VALUE = "v{i} = ({form}) + 0.0"
 _RECORD = "t{i} = new(ShiftTerm, ({term[0]!r}, {term[1]!r}, v{i}, {term[2]!r}))"
 _SCALE_CHECK = ("scale", "if not isfinite(scale):\n    finite(scale, 'correction_scale')")
-_SUM = """\
+_CHECK = """\
+    values = {values}
     try:
         total = fsum(values)
     except (OverflowError, ValueError):  # overflow, or inf - inf
@@ -377,7 +382,12 @@ def _names(fields, keep) -> str:
     return "".join((f if f in keep else "_") + ", " for f in fields)
 
 
-def _code(half, keep, indent="    ", render=str) -> str:
+def _as_written(source: str, gated: bool = False) -> str:
+    """A statement or form as its half or the term table writes it."""
+    return source
+
+
+def _code(half, keep, indent="    ", render=_as_written) -> str:
     """The statements of a half whose names are kept, each through render, indented."""
     return "".join(indent + render(statement).replace("\n", "\n" + indent) + "\n"
                    for name, statement in half if name in keep)
@@ -414,24 +424,24 @@ class _Plan:
       calls out with the values that read m_j at each m_j of the grid, and
       returns the others, the "non-magnetic" ones.
 
-    From its _WARM-th call on, each part evaluates every subexpression
-    once, at the outermost level whose names it reads (see
-    _subtrees.Subtrees); its first calls run it as written, so a cold start
-    pays no parse:
+    One generator, _fields, writes every part: shift is the part that
+    sweeps no field.  A part's first calls run it as written, so a cold
+    start pays no parse.  From its _WARM-th call on, a part runs its warm
+    version, compiled for DEFAULT_CONSTANTS, make_params' default and the
+    one table the CLI passes; for any other table object, an equal copy
+    too, it runs the part as written.  The warm version evaluates every
+    subexpression once, at the outermost level whose names it reads (see
+    _subtrees.Subtrees):
 
-    - once per constants table: a rel, gup or rgup shift keeps what reads
-      only the ConstantsTable fields, literals and math, ungated, in TABLE,
-      one tuple that starts with its table and is replaced whole when a
-      call brings another (see _subtrees._LOOKUP).  For a table where one
-      of them raises, the call runs shift as written, which raises where
-      the forms do;
-    - once per call: _sweep_fields generates every part but shift, with
-      before its loop what does not read the swept field, and after the
+    - once, when it compiles: what reads only the ConstantsTable fields,
+      literals and math, gated or not; the fields and these values are
+      globals of the part;
+    - once per call: what does not read the swept field, and after the
       checks, the subexpressions of the loop body that read no marked name;
     - once per grid value: what reads the swept field, directly or through
       another statement (a gated addend also when the gate does).  A sweep
-      part's two end rows evaluate every subexpression in place and run
-      every check; a row between them binds only what its cells read.
+      part's two end rows evaluate every other subexpression in place and
+      run every check; a row between them binds only what its cells read.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  Each part raises
@@ -451,36 +461,34 @@ class _Plan:
 
     def __getattr__(self, part: str):
         # only a part not compiled yet gets here: compile it and keep it.  Its
-        # first calls run it as written; the _WARM-th compiles it with its
-        # subtrees moved out, which costs a parse, for the calls after it, so
-        # a cold start, which runs a part once or twice, never pays the parse
+        # first calls run it as written; the _WARM-th compiles its warm
+        # version, which costs a parse, for the calls after it, so a cold
+        # start, which runs a part once or twice, never pays the parse
         if part not in _PARTS:
             raise AttributeError(part)
         cold, calls = self._compile(part), itertools.count(1)
 
         def warming(*args):
             if next(calls) == _WARM and vars(self).get(part) is warming:
-                setattr(self, part, self._compile(part, moved=True))
+                setattr(self, part, self._compile(part, cold))
             return cold(*args)
         setattr(self, part, warming)
         return warming
 
-    def _compile(self, part: str, moved: bool = False):
-        """The function of a part, with its subtrees moved out or as written."""
-        # a table level pays in shift, which runs once per state: with it a rel,
-        # gup or rgup shift ran 4-10% faster, a lande one (whose one subtree
-        # there is 2.0 * m_e * c) no faster; a swept part evaluates such a
-        # subtree once per call anyway, and ran no faster with one
-        fields = self._fields(moved and self.regime is not Regime.LANDE) if part == "shift" \
-            else self._sweep_fields(*_SWEPT[part], collect=part == "multiplet", moved=moved)
+    def _compile(self, part: str, plain=None):
+        """The function of a part as written; given plain, the part as written,
+        its warm version for DEFAULT_CONSTANTS, which runs plain for any
+        other table."""
+        fields = self._fields(part, moved=plain is not None)
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "LABELS": self._labels, "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "bad_radius": _bad_radius,
-                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit,
-                     "TABLE": (None,), "plain": functools.cache(lambda: self._compile(part))}
-        source = _PARTS[part].format(part=part, **fields) + fields.get("table", "")
+                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit}
+        if plain is not None:
+            namespace.update(DEFAULT_CONSTANTS._asdict(), TABLE=DEFAULT_CONSTANTS, plain=plain)
+        source = _PARTS[part].format(part=part, **fields)
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         return namespace[part]
 
@@ -507,15 +515,16 @@ class _Plan:
         return tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
                            if gate or not d) for gate in (False, True))
 
-    def _assign(self, template: str, addends, indent: str = "    ", render=None) -> str:
+    def _assign(self, template: str, addends, indent: str = "    ",
+                render=_as_written) -> str:
         """The template for each addend index, formatted with its index i, form
-        (through render(form, gated) when given) and term, the deformation
-        addends' under "if deformed:", after the others."""
+        (through render(form, gated)) and term, the deformation addends'
+        under "if deformed:", after the others."""
         lines = []
         for gated in (False, True):
             for i in addends:
                 if self.deformation[i] == gated:
-                    form = self.forms[i] if render is None else render(self.forms[i], gated)
+                    form = render(self.forms[i], gated)
                     lines.append((template.format(i=i, form=form, term=self.terms[i]), gated))
         return _gate(lines, indent)
 
@@ -525,79 +534,54 @@ class _Plan:
         off = "".join(f"{prefix}{i}, " for i in addends if not self.deformation[i])
         return f"({on})" if on == off else f"({on}) if deformed else ({off})"
 
-    @staticmethod
-    def _unpack(body: str, lookup: str = "") -> str:
-        """The record fields a part with this body reads, the table level's
-        lookup before the constants'."""
-        read = set(_words(body))
-        return (f"    {_names(QuantumState._fields, read)}= state\n"
-                # the constants are the params' last field
-                f"    {_names(PhysicalParams._fields[:-1], read)}C, = params\n"
-                f"{lookup}    {_names(ConstantsTable._fields, read)}= C\n")
-
-    def _fields(self, table: bool = False) -> dict:
-        """The text _PARTS takes for shift: its statements and values once
-        per call, and with table their subtrees that read only the constants
-        once per table."""
-        every = range(len(self.forms))
-        render, lookup, function = None, "", ""
-        if table:
-            from ._subtrees import PER_CALL, Subtrees
-            subtrees = Subtrees([*(statement for name, statement in self._statements
-                                   if name in self._needed), *self.forms], table=True)
-            render = functools.partial(subtrees.rendered, level=PER_CALL)
-        statements = _code(self._statements, self._needed, render=render or str)
-        values = self._assign(_VALUE, every, render=render)
-        if table:
-            lookup, function = subtrees.table_level()
-        return dict(unpack=self._unpack(statements + values, lookup), statements=statements,
-                    # v<i> binds each value and t<i> its record
-                    values=values + f"    values = {self._gather(every)}\n",
-                    sum=_SUM, terms=self._assign(_RECORD, every), records=self._gather(every, "t"),
-                    table=function)
-
-    def _sweep_fields(self, swept: str, binding: str, collect: bool = False,
-                      moved: bool = False) -> dict:
-        """The text _SWEEP takes for a sweep of one field, bound per grid value
-        as binding gives it: a sweep part's, or with collect multiplet's; with
-        moved, the loop's subtrees that read no marked name go before it."""
-        needed = self._needed
+    def _fields(self, part: str, moved: bool = False) -> dict:
+        """The text _PARTS takes for a part: shift, or a sweep of the field
+        _SWEPT gives it, bound per grid value as _SWEPT gives it; with moved,
+        the warm version, each subtree at the outermost level it reads."""
+        swept, binding = _SWEPT.get(part, ("", ""))
+        needed, every = self._needed, range(len(self.forms))
         # one forward pass marks what reads the swept field, directly or
         # through a statement marked before
-        marked = {swept}
+        marked = {swept} if swept else set()
         for name, statement in self._statements:
             if name in needed and marked.intersection(_words(statement)):
                 marked.add(name)
-        moving = [i for i, (form, gated) in enumerate(zip(self.forms, self.deformation))
-                  if gated and "deformed" in marked or marked.intersection(_words(form))]
-        fixed = [i for i in range(len(self.forms)) if i not in moving]
-        before = _code(self._statements, needed - marked) + self._assign(_VALUE, fixed)
-        hoisted, render = "", None
+        moving = [i for i in every if self.deformation[i] and "deformed" in marked
+                  or marked.intersection(_words(self.forms[i]))]
+        fixed = [i for i in every if i not in moving]
+        at_call = at_row = _as_written
         if moved:
-            from ._subtrees import PER_CALL, PER_ROW, Subtrees
-            subtrees = Subtrees([*(s for name, s in self._statements if name in needed & marked),
-                                 *(self.forms[i] for i in moving)], marked)
-            render = functools.partial(subtrees.rendered, level=PER_ROW)
+            from ._subtrees import PER_CALL, PER_ROW, PER_TABLE, Subtrees
+            subtrees = Subtrees([*(statement for name, statement in self._statements
+                                   if name in needed), *self.forms], marked)
+            at_call, at_row = (functools.partial(subtrees.rendered, level=level)
+                               for level in (PER_CALL, PER_ROW))
+        before = (_code(self._statements, needed - marked, render=at_call)
+                  + self._assign(_VALUE, fixed, render=at_call))
+        check = _CHECK.format(values=self._gather(every))
 
-        def body(half, keep, render=None):
+        def body(half, keep, render):
             return ((f"        {swept} = {binding}\n" if swept in keep else "")
-                    + _code(half, keep & marked, "        ", render or str)
+                    + _code(half, keep & marked, "        ", render)
                     + self._assign(_VALUE, moving, "        ", render))
-        # the end rows evaluate every subtree in place, with every check
-        ends = "" if collect else body(self._statements, needed)
+        # the end rows evaluate every subtree but the table level's in place,
+        # with every check: they render before the loop, whose subtrees'
+        # names are bound after them
+        ends = "" if part == "multiplet" else body(self._statements, needed, at_call)
         # a row between the two checked ends binds only what its values read
         row = {"deformed"} if any(self.deformation[i] for i in moving) else set()
         row.update(*(_words(self.forms[i]) for i in moving))
         for name, statement in reversed(self._statements):
             if name in row:
                 row.update(_words(statement))
-        loop = body(self._statements[:-1], row, render)  # [:-1]: no scale check
-        if moved:
-            # what the rows read that no grid value moves, after every check
-            hoisted = _gate([(f"{name} = {text}", gated)
-                             for name, text, gated in subtrees.outer[PER_CALL]], "    ")
-        if collect:
-            fields = dict(arguments="out", before=before + hoisted, ends="", loop=loop,
+        loop = body(self._statements[:-1], row, at_row)  # [:-1]: no scale check
+        # what the rows read that no grid value moves, after every check
+        hoisted = _gate([(f"{name} = {text}", gated) for name, text, gated
+                         in subtrees.outer[PER_CALL]], "    ") if moved else ""
+        if not swept:  # shift
+            fields = dict(arguments="mode", before=before, check=check)
+        elif part == "multiplet":
+            fields = dict(arguments="grid, out", before=before + hoisted, ends="", loop=loop,
                           emit=f"out({self._gather(moving)})",
                           after=f"    return {self._gather(fixed)}\n")
         else:
@@ -610,8 +594,7 @@ class _Plan:
                 else:
                     fixed_cells += f"    c{i} = {text}\n"
                     cells.append(f"{{c{i}}}")
-            check = "        values = " + self._gather(range(len(self.forms))) + "\n" \
-                + "".join("    " + line for line in _SUM.splitlines(True))
+            check = "".join("    " + line for line in check.splitlines(True))
             if moving:
                 loop += check
                 cells.append("{total * per!r}")
@@ -623,9 +606,21 @@ class _Plan:
             ends = (f"    for value in grid[0], grid[-1]:\n{ends}{check}"
                     "        in_unit((*values, total), per, unit)\n"
                     + fixed_cells + hoisted + "    write(header)\n")
-            fields = dict(arguments="per, unit, header, write", before=before, ends=ends,
+            fields = dict(arguments="grid, per, unit, header, write", before=before, ends=ends,
                           loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
-        return dict(fields, unpack=self._unpack("".join(fields.values())))
+        # the record fields the part reads; a warm part's table fields are globals
+        read = set(_words("".join(fields.values())))
+        fields["unpack"] = (f"    {_names(QuantumState._fields, read)}= state\n"
+                            # the constants are the params' last field
+                            f"    {_names(PhysicalParams._fields[:-1], read)}C, = params\n"
+                            + (_GUARD.format(**fields) if moved
+                               else f"    {_names(ConstantsTable._fields, read)}= C\n"))
+        if not swept:
+            fields.update(terms=self._assign(_RECORD, every), records=self._gather(every, "t"))
+        # the table level, bound once in the part's globals
+        fields["constants"] = "".join(f"{name} = {text}\n" for name, text, _
+                                      in subtrees.outer[PER_TABLE]) if moved else ""
+        return fields
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:

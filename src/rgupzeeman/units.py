@@ -71,8 +71,8 @@ class ConstantsTable(NamedTuple):
 
     def validate(self) -> None:
         for name, value in zip(self._fields, self):
-            if value <= 0.0:
-                raise ValidationError(name, "must be positive")
+            if not 0.0 < value < math.inf:  # False for nan too
+                raise ValidationError(name, f"must be finite and > 0, got {value!r}")
         alpha = self.e**2 / (self.hbar * self.c)
         if abs(alpha - self.alpha) > 1e-6 * self.alpha:
             raise ValidationError("alpha", "inconsistent with e^2/(hbar c)")

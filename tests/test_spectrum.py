@@ -30,7 +30,7 @@ from rgupzeeman.spectrum import (
     zeeman_lines,
 )
 from rgupzeeman.units import DEFAULT_CONSTANTS as C
-from rgupzeeman.units import PhysicalParams, ValidationError, make_params
+from rgupzeeman.units import PhysicalParams, ValidationError, load_constants, make_params
 
 
 def textbook_g(l, branch):
@@ -614,14 +614,29 @@ def test_every_plan_compiles_from_the_substitutions_and_math():
 def test_a_sweep_reruns_only_what_reads_the_swept_field():
     level = [statement.partition("\n")[0] for _, statement in spectrum._LEVEL_HALF]
     for plan in _plans():
-        loops = {part: plan._sweep_fields(*swept)["loop"]
-                 for part, swept in spectrum._SWEPT.items()}
+        loops = {part: plan._fields(part)["loop"] for part in spectrum._SWEPT}
         # no form reads n, so an n sweep only writes each row's value cell
         assert loops["sweep_n"] == "", plan.name
         # the level half reads l, the branch and the constants only
         for part in ("sweep_B", "sweep_epsilon", "sweep_mj"):
             assert not [s for s in level if s in loops[part]], (plan.name, part)
         assert "sz = " in loops["sweep_l"], plan.name
+
+
+def test_no_warm_part_computes_a_constant_at_run_time():
+    # a warm part binds every subexpression that reads only the constants
+    # once, gated or not, when it compiles; its function reads the names
+    constants = {*spectrum.ConstantsTable._fields, "math"}
+    for plan in _plans():
+        for part in spectrum._PARTS:
+            source = spectrum._PARTS[part].format(part=part, **plan._fields(part, moved=True))
+            function = ast.parse(source).body[-1]
+            assert isinstance(function, ast.FunctionDef) and function.name == part
+            for node in ast.walk(function):
+                if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    assert not names or not names <= constants, (plan.name, part,
+                                                                 ast.unparse(node))
 
 
 def test_a_gated_addend_follows_its_gate_through_a_sweep():
@@ -957,8 +972,9 @@ def test_lines_match_a_per_state_reference_bit_for_bit(data):
         assert got == want
 
 
-#: two tables a part's table level switches between
-_TABLES = (C, C._replace(r0=1.5 * C.r0))
+#: the table a warm part is compiled for, and two it runs as written: another
+#: table, and an equal copy, which is not the same object
+_TABLES = (C, C._replace(r0=1.5 * C.r0), load_constants())
 _PLAN_KEYS = [(regime, published) for regime in Regime for published in (False, True)
               if not published or regime in (Regime.GUP, Regime.RGUP)]
 
@@ -984,12 +1000,22 @@ def test_every_part_gives_each_table_what_a_single_table_plan_gives():
               for table in _TABLES]
     # each table through plans that never saw another
     want = {(key, i): _every_part(spectrum._Plan(*key), params[i])
-            for key in _PLAN_KEYS for i in (0, 1)}
+            for key in _PLAN_KEYS for i in range(len(_TABLES))}
     plans = {key: spectrum._plan_of(key[0], Mode(key[1] and "as-published" or "derived"))
              for key in _PLAN_KEYS}
-    for i in (0, 1, 0, 1, 1, 0):
+    for i in (0, 1, 2, 0, 1, 2, 2, 0, 1):
         for key, plan in plans.items():
             assert _every_part(plan, params[i]) == want[key, i], (key, i)
+    # from the third call on every part runs warm, and no table rebinds a global of it
+    warm = [getattr(plan, part) for plan in plans.values() for part in spectrum._PARTS]
+    assert [f.__name__ for f in warm] == [*spectrum._PARTS] * len(plans)
+    seen = [dict(f.__globals__) for f in warm]
+    for i in (1, 0, 2, 0):
+        for key, plan in plans.items():
+            assert _every_part(plan, params[i]) == want[key, i], (key, i)
+    for f, names in zip(warm, seen):
+        assert f.__globals__.keys() == names.keys()
+        assert [name for name, value in names.items() if f.__globals__[name] is not value] == []
 
     failed = []
 
@@ -1001,7 +1027,7 @@ def test_every_part_gives_each_table_what_a_single_table_plan_gives():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-lookup too
     try:
-        threads = [threading.Thread(target=alternate, args=(i,)) for i in (0, 1)]
+        threads = [threading.Thread(target=alternate, args=(i,)) for i in range(len(_TABLES))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -1011,14 +1037,14 @@ def test_every_part_gives_each_table_what_a_single_table_plan_gives():
     assert not failed, failed[:3]
 
 
-def test_a_table_that_leaves_double_precision_fails_as_without_a_table_level():
-    # m_e**3 overflows at the table level, while the scale check comes first in the shift
+def test_a_warm_part_runs_another_table_as_written():
+    # m_e**3 overflows for this table, while the scale check comes first in the shift
     params = make_params(B=1e4, gamma_mode="explicit", gamma=1e300, m=C.m_e,
                          constants=C._replace(m_e=1e200))
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
     for regime in (Regime.REL, Regime.RGUP):
         plan = spectrum._Plan(regime, False)
-        moved = plan._compile("shift", moved=True)
+        moved = plan._compile("shift", plan._compile("shift"))
         assert _outcome(lambda: moved(state, params, Mode.DERIVED)) == \
             _outcome(lambda: plan._compile("shift")(state, params, Mode.DERIVED))
     assert _outcome(lambda: moved(state, params, Mode.DERIVED))[0] == "correction_scale"

@@ -58,6 +58,14 @@ def test_validate_rejects_inconsistent_table(table):
         broken.validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ConstantsTable._fields)
+def test_validate_rejects_a_field_that_is_not_finite_and_positive(field, value):
+    with pytest.raises(ValidationError) as caught:
+        DEFAULT_CONSTANTS._replace(**{field: value}).validate()
+    assert caught.value.field == field
+
+
 def test_make_params_planck_gamma(table):
     params = make_params(B=0.0, epsilon=1.0, gamma_mode="planck", Z=1)
     assert params.gamma == 1.0 / (table.m_planck * table.c)
