@@ -16,14 +16,15 @@ deformation scale and its gate).  A _Plan generates its functions from
 the forms and those halves, each taking the QuantumState and PhysicalParams
 records and reading their fields and the ConstantsTable's itself: shift
 gives a breakdown, and every other part is a sweep of one field over a grid.
-A part called more than twice is compiled again for DEFAULT_CONSTANTS, the
-table the CLI passes (any other table runs it as written), and evaluates
-every subexpression once, at the outermost of three levels whose names it
-reads: once when it compiles, once per call, or once per grid value; only
-whole subexpressions of a form move, so no value changes a bit.  One sweep
-part per field (B, epsilon, l, n, m_j) checks its grid's two end rows, then
-writes the CSV rows of a sweep; multiplet, an m_j sweep, gives zeeman_lines
-a level's offsets once and its magnetic values at each m_j.
+A part is compiled once, on first use, for DEFAULT_CONSTANTS, the table the
+CLI passes: each table field and math.pi is written as its float, so the
+compiler folds what reads only them, with the bits the part as written
+gives (any other table runs the part as written).  A sweep part evaluates
+per grid value only what reads the swept field; no subexpression of that
+is moved out of its loop.  One sweep part per field (B, epsilon, l, n,
+m_j) checks its grid's two end rows, then writes the CSV rows of a sweep;
+multiplet, an m_j sweep, gives zeeman_lines a level's offsets once and its
+magnetic values at each m_j.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -41,6 +42,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -171,12 +173,8 @@ def exp_p2_angular(l: int, constants: ConstantsTable = DEFAULT_CONSTANTS) -> flo
     """
     _check_l(l)
     if constants.r0 <= 0.0:
-        _bad_radius(constants.r0)
+        raise ValidationError("r", f"radius must be > 0, got {constants.r0!r}")
     return constants.hbar**2 * l * (l + 1) / constants.r0**2
-
-
-def _bad_radius(radius: float):
-    raise ValidationError("r", f"radius must be > 0, got {radius!r}")
 
 
 def _finite(value: float, what: str) -> float:
@@ -293,15 +291,14 @@ _TERMS = (
 
 #: The names a form reads beyond the fields of QuantumState, PhysicalParams
 #: and ConstantsTable, each with the statement that binds it, in evaluation
-#: order (r0's statement is exp_p2_angular's rule on it).  The level half
-#: depends on l, the branch and the constants only, so every state of a
-#: level shares it: p2 is the angular-only <p^2> of exp_p2_angular at r0 and
+#: order.  The level half depends on l, the branch and the constants only,
+#: so every state of a level shares it: p2 is the angular-only <p^2> of
+#: exp_p2_angular at r0, which the params' validated table holds > 0, and
 #: p4 = <p^2>^2.  The m_j half gives <Jz> and <Sz>.  The params half gives
 #: the deformation scale, eps gamma^2 (mc)^2 as in
 #: PhysicalParams.correction_scale, and deformed, which gates the
 #: deformation addends (RGUP: scale != 0).
 _LEVEL_HALF = (
-    ("r0", "if r0 <= 0.0:\n    bad_radius(r0)"),
     ("sgn", "sgn = 1.0 if branch is PLUS else -1.0"),
     ("ll", "ll = l * (l + 1)"),
     ("fraction", "fraction = sgn / (2 * l + 1)"),
@@ -334,17 +331,13 @@ _GUP_PARAMS_HALF = (
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
-#: the call of a part that compiles its warm version (see _Plan): past the
-#: two multiplet calls of a cold `rgupz lines`
-_WARM = 3
 #: the field each swept part rebinds per grid value, and the value it binds:
 #: B from tesla, as the CLI converts it, and l and n as the ints a state holds
 _SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
           "sweep_l": ("l", "int(value)"), "sweep_n": ("n", "int(value)"),
           "sweep_mj": ("mj", "value"), "multiplet": ("mj", "value")}
-#: every part: a warm part's table level, then the def, the records' fields
-#: and what reads no swept field
-_HEAD = "{constants}def {part}(state, params, {arguments}):\n{unpack}{before}"
+#: every part: the def, the records' fields and what reads no swept field
+_HEAD = "def {part}(state, params, {arguments}):\n{unpack}{before}"
 #: the source of each part a plan compiles (see _Plan), with _Plan._fields to
 #: fill in: shift checks its values' sum and gives their records; a swept
 #: part evaluates per grid value what reads the swept field, and emits it
@@ -353,7 +346,8 @@ _PARTS = {
                      "    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
     **dict.fromkeys(_SWEPT, _HEAD + "{ends}    for value in grid:\n{loop}        {emit}\n{after}"),
 }
-#: a warm part runs its as-written function for any other table
+#: a part folded for DEFAULT_CONSTANTS runs the part as written for any
+#: other table object, an equal copy too
 _GUARD = "    if C is not TABLE:\n        return plain(state, params, {arguments})\n"
 #: what _Plan._assign writes per addend i: its value, and its ShiftTerm record
 _VALUE = "v{i} = ({form}) + 0.0"
@@ -382,9 +376,22 @@ def _names(fields, keep) -> str:
     return "".join((f if f in keep else "_") + ", " for f in fields)
 
 
-def _as_written(source: str, gated: bool = False) -> str:
+def _as_written(source: str) -> str:
     """A statement or form as its half or the term table writes it."""
     return source
+
+
+#: what a part folded for DEFAULT_CONSTANTS writes for each table field and
+#: for math.pi: the float's repr, which reads back as the same float
+_LITERALS = {**{name: repr(value) for name, value in DEFAULT_CONSTANTS._asdict().items()},
+             "math.pi": repr(math.pi)}
+_LITERAL = r"\b(?:math\.pi|" + "|".join(ConstantsTable._fields) + r")\b"
+
+
+def _folded(source: str) -> str:
+    """A statement or form with each table field and math.pi written as its
+    float, so the compiler folds every operation on these alone."""
+    return re.sub(_LITERAL, lambda name: _LITERALS[name[0]], source)
 
 
 def _code(half, keep, indent="    ", render=_as_written) -> str:
@@ -425,23 +432,18 @@ class _Plan:
       returns the others, the "non-magnetic" ones.
 
     One generator, _fields, writes every part: shift is the part that
-    sweeps no field.  A part's first calls run it as written, so a cold
-    start pays no parse.  From its _WARM-th call on, a part runs its warm
-    version, compiled for DEFAULT_CONSTANTS, make_params' default and the
-    one table the CLI passes; for any other table object, an equal copy
-    too, it runs the part as written.  The warm version evaluates every
-    subexpression once, at the outermost level whose names it reads (see
-    _subtrees.Subtrees):
-
-    - once, when it compiles: what reads only the ConstantsTable fields,
-      literals and math, gated or not; the fields and these values are
-      globals of the part;
-    - once per call: what does not read the swept field, and after the
-      checks, the subexpressions of the loop body that read no marked name;
-    - once per grid value: what reads the swept field, directly or through
-      another statement (a gated addend also when the gate does).  A sweep
-      part's two end rows evaluate every other subexpression in place and
-      run every check; a row between them binds only what its cells read.
+    sweeps no field.  Each part is compiled once, for DEFAULT_CONSTANTS,
+    make_params' default and the one table the CLI passes: its forms and
+    statements write each table field and math.pi as its float, so the
+    compiler folds every operation on these alone into a constant, with the
+    bits the operation gives at run time.  For any other table object, an
+    equal copy too, the part runs its as-written version, compiled on the
+    first call that needs it.  A sweep part's two end rows evaluate every
+    statement with every check; each grid value evaluates only what reads
+    the swept field, directly or through another statement (a gated addend
+    also when the gate does), and binds only what its cells read.  Such a
+    statement or form runs whole per grid value: its subexpressions that
+    read no swept field are not moved out of the loop.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  Each part raises
@@ -460,34 +462,26 @@ class _Plan:
         self.deformation = tuple(t.deformation for t, _ in rows)
 
     def __getattr__(self, part: str):
-        # only a part not compiled yet gets here: compile it and keep it.  Its
-        # first calls run it as written; the _WARM-th compiles its warm
-        # version, which costs a parse, for the calls after it, so a cold
-        # start, which runs a part once or twice, never pays the parse
+        # only a part not compiled yet gets here: compile it folded and keep
+        # it; its as-written version compiles on the first other table
         if part not in _PARTS:
             raise AttributeError(part)
-        cold, calls = self._compile(part), itertools.count(1)
-
-        def warming(*args):
-            if next(calls) == _WARM and vars(self).get(part) is warming:
-                setattr(self, part, self._compile(part, cold))
-            return cold(*args)
-        setattr(self, part, warming)
-        return warming
+        as_written = functools.cache(functools.partial(self._compile, part))
+        folded = self._compile(part, lambda *args: as_written()(*args))
+        setattr(self, part, folded)
+        return folded
 
     def _compile(self, part: str, plain=None):
         """The function of a part as written; given plain, the part as written,
-        its warm version for DEFAULT_CONSTANTS, which runs plain for any
-        other table."""
-        fields = self._fields(part, moved=plain is not None)
+        the part folded for DEFAULT_CONSTANTS, which runs plain for any other
+        table."""
+        fields = self._fields(part, folded=plain is not None)
         namespace = {"math": math, "inf": math.inf, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "LABELS": self._labels, "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
-                     "name_failure": _name_failure, "bad_radius": _bad_radius,
-                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit}
-        if plain is not None:
-            namespace.update(DEFAULT_CONSTANTS._asdict(), TABLE=DEFAULT_CONSTANTS, plain=plain)
+                     "name_failure": _name_failure, "GAUSS_PER_TESLA": GAUSS_PER_TESLA,
+                     "in_unit": in_unit, "TABLE": DEFAULT_CONSTANTS, "plain": plain}
         source = _PARTS[part].format(part=part, **fields)
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         return namespace[part]
@@ -501,7 +495,7 @@ class _Plan:
     @functools.cached_property
     def _needed(self) -> set:
         """The names of the statements the forms, the checks and the gate need."""
-        needed = {"r0", "scale", "deformed", *_words(" ".join(self.forms))}
+        needed = {"scale", "deformed", *_words(" ".join(self.forms))}
         # a statement reads only names bound before it, so one backward pass
         # finds every statement needed
         for name, statement in reversed(self._statements):
@@ -518,13 +512,13 @@ class _Plan:
     def _assign(self, template: str, addends, indent: str = "    ",
                 render=_as_written) -> str:
         """The template for each addend index, formatted with its index i, form
-        (through render(form, gated)) and term, the deformation addends'
-        under "if deformed:", after the others."""
+        (through render) and term, the deformation addends' under
+        "if deformed:", after the others."""
         lines = []
         for gated in (False, True):
             for i in addends:
                 if self.deformation[i] == gated:
-                    form = render(self.forms[i], gated)
+                    form = render(self.forms[i])
                     lines.append((template.format(i=i, form=form, term=self.terms[i]), gated))
         return _gate(lines, indent)
 
@@ -534,12 +528,13 @@ class _Plan:
         off = "".join(f"{prefix}{i}, " for i in addends if not self.deformation[i])
         return f"({on})" if on == off else f"({on}) if deformed else ({off})"
 
-    def _fields(self, part: str, moved: bool = False) -> dict:
+    def _fields(self, part: str, folded: bool = False) -> dict:
         """The text _PARTS takes for a part: shift, or a sweep of the field
-        _SWEPT gives it, bound per grid value as _SWEPT gives it; with moved,
-        the warm version, each subtree at the outermost level it reads."""
+        _SWEPT gives it, bound per grid value as _SWEPT gives it; folded, for
+        DEFAULT_CONSTANTS, with its forms and statements through _folded."""
         swept, binding = _SWEPT.get(part, ("", ""))
         needed, every = self._needed, range(len(self.forms))
+        render = _folded if folded else _as_written
         # one forward pass marks what reads the swept field, directly or
         # through a statement marked before
         marked = {swept} if swept else set()
@@ -549,39 +544,26 @@ class _Plan:
         moving = [i for i in every if self.deformation[i] and "deformed" in marked
                   or marked.intersection(_words(self.forms[i]))]
         fixed = [i for i in every if i not in moving]
-        at_call = at_row = _as_written
-        if moved:
-            from ._subtrees import PER_CALL, PER_ROW, PER_TABLE, Subtrees
-            subtrees = Subtrees([*(statement for name, statement in self._statements
-                                   if name in needed), *self.forms], marked)
-            at_call, at_row = (functools.partial(subtrees.rendered, level=level)
-                               for level in (PER_CALL, PER_ROW))
-        before = (_code(self._statements, needed - marked, render=at_call)
-                  + self._assign(_VALUE, fixed, render=at_call))
+        before = (_code(self._statements, needed - marked, render=render)
+                  + self._assign(_VALUE, fixed, render=render))
         check = _CHECK.format(values=self._gather(every))
 
-        def body(half, keep, render):
+        def body(half, keep):
             return ((f"        {swept} = {binding}\n" if swept in keep else "")
                     + _code(half, keep & marked, "        ", render)
                     + self._assign(_VALUE, moving, "        ", render))
-        # the end rows evaluate every subtree but the table level's in place,
-        # with every check: they render before the loop, whose subtrees'
-        # names are bound after them
-        ends = "" if part == "multiplet" else body(self._statements, needed, at_call)
+        ends = "" if part == "multiplet" else body(self._statements, needed)
         # a row between the two checked ends binds only what its values read
         row = {"deformed"} if any(self.deformation[i] for i in moving) else set()
         row.update(*(_words(self.forms[i]) for i in moving))
         for name, statement in reversed(self._statements):
             if name in row:
                 row.update(_words(statement))
-        loop = body(self._statements[:-1], row, at_row)  # [:-1]: no scale check
-        # what the rows read that no grid value moves, after every check
-        hoisted = _gate([(f"{name} = {text}", gated) for name, text, gated
-                         in subtrees.outer[PER_CALL]], "    ") if moved else ""
+        loop = body(self._statements[:-1], row)  # [:-1]: no scale check
         if not swept:  # shift
             fields = dict(arguments="mode", before=before, check=check)
         elif part == "multiplet":
-            fields = dict(arguments="grid, out", before=before + hoisted, ends="", loop=loop,
+            fields = dict(arguments="grid, out", before=before, ends="", loop=loop,
                           emit=f"out({self._gather(moving)})",
                           after=f"    return {self._gather(fixed)}\n")
         else:
@@ -605,21 +587,18 @@ class _Plan:
             # unit's; every row between two valid ends is valid (see cli.cmd_sweep)
             ends = (f"    for value in grid[0], grid[-1]:\n{ends}{check}"
                     "        in_unit((*values, total), per, unit)\n"
-                    + fixed_cells + hoisted + "    write(header)\n")
+                    + fixed_cells + "    write(header)\n")
             fields = dict(arguments="grid, per, unit, header, write", before=before, ends=ends,
                           loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
-        # the record fields the part reads; a warm part's table fields are globals
+        # the record fields the part reads; a folded part reads no table field
         read = set(_words("".join(fields.values())))
         fields["unpack"] = (f"    {_names(QuantumState._fields, read)}= state\n"
                             # the constants are the params' last field
                             f"    {_names(PhysicalParams._fields[:-1], read)}C, = params\n"
-                            + (_GUARD.format(**fields) if moved
+                            + (_GUARD.format(**fields) if folded
                                else f"    {_names(ConstantsTable._fields, read)}= C\n"))
         if not swept:
             fields.update(terms=self._assign(_RECORD, every), records=self._gather(every, "t"))
-        # the table level, bound once in the part's globals
-        fields["constants"] = "".join(f"{name} = {text}\n" for name, text, _
-                                      in subtrees.outer[PER_TABLE]) if moved else ""
         return fields
 
 

@@ -152,13 +152,16 @@ class PhysicalParams(_ParamsFields):
     dimensionless deformation strength, gamma the inverse-momentum
     deformation scale in s/(g cm), m the mass entering (m c)^2 factors
     (defaults to the electron mass; kept separate for exploratory sweeps),
-    Z the nuclear charge, stored as an int.  Raises ValidationError naming
-    the offending field, from _replace too.
+    Z the nuclear charge, stored as an int, and constants a table that
+    passes ConstantsTable.validate.  Raises ValidationError naming the
+    offending field, from _replace too.
     """
 
     __slots__ = ()
 
     def __new__(cls, B, epsilon, gamma, m, Z, constants):
+        if constants is not DEFAULT_CONSTANTS:  # validated as it loaded
+            constants.validate()
         if B < 0.0 or not math.isfinite(B):
             raise ValidationError("B", f"field magnitude must be >= 0, got {B!r}")
         if epsilon < 0.0 or not math.isfinite(epsilon):
@@ -203,14 +206,16 @@ def make_params(
 ) -> PhysicalParams:
     """Build a validated PhysicalParams record.
 
-    gamma_mode "planck" resolves gamma to 1/(M_Pl c) from the table;
-    "explicit" takes the gamma argument verbatim (gamma=0 switches the
+    gamma_mode "planck" resolves gamma to 1/(M_Pl c) from the table, once
+    the table passes ConstantsTable.validate; "explicit" takes the gamma argument verbatim (gamma=0 switches the
     deformation off); m defaults to the table's electron mass.  Raises
     ValidationError naming the offending field.
     """
     if gamma_mode == "planck":
         if gamma is not None:
             raise ValidationError("gamma", "explicit value supplied with gamma_mode='planck'")
+        if constants is not DEFAULT_CONSTANTS:
+            constants.validate()
         gamma = constants.gamma_planck
     elif gamma_mode == "explicit":
         if gamma is None:

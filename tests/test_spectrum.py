@@ -1,12 +1,14 @@
 """Shift breakdowns, spin-orbit shift, lines, and mode comparison."""
 
 import ast
+import dis
 import hashlib
 import itertools
 import math
 import random
 import sys
 import threading
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,7 @@ def test_breakdowns_are_pinned():
 def level_half(state):
     """The level and m_j halves of a state, by name, from the statements a
     plan compiles them from."""
-    names = {**C._asdict(), **state._asdict(), "PLUS": Branch.PLUS,
-             "bad_radius": spectrum._bad_radius}
+    names = {**C._asdict(), **state._asdict(), "PLUS": Branch.PLUS}
     for _, statement in (*spectrum._LEVEL_HALF, *spectrum._MJ_HALF):
         exec(statement, names)
     return names
@@ -195,19 +196,23 @@ def test_lande_g_factor_takes_the_branch_of_a_state():
 
 @pytest.mark.parametrize("regime", list(Regime))
 def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
+    # a params record refuses the table as it enters, so no path reaches a
+    # part with it; exp_p2_angular takes a bare table and keeps its own rule
     table = C._replace(r0=0.0)
-    params = make_params(B=1e4, constants=table)
+    with pytest.raises(ValidationError) as err:
+        exp_p2_angular(1, table)
+    assert err.value.field == "r"
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
     upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
-    for call in (lambda: exp_p2_angular(1, table),
-                 lambda: energy_shift_B(state, params, regime),
-                 lambda: zeeman_lines(upper, lower, params, regime),
+    for call in (lambda: energy_shift_B(state, make_params(B=1e4, constants=table), regime),
+                 lambda: zeeman_lines(upper, lower, PLANCK._replace(constants=table), regime),
                  lambda: spectrum._plan_of(regime, Mode.DERIVED).sweep_B(
-                     state, params, [1.0], 1.0, "eV", "", [].append),
-                 lambda: discrepancy_report(state, params)):
+                     state, make_params(B=1e4, gamma_mode="explicit", gamma=0.0,
+                                        constants=table), [1.0], 1.0, "eV", "", [].append),
+                 lambda: discrepancy_report(state, PhysicalParams(*PLANCK[:-1], table))):
         with pytest.raises(ValidationError) as err:
             call()
-        assert err.value.field == "r"
+        assert err.value.field == "r0"
 
 
 # -- energy shifts -------------------------------------------------------------
@@ -623,20 +628,37 @@ def test_a_sweep_reruns_only_what_reads_the_swept_field():
         assert "sz = " in loops["sweep_l"], plan.name
 
 
+def _code_objects(code):
+    """A code object and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+#: the instructions that push a literal, and those that operate on the stack's top
+_LITERAL_LOADS = {"LOAD_CONST", "LOAD_SMALL_INT"}
+_UNARY = {"UNARY_NEGATIVE", "UNARY_POSITIVE", "UNARY_INVERT"}
+
+
 def test_no_warm_part_computes_a_constant_at_run_time():
-    # a warm part binds every subexpression that reads only the constants
-    # once, gated or not, when it compiles; its function reads the names
+    # a part folded for DEFAULT_CONSTANTS reads no table field and no math:
+    # the compiler folded every operation on the literals it writes for them
     constants = {*spectrum.ConstantsTable._fields, "math"}
     for plan in _plans():
         for part in spectrum._PARTS:
-            source = spectrum._PARTS[part].format(part=part, **plan._fields(part, moved=True))
-            function = ast.parse(source).body[-1]
-            assert isinstance(function, ast.FunctionDef) and function.name == part
-            for node in ast.walk(function):
-                if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                    assert not names or not names <= constants, (plan.name, part,
-                                                                 ast.unparse(node))
+            function = getattr(plan, part)
+            assert function.__name__ == part and function.__globals__["plain"] is not None
+            for code in _code_objects(function.__code__):
+                assert not constants & set(code.co_names), (plan.name, part)
+                ops = list(dis.get_instructions(code))
+                for a, b, op in zip(ops, ops[1:], ops[2:]):
+                    assert not (op.opname.startswith("BINARY_")
+                                and {a.opname, b.opname} <= _LITERAL_LOADS), \
+                        (plan.name, part, a.argval, b.argval, op.argrepr or op.opname)
+                for a, op in zip(ops, ops[1:]):
+                    assert not (op.opname in _UNARY and a.opname in _LITERAL_LOADS), \
+                        (plan.name, part, a.argval, op.opname)
 
 
 def test_a_gated_addend_follows_its_gate_through_a_sweep():
@@ -972,9 +994,9 @@ def test_lines_match_a_per_state_reference_bit_for_bit(data):
         assert got == want
 
 
-#: the table a warm part is compiled for, and two it runs as written: another
-#: table, and an equal copy, which is not the same object
-_TABLES = (C, C._replace(r0=1.5 * C.r0), load_constants())
+#: the table a part is folded for, and two it runs as written: another
+#: consistent table, and an equal copy, which is not the same object
+_TABLES = (C, C._replace(m_e=1.5 * C.m_e, r0=C.r0 / 1.5), load_constants())
 _PLAN_KEYS = [(regime, published) for regime in Regime for published in (False, True)
               if not published or regime in (Regime.GUP, Regime.RGUP)]
 
@@ -998,22 +1020,21 @@ def _every_part(plan, params, sweeps=True):
 def test_every_part_gives_each_table_what_a_single_table_plan_gives():
     params = [make_params(B=3.7e4, gamma_mode="explicit", gamma=1e15, constants=table)
               for table in _TABLES]
-    # each table through plans that never saw another
-    want = {(key, i): _every_part(spectrum._Plan(*key), params[i])
-            for key in _PLAN_KEYS for i in range(len(_TABLES))}
-    plans = {key: spectrum._plan_of(key[0], Mode(key[1] and "as-published" or "derived"))
-             for key in _PLAN_KEYS}
+    # each table through the parts as written, which the folded parts match bit for bit
+    want = {}
+    for key in _PLAN_KEYS:
+        plan = spectrum._Plan(*key)
+        written = types.SimpleNamespace(**{part: plan._compile(part) for part in spectrum._PARTS})
+        want.update(((key, i), _every_part(written, params[i])) for i in range(len(_TABLES)))
+    plans = {key: spectrum._Plan(*key) for key in _PLAN_KEYS}
+    # every part is folded from its first call, and no table rebinds a global of it
+    folded = [getattr(plan, part) for plan in plans.values() for part in spectrum._PARTS]
+    assert [f.__name__ for f in folded] == [*spectrum._PARTS] * len(plans)
+    seen = [dict(f.__globals__) for f in folded]
     for i in (0, 1, 2, 0, 1, 2, 2, 0, 1):
         for key, plan in plans.items():
             assert _every_part(plan, params[i]) == want[key, i], (key, i)
-    # from the third call on every part runs warm, and no table rebinds a global of it
-    warm = [getattr(plan, part) for plan in plans.values() for part in spectrum._PARTS]
-    assert [f.__name__ for f in warm] == [*spectrum._PARTS] * len(plans)
-    seen = [dict(f.__globals__) for f in warm]
-    for i in (1, 0, 2, 0):
-        for key, plan in plans.items():
-            assert _every_part(plan, params[i]) == want[key, i], (key, i)
-    for f, names in zip(warm, seen):
+    for f, names in zip(folded, seen):
         assert f.__globals__.keys() == names.keys()
         assert [name for name, value in names.items() if f.__globals__[name] is not value] == []
 
@@ -1038,9 +1059,10 @@ def test_every_part_gives_each_table_what_a_single_table_plan_gives():
 
 
 def test_a_warm_part_runs_another_table_as_written():
-    # m_e**3 overflows for this table, while the scale check comes first in the shift
+    # m_e**3 overflows for this consistent table (r0**2 does not underflow),
+    # while the scale check comes first in the shift
     params = make_params(B=1e4, gamma_mode="explicit", gamma=1e300, m=C.m_e,
-                         constants=C._replace(m_e=1e200))
+                         constants=C._replace(m_e=1e110, r0=C.hbar**2 / (1e110 * C.e**2)))
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
     for regime in (Regime.REL, Regime.RGUP):
         plan = spectrum._Plan(regime, False)

@@ -66,6 +66,24 @@ def test_validate_rejects_a_field_that_is_not_finite_and_positive(field, value):
     assert caught.value.field == field
 
 
+@pytest.mark.parametrize("change, field", [
+    (dict(m_planck=0.0), "m_planck"),
+    (dict(r0=math.nan), "r0"),
+    (dict(alpha=1.0), "alpha"),
+], ids=("no-planck-mass", "nan-radius", "inconsistent-alpha"))
+def test_a_params_record_refuses_a_table_that_fails_validate(change, field):
+    constants = DEFAULT_CONSTANTS._replace(**change)
+    builds = (lambda: make_params(B=1e4, constants=constants),
+              lambda: make_params(B=1e4, gamma_mode="explicit", gamma=0.0, constants=constants),
+              lambda: PhysicalParams(B=1e4, epsilon=1.0, gamma=0.0, m=1.0, Z=1,
+                                     constants=constants),
+              lambda: make_params(B=1e4)._replace(constants=constants))
+    for build in builds:
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert caught.value.field == field
+
+
 def test_make_params_planck_gamma(table):
     params = make_params(B=0.0, epsilon=1.0, gamma_mode="planck", Z=1)
     assert params.gamma == 1.0 / (table.m_planck * table.c)
