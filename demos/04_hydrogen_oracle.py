@@ -17,6 +17,7 @@ from rgupzeeman.oracle import (
     radial_expectation,
 )
 from rgupzeeman.spectrum import exp_p2_angular, hls_shift
+from rgupzeeman.units import DEFAULT_CONSTANTS
 
 print("radial moments <r^k>, quadrature vs closed form (n=3, l=1):")
 for k in range(-3, 3):
@@ -44,7 +45,8 @@ print(f"\nspin-orbit shift 2p (ml=1, ms=+1/2): "
 # deformation makes the suppression visible
 print(f"physical suppression scale (invisible in the float): "
       f"{planck.correction_scale:.3e}")
-strong = make_params(epsilon=0.25, gamma_mode="explicit",
-                     gamma=1.0 / (planck.m * planck.constants.c))
-print(f"with an exaggerated scale of 0.25 the shift drops to "
+# (the mass shell keeps a real root only up to a scale of 1/8)
+strong = make_params(epsilon=0.1, gamma_mode="explicit",
+                     gamma=1.0 / (planck.m * DEFAULT_CONSTANTS.c))
+print(f"with an exaggerated scale of 0.1 the shift drops to "
       f"{hls_shift(state, strong) / plain:.3f} of its undeformed value")

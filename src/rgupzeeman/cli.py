@@ -46,6 +46,7 @@ from .spectrum import (
     zeeman_lines,
 )
 from .units import (
+    DEFAULT_CONSTANTS,
     ENERGY_UNITS,
     GAUSS_PER_TESLA,
     ValidationError,
@@ -55,7 +56,6 @@ from .units import (
     convert_energy,
     in_unit,
     is_integer,
-    load_constants,
     make_params,
 )
 
@@ -178,12 +178,11 @@ def _params_dict(params) -> dict:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_constants(args, cfg: RunConfig) -> int:
-    table = load_constants()
     if cfg.get(args, "output.format") == "json":
         _print_json({name: {"value": value, "unit": unit}
-                     for name, value, unit in _constant_rows(table)})
+                     for name, value, unit in _constant_rows()})
     else:
-        print(constants_dump(table))
+        print(constants_dump())
     return 0
 
 
@@ -422,7 +421,7 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
         # PhysicalParams holds the rules for m, epsilon and gamma
         params = _make_params(0.0, cfg.get(args, "params.epsilon"),
                               cfg.get(args, "params.gamma"), 1, m=args.m_grams)
-        mc = params.m * params.constants.c
+        mc = params.m * DEFAULT_CONSTANTS.c
         eps_gamma2 = params.eps_gamma2
     if not (mc > 0.0 and math.isfinite(mc)):
         raise ValidationError("mc", f"must be finite and > 0, got {mc!r}")

@@ -40,16 +40,21 @@ class DispersionSolution(NamedTuple):
     order: int
 
 
+def has_real_root(q: float) -> bool:
+    """Whether the mass shell at q = eps gamma^2 (mc)^2 has a real root:
+    8q <= 1, which NaN and inf fail."""
+    return 8.0 * q <= 1.0
+
+
 def p0sq_exact(mc: float, eps_gamma2: float) -> float:
     """Physical root of the deformed mass-shell quadratic."""
     mc2 = mc * mc
     if eps_gamma2 == 0.0:
         return -mc2
     q = eps_gamma2 * mc2
-    disc = 1.0 - 8.0 * q
-    if disc < 0.0:
+    if not has_real_root(q):
         raise TransPlanckianMassError(q)
-    return -2.0 * mc2 / (1.0 + math.sqrt(disc))
+    return -2.0 * mc2 / (1.0 + math.sqrt(1.0 - 8.0 * q))
 
 
 def p0sq_series(mc: float, eps_gamma2: float, order: int = 1) -> float:

@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .units import ConstantsTable, DEFAULT_CONSTANTS, ValidationError, check_Z, check_n_l
+from .units import DEFAULT_CONSTANTS as C, ValidationError, check_Z, check_n_l
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,11 +66,10 @@ class RadialGrid(NamedTuple):
     weights: np.ndarray   # positive weights
 
 
-def make_grid(n: int, Z: int = 1, constants: ConstantsTable = DEFAULT_CONSTANTS,
-              n_nodes: int = DEFAULT_NODES) -> RadialGrid:
+def make_grid(n: int, Z: int = 1, n_nodes: int = DEFAULT_NODES) -> RadialGrid:
     _check_qn(n, 0, Z)
     x, w = _laguerre_rule(n_nodes)
-    return RadialGrid(n_nodes=n_nodes, scale=2.0 * Z / (n * constants.r0),
+    return RadialGrid(n_nodes=n_nodes, scale=2.0 * Z / (n * C.r0),
                       nodes=x, weights=w)
 
 
@@ -106,14 +105,13 @@ def _stripped_parts(n: int, l: int, x: np.ndarray, scale: float):
 
 
 def radial_expectation(n: int, l: int, Z: int, k: int,
-                       constants: ConstantsTable = DEFAULT_CONSTANTS,
                        n_nodes: int = DEFAULT_NODES) -> float:
     """<r^k> by quadrature, k in -3..2 (k = -3 requires l >= 1)."""
     import numpy as np
 
     _check_qn(n, l, Z)
     _check_moment(l, k)
-    grid = make_grid(n, Z, constants, n_nodes)
+    grid = make_grid(n, Z, n_nodes)
     s = grid.scale
     x = grid.nodes
     G, _, _ = _stripped_parts(n, l, x, s)
@@ -121,12 +119,11 @@ def radial_expectation(n: int, l: int, Z: int, k: int,
     return float(np.sum(grid.weights * G * G * x**(2 + k)) / s**(3 + k))
 
 
-def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
-                              constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
+def closed_form_r_expectation(n: int, l: int, Z: int, k: int) -> float:
     """Textbook hydrogenic <r^k> in terms of a = r0/Z, for k in -3..2."""
     _check_qn(n, l, Z)
     _check_moment(l, k)
-    a = constants.r0 / Z
+    a = C.r0 / Z
     ll = l * (l + 1)
     if k == 0:
         return 1.0
@@ -141,18 +138,16 @@ def closed_form_r_expectation(n: int, l: int, Z: int, k: int,
     return 1.0 / (a**3 * n**3 * l * (l + 0.5) * (l + 1))  # k == -3
 
 
-def energy_level(n: int, Z: int = 1,
-                 constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
+def energy_level(n: int, Z: int = 1) -> float:
     """Coulomb bound-state energy -Z^2 e^2 / (2 r0 n^2) in erg."""
     _check_qn(n, 0, Z)
-    return -Z * Z * constants.e**2 / (2.0 * constants.r0 * n * n)
+    return -Z * Z * C.e**2 / (2.0 * C.r0 * n * n)
 
 
-def p2_closed_form(n: int, Z: int = 1,
-                   constants: ConstantsTable = DEFAULT_CONSTANTS) -> float:
+def p2_closed_form(n: int, Z: int = 1) -> float:
     """Virial-identity <p^2> = (Z hbar / (n r0))^2, independent of l."""
     _check_qn(n, 0, Z)
-    return (Z * constants.hbar / (n * constants.r0)) ** 2
+    return (Z * C.hbar / (n * C.r0)) ** 2
 
 
 def _laplacian_times_x2(n: int, l: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +160,6 @@ def _laplacian_times_x2(n: int, l: int, grid: RadialGrid) -> tuple[np.ndarray, n
 
 
 def p2_expectation_exact(n: int, l: int, Z: int = 1,
-                         constants: ConstantsTable = DEFAULT_CONSTANTS,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^2> by quadrature of -hbar^2 R Lap(R) r^2, cross-checked internally.
 
@@ -176,11 +170,11 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
     import numpy as np
 
     _check_qn(n, l, Z)
-    grid = make_grid(n, Z, constants, n_nodes)
+    grid = make_grid(n, Z, n_nodes)
     G, lap_x2 = _laplacian_times_x2(n, l, grid)
     # R Lap(R) r^2 dr = e^{-x} G * (s^2 Q) * (x^2/s^2) * dx/s with Q x^2 = lap_x2
-    value = -constants.hbar**2 * float(np.sum(grid.weights * G * lap_x2)) / grid.scale
-    virial = p2_closed_form(n, Z, constants)
+    value = -C.hbar**2 * float(np.sum(grid.weights * G * lap_x2)) / grid.scale
+    virial = p2_closed_form(n, Z)
     if not abs(value - virial) <= 1e-8 * virial:
         raise RuntimeError(
             f"<p^2> quadrature {value!r} disagrees with virial identity {virial!r}")
@@ -188,23 +182,21 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
 
 
 def p4_expectation_exact(n: int, l: int, Z: int = 1,
-                         constants: ConstantsTable = DEFAULT_CONSTANTS,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^4> = ||p^2 psi||^2 = hbar^4 int (Lap R)^2 r^2 dr by quadrature."""
     import numpy as np
 
     _check_qn(n, l, Z)
-    grid = make_grid(n, Z, constants, n_nodes)
+    grid = make_grid(n, Z, n_nodes)
     _, lap_x2 = _laplacian_times_x2(n, l, grid)
     x = grid.nodes
     # (Lap R)^2 r^2 dr = e^{-x} s^4 (lap_x2 / x^2)^2 (x^2/s^2) dx/s
     #                  = e^{-x} s (lap_x2 / x)^2 dx
     integrand = (lap_x2 / x) ** 2
-    return constants.hbar**4 * grid.scale * float(np.sum(grid.weights * integrand))
+    return C.hbar**4 * grid.scale * float(np.sum(grid.weights * integrand))
 
 
 def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
-                   constants: ConstantsTable = DEFAULT_CONSTANTS,
                    n_nodes: int = DEFAULT_NODES) -> float:
     """Overlap int R_{n1 l} R_{n2 l} r^2 dr on a common-scale grid.
 
@@ -215,8 +207,8 @@ def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
 
     _check_qn(n1, l, Z)
     _check_qn(n2, l, Z)
-    s1 = 2.0 * Z / (n1 * constants.r0)
-    s2 = 2.0 * Z / (n2 * constants.r0)
+    s1 = 2.0 * Z / (n1 * C.r0)
+    s2 = 2.0 * Z / (n2 * C.r0)
     sbar = 0.5 * (s1 + s2)
     u, w = _laguerre_rule(n_nodes)
     G1, _, _ = _stripped_parts(n1, l, s1 * u / sbar, s1)

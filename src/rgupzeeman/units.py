@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .dispersion import has_real_root
+
 GAUSS_PER_TESLA = 1.0e4
 
 # CODATA 2018, converted to Gaussian-CGS.
@@ -81,16 +83,15 @@ class ConstantsTable(NamedTuple):
             raise ValidationError("r0", "inconsistent with hbar^2/(m_e e^2)")
 
 
-def load_constants(source: str = "builtin-codata") -> ConstantsTable:
-    """Return the validated built-in constants table."""
-    if source != "builtin-codata":
-        raise ValidationError("source", f"unknown constants source {source!r}")
+def load_constants() -> ConstantsTable:
+    """Return the validated built-in CODATA 2018 constants table."""
     table = ConstantsTable(_E_STATC, _M_E_G, _C_CM_S, _HBAR_ERG_S, _ALPHA, _R0_CM,
                            _M_PLANCK_G)
     table.validate()
     return table
 
 
+#: the one constants table: every shift, record and listing reads it
 DEFAULT_CONSTANTS = load_constants()
 
 
@@ -98,15 +99,15 @@ DEFAULT_CONSTANTS = load_constants()
 _CONSTANT_UNITS = ("statC", "g", "cm/s", "erg*s", "1", "cm", "g")
 
 
-def _constant_rows(t: ConstantsTable) -> list[tuple[str, float, str]]:
+def _constant_rows() -> list[tuple[str, float, str]]:
     """(name, value, unit) of each listed constant, in listing order."""
+    t = DEFAULT_CONSTANTS
     return [*zip(t._fields, t, _CONSTANT_UNITS), ("mu_bohr", t.mu_bohr, "erg/G")]
 
 
-def constants_dump(table: ConstantsTable = DEFAULT_CONSTANTS) -> str:
+def constants_dump() -> str:
     """Flat text listing (name, value, unit), one constant per line."""
-    rows = _constant_rows(table)
-    return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in rows)
+    return "\n".join(f"{name} {value!r} {unit}" for name, value, unit in _constant_rows())
 
 
 def is_integer(value) -> bool:
@@ -142,7 +143,6 @@ class _ParamsFields(NamedTuple):
     gamma: float
     m: float
     Z: int
-    constants: ConstantsTable
 
 
 class PhysicalParams(_ParamsFields):
@@ -151,17 +151,15 @@ class PhysicalParams(_ParamsFields):
     B is the magnetostatic field magnitude in gauss.  epsilon is the
     dimensionless deformation strength, gamma the inverse-momentum
     deformation scale in s/(g cm), m the mass entering (m c)^2 factors
-    (defaults to the electron mass; kept separate for exploratory sweeps),
-    Z the nuclear charge, stored as an int, and constants a table that
-    passes ConstantsTable.validate.  Raises ValidationError naming the
-    offending field, from _replace too.
+    (defaults to the electron mass; kept separate for exploratory sweeps)
+    and Z the nuclear charge, stored as an int.  The deformation scale
+    q = eps gamma^2 (m c)^2 keeps the mass shell's real root: 8q <= 1.
+    Raises ValidationError naming the offending field, from _replace too.
     """
 
     __slots__ = ()
 
-    def __new__(cls, B, epsilon, gamma, m, Z, constants):
-        if constants is not DEFAULT_CONSTANTS:  # validated as it loaded
-            constants.validate()
+    def __new__(cls, B, epsilon, gamma, m, Z):
         if B < 0.0 or not math.isfinite(B):
             raise ValidationError("B", f"field magnitude must be >= 0, got {B!r}")
         if epsilon < 0.0 or not math.isfinite(epsilon):
@@ -171,7 +169,12 @@ class PhysicalParams(_ParamsFields):
         check_Z(Z)
         if gamma < 0.0 or not math.isfinite(gamma):
             raise ValidationError("gamma", f"must be >= 0, got {gamma!r}")
-        return tuple.__new__(cls, (B, epsilon, gamma, m, int(Z), constants))
+        gmc = gamma * (m * DEFAULT_CONSTANTS.c)
+        q = epsilon * (gmc * gmc)  # float * gives inf where float ** raises
+        if not has_real_root(q):
+            raise ValidationError("correction_scale", f"eps*gamma^2*(mc)^2 = {q!r} "
+                                                      "exceeds 1/8 (trans-Planckian)")
+        return tuple.__new__(cls, (B, epsilon, gamma, m, int(Z)))
 
     @classmethod
     def _make(cls, iterable):
@@ -184,15 +187,8 @@ class PhysicalParams(_ParamsFields):
 
     @property
     def correction_scale(self) -> float:
-        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2.
-
-        Not finite when (gamma m c)^2 overflows double precision.
-        """
-        mc = self.m * self.constants.c
-        try:
-            return self.epsilon * (self.gamma * mc) ** 2
-        except OverflowError:  # float ** raises where float * gives inf
-            return self.epsilon * math.inf
+        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2, <= 1/8."""
+        return self.epsilon * (self.gamma * (self.m * DEFAULT_CONSTANTS.c)) ** 2
 
 
 def make_params(
@@ -202,28 +198,25 @@ def make_params(
     gamma: float | None = None,
     m: float | None = None,
     Z: int = 1,
-    constants: ConstantsTable = DEFAULT_CONSTANTS,
 ) -> PhysicalParams:
     """Build a validated PhysicalParams record.
 
-    gamma_mode "planck" resolves gamma to 1/(M_Pl c) from the table, once
-    the table passes ConstantsTable.validate; "explicit" takes the gamma argument verbatim (gamma=0 switches the
-    deformation off); m defaults to the table's electron mass.  Raises
-    ValidationError naming the offending field.
+    gamma_mode "planck" resolves gamma to 1/(M_Pl c); "explicit" takes the
+    gamma argument verbatim (gamma=0 switches the deformation off); m
+    defaults to the electron mass.  Raises ValidationError naming the
+    offending field.
     """
     if gamma_mode == "planck":
         if gamma is not None:
             raise ValidationError("gamma", "explicit value supplied with gamma_mode='planck'")
-        if constants is not DEFAULT_CONSTANTS:
-            constants.validate()
-        gamma = constants.gamma_planck
+        gamma = DEFAULT_CONSTANTS.gamma_planck
     elif gamma_mode == "explicit":
         if gamma is None:
             raise ValidationError("gamma", "gamma_mode='explicit' requires a value")
     else:
         raise ValidationError("gamma_mode", f"unknown mode {gamma_mode!r}")
     return PhysicalParams(B=B, epsilon=epsilon, gamma=gamma,
-                          m=constants.m_e if m is None else m, Z=Z, constants=constants)
+                          m=DEFAULT_CONSTANTS.m_e if m is None else m, Z=Z)
 
 
 def convert_energy(value: float, from_unit: str, to_unit: str) -> float:

@@ -499,10 +499,11 @@ def main(monkeypatch, capsys):
     (("--param", "l", "--values", "1,inf", "--mj", "0.5"), 3),
     (("--param", "mj", "--values", "0.5,nan", "--l", "1"), 3),
     (("--param", "B", "--values", "1,2,1e300", "--l", "1", "--mj", "0.5"), 3),
-    (("--param", "epsilon", "--values", "0,1,1e300", "--l", "1", "--mj", "0.5",
-      "--regime", "rgup", "--gamma", "1e100"), 3),
-    (("--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--regime", "rgup",
-      "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"), 3),
+    # gup_cross grows with epsilon B: finite at epsilon 1e30, not at 1e43 (q < 1/8)
+    (("--param", "epsilon", "--values", "0,1,1e43", "--l", "1000000", "--mj", "0.5",
+      "--regime", "gup", "--B-tesla", "1e295"), 3),
+    (("--param", "B", "--values", "0,1,1e297", "--l", "100", "--mj", "100.5",
+      "--unit", "Hz"), 3),
     # NaN does not sort, so it can sit between valid ends of the sorted grid
     (("--param", "B", "--values", "2,nan,1", "--l", "1", "--mj", "0.5"), 3),
     (("--param", "epsilon", "--values", "2,nan,-1", "--l", "1", "--mj", "0.5"), 3),
@@ -522,22 +523,21 @@ def test_a_sweep_part_checks_its_grid_ends_before_it_writes(main):
     writes."""
     from rgupzeeman.spectrum import Branch, Mode, QuantumState, Regime
     from rgupzeeman.units import ValidationError, convert_energy, make_params
-    plan = spectrum._plan_of(Regime.RGUP, Mode.DERIVED)
+    plan = spectrum._plan_of(Regime.LANDE, Mode.DERIVED)
     state = QuantumState(101, 100, Branch.PLUS, 100.5)
-    # finite in erg at every B below, and outside double precision in Hz at 1e9 T
-    params = make_params(B=0.0, epsilon=1e30, gamma_mode="explicit", gamma=1e145)
-    header = ",".join(["B_tesla", "regime", *spectrum.REGIME_TERM_LABELS[Regime.RGUP],
+    # finite in erg at every B below, and outside double precision in Hz at 1e297 T
+    params = make_params(B=0.0)
+    header = ",".join(["B_tesla", "regime", *spectrum.REGIME_TERM_LABELS[Regime.LANDE],
                        "total"]) + "\n"
     per = convert_energy(1.0, "erg", "Hz")
     written = []
     with pytest.raises(ValidationError) as err:
-        plan.sweep_B(state, params, [0.0, 1.0, 1e9], per, "Hz", header, written.append)
+        plan.sweep_B(state, params, [0.0, 1.0, 1e297], per, "Hz", header, written.append)
     assert err.value.field == "unit"
     assert written == []
-    plan.sweep_B(state, params, [0.0, 1.0, 1e8], per, "Hz", header, written.append)
-    status, out, _ = main("sweep", "--param", "B", "--values", "1e8,0,1", "--l", "100",
-                          "--mj", "100.5", "--regime", "rgup", "--epsilon", "1e30",
-                          "--gamma", "1e145", "--unit", "Hz")
+    plan.sweep_B(state, params, [0.0, 1.0, 1e296], per, "Hz", header, written.append)
+    status, out, _ = main("sweep", "--param", "B", "--values", "1e296,0,1", "--l", "100",
+                          "--mj", "100.5", "--regime", "lande", "--unit", "Hz")
     assert status == 0
     assert len(written) == 4 and "".join(written) == out
 
@@ -624,35 +624,56 @@ _SHIFT = ("shift", "--l", "1", "--mj", "0.5")
 _LINES = ("lines", "--upper-l", "1", "--lower-l", "0")
 
 
-@pytest.mark.parametrize("argv", [
-    (*_SHIFT, "--regime", "rgup", "--gamma", "1e300"),
-    (*_SHIFT, "--regime", "gup", "--gamma", "1e300"),
-    (*_LINES, "--regime", "rgup", "--gamma", "1e300"),
-    (*_LINES, "--regime", "gup", "--gamma", "1e300"),
-    ("discrepancy", "--l", "1", "--mj", "0.5", "--gamma", "1e300"),
-    (*_SHIFT, "--regime", "gup", "--gamma", "1e160"),
-    (*_SHIFT, "--regime", "gup", "--mode", "as-published", "--gamma", "1e150", "--json"),
-    (*_SHIFT, "--B-tesla", "1e300"),
-    (*_SHIFT, "--B-tesla", "1e300", "--json"),
-    (*_LINES, "--B-tesla", "1e300"),
-    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--unit", "erg"),
-    # finite in erg, outside double precision in the display unit
-    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"),
-    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--B-tesla", "0",
-     "--json"),
-    (*_SHIFT, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e40", "--B-tesla", "0",
-     "--csv"),
-    (*_LINES, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"),
+#: a state whose Lande shift is finite in erg and outside double precision in
+#: eV at 1.9e297 T: m_j = 2**52 - 1/2
+_TOP = ("shift", "--l", str(2**52 - 1), "--mj", str(2**52 - 0.5), "--B-tesla", "1.9e297")
+
+
+@pytest.mark.parametrize("argv, field", [
+    # no scale within the trans-Planckian bound overflows, so each scale
+    # overflow is refused at entry, naming the scale
+    ((*_SHIFT, "--regime", "rgup", "--gamma", "1e300"), "correction_scale"),
+    ((*_SHIFT, "--regime", "gup", "--gamma", "1e300"), "correction_scale"),
+    ((*_LINES, "--regime", "rgup", "--gamma", "1e300"), "correction_scale"),
+    ((*_LINES, "--regime", "gup", "--gamma", "1e300"), "correction_scale"),
+    (("discrepancy", "--l", "1", "--mj", "0.5", "--gamma", "1e300"), "correction_scale"),
+    ((*_SHIFT, "--regime", "gup", "--gamma", "1e160"), "correction_scale"),
+    (("shift", "--l", "100", "--mj", "100.5", "--regime", "gup", "--mode", "as-published",
+      "--epsilon", "1e43", "--B-tesla", "1e290", "--json"), "gup_cross"),
+    ((*_SHIFT, "--B-tesla", "1e300"), "jz_plus_sz"),
+    ((*_SHIFT, "--B-tesla", "1e300", "--json"), "jz_plus_sz"),
+    ((*_LINES, "--B-tesla", "1e300"), "jz_plus_sz"),
+    ((*_SHIFT, "--regime", "rgup", "--B-tesla", "1e270", "--unit", "erg"), "p2_jz_minus_sz"),
+    # finite in erg, outside double precision in the display unit (eV in json and csv)
+    (("shift", "--l", "100", "--mj", "100.5", "--B-tesla", "1e297", "--unit", "Hz"), "unit"),
+    ((*_TOP, "--json"), "unit"),
+    ((*_TOP, "--csv"), "unit"),
+    # no line within the bound leaves double precision in any unit (see
+    # test_a_line_outside_double_precision_in_its_unit_is_a_domain_error)
+    ((*_LINES, "--regime", "rgup", "--gamma", "1e150", "--epsilon", "1e30", "--unit", "Hz"),
+     "correction_scale"),
 ], ids=("rgup-scale-overflow", "gup-scale-overflow", "lines-rgup-scale-overflow",
         "lines-gup-scale-overflow", "discrepancy-scale-overflow", "gup-infinite-scale",
         "as-published-gup-term-overflow", "field-overflow", "field-overflow-json",
         "lines-field-overflow", "rgup-term-overflow", "unit-overflow", "unit-overflow-json",
         "unit-overflow-csv", "lines-unit-overflow"))
-def test_non_finite_results_are_domain_errors(main, argv):
+def test_non_finite_results_are_domain_errors(main, argv, field):
     status, out, err = main(*argv)
     assert status == 3
     assert out == ""
-    assert err.startswith("rgupz: domain error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"rgupz: domain error: {field}: ") and len(err.splitlines()) == 1
+
+
+def test_a_line_outside_double_precision_in_its_unit_is_a_domain_error(main, monkeypatch):
+    # a line finite in erg, 1e300, is 1.5e326 Hz
+    def lines(*args):
+        return [line._replace(shift_erg=1e300) for line in zeeman_lines(*args)]
+    zeeman_lines = cli.zeeman_lines
+    monkeypatch.setattr(cli, "zeeman_lines", lines)
+    assert main(*_LINES, "--unit", "erg")[0] == 0
+    status, out, err = main(*_LINES, "--unit", "Hz")
+    assert (status, out) == (3, "")
+    assert err == "rgupz: domain error: unit: a value is outside double precision in Hz\n"
 
 
 _ORACLE = ("oracle", "--n", "2", "--l", "1")
@@ -901,7 +922,7 @@ def _library_sweep_row(value, param, fixed, regime, mode, unit):
 
 _SWEEP_GRIDS = {
     "B": "2.5,0,0.3,17",
-    "epsilon": "0,1,0.25,40",
+    "epsilon": "0,1,0.25,1.5",
     "l": "0,1,2,3",
     "n": "2,3,5,8",
     "mj": "-1.5,-0.5,0.5,1.5",
@@ -915,7 +936,7 @@ def test_sweep_rows_match_the_library_byte_for_byte(main, param):
     for k, (regime, mode, gamma) in enumerate(
             (r, m, g) for r in Regime for m in Mode for g in ("planck", "1e16")):
         unit = units[k % len(units)]
-        fixed = {"B": 0.8, "epsilon": 2.0, "gamma": gamma, "l": 1, "n": None,
+        fixed = {"B": 0.8, "epsilon": 1.5, "gamma": gamma, "l": 1, "n": None,
                  "branch": "plus", "mj": 0.5}
         argv = ["sweep", "--param", param, "--values=" + _SWEEP_GRIDS[param],
                 "--regime", regime.value, "--mode", mode.value, "--unit", unit,
@@ -936,11 +957,11 @@ def test_large_sweep_output_is_pinned(main):
     # sha256 of the same command's stdout before the sweep loop was hoisted
     status, out, _ = main("sweep", "--param", "B", "--from", "0", "--to", "10",
                           "--steps", "2000", "--l", "2", "--branch", "minus",
-                          "--mj", "0.5", "--regime", "rgup", "--gamma", "1e18",
+                          "--mj", "0.5", "--regime", "rgup", "--gamma", "1e16",
                           "--unit", "cm-1")
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "62281618f02912b01580d5203f5f681e45bdb8c0c35e21c4d79e9375594e0908"
+        "0950fed15814e9140d69f5ad0e34b7c69da16d4c776dca672a85a8a849d45e3d"
 
 
 #: sweeps of the other fields, with q = eps gamma^2 (mc)^2 <= 0.11 < 1/8:

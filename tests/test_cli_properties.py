@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgupzeeman import cli, opalg
+from rgupzeeman.units import DEFAULT_CONSTANTS
 
 numbers = st.one_of(
     st.floats(),
@@ -189,6 +191,44 @@ def test_a_flag_given_no_number_follows_the_exit_code_contract(command):
                 assert code in (0, 2, 3, 4), argv
                 if code in (2, 3):
                     assert out.getvalue() == "", argv
+
+
+#: a valid argv of each subcommand that takes --gamma, for gamma and epsilon
+#: to append; a sweep's fixed epsilon or its epsilon grid's top end
+_DEFORMED = {
+    "shift": lambda eps: [*_VALID["shift"], "--epsilon", eps],
+    "sweep": lambda eps: [*_VALID["sweep"], "--epsilon", eps],
+    "sweep-epsilon": lambda eps: ["--param", "epsilon", "--values", f"0,{eps}",
+                                  "--l", "1", "--mj", "0.5"],
+    "lines": lambda eps: [*_VALID["lines"], "--epsilon", eps],
+    "discrepancy": lambda eps: [*_VALID["discrepancy"], "--epsilon", eps],
+    "dispersion": lambda eps: ["--m-grams", repr(DEFAULT_CONSTANTS.m_e), "--epsilon", eps],
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_every_command_holds_the_trans_planckian_bound(data):
+    """q = eps gamma^2 (m_e c)^2 drawn on both sides of 1/8: exit 3 and empty
+    stdout above it, exit 0 below it, in every subcommand and regime."""
+    form = data.draw(st.sampled_from(sorted(_DEFORMED)))
+    above = data.draw(st.booleans())
+    q = data.draw(st.floats(0.13, 1e200) if above else st.floats(0.0, 0.12))
+    epsilon = data.draw(st.sampled_from([1.0, 1e-30, 1e30]))
+    gamma = math.sqrt(q / epsilon) / (DEFAULT_CONSTANTS.m_e * DEFAULT_CONSTANTS.c)
+    argv = [form.partition("-")[0], *_DEFORMED[form](repr(epsilon)), "--gamma", repr(gamma)]
+    if form not in ("discrepancy", "dispersion"):
+        argv += ["--regime", data.draw(st.sampled_from(["lande", "rel", "gup", "rgup"]))]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if above:
+        assert (code, out.getvalue()) == (3, ""), argv
+        assert "exceeds 1/8" in err.getvalue(), argv
+    else:
+        assert code == 0 and out.getvalue(), (argv, err.getvalue())
 
 
 _PARSER = cli.build_parser()

@@ -5,11 +5,12 @@ import pytest
 
 from rgupzeeman.dispersion import (
     TransPlanckianMassError,
+    has_real_root,
     p0sq_exact,
     p0sq_series,
     solve_mass_shell,
 )
-from rgupzeeman.units import make_params
+from rgupzeeman.units import DEFAULT_CONSTANTS, make_params
 
 # frozen from a 50-digit Decimal evaluation of -2/(1 + sqrt(1 - 0.08))
 EXACT_ROOT_MC1_Q001 = -1.0208423834364022920128096791865304
@@ -77,6 +78,15 @@ def test_trans_planckian_error_carries_scale():
     assert err.value.scale == pytest.approx(0.2)
 
 
+def test_the_bound_holds_at_one_eighth_and_refuses_nan_and_inf():
+    assert has_real_root(0.125) and not has_real_root(0.125000001)
+    assert p0sq_exact(1.0, 0.125) == -2.0
+    for mc, eps_gamma2 in ((1.0, float("nan")), (1.0, float("inf")), (float("nan"), 0.01)):
+        assert not has_real_root(eps_gamma2 * mc * mc)
+        with pytest.raises(TransPlanckianMassError):
+            p0sq_exact(mc, eps_gamma2)
+
+
 def test_solution_record():
     sol = solve_mass_shell(1.0, 0.01, order=2)
     assert sol.exact_root < 0.0
@@ -86,7 +96,7 @@ def test_solution_record():
 
 def test_solve_mass_shell_physical_scale():
     params = make_params(B=0.0, epsilon=1.0, gamma_mode="planck")
-    mc = params.m * params.constants.c
+    mc = params.m * DEFAULT_CONSTANTS.c
     sol = solve_mass_shell(mc, params.eps_gamma2)
     # deformation is ~1e-45: the root is -(mc)^2 to every retained digit
     assert sol.exact_root == pytest.approx(-mc * mc, rel=1e-15)

@@ -17,7 +17,6 @@ from rgupzeeman import (
     make_params,
     zeeman_lines,
 )
-from rgupzeeman.units import DEFAULT_CONSTANTS
 
 STATE = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
 PARAMS = make_params(B=1.0e4, epsilon=0.05, gamma_mode="explicit", gamma=0.0, Z=2.0)
@@ -32,10 +31,7 @@ _STATE = "QuantumState(n=2, l=1, branch=<Branch.PLUS: 'plus'>, mj=0.5, ml=None, 
 # the lib-grid benchmark digest hashes repr(ZeemanLine), so these bytes are output
 @pytest.mark.parametrize("record, text", zip(RECORDS, (
     _STATE,
-    "PhysicalParams(B=10000.0, epsilon=0.05, gamma=0.0, m=9.1093837015e-28, Z=2, "
-    "constants=ConstantsTable(e=4.803204712570263e-10, m_e=9.1093837015e-28, "
-    "c=29979245800.0, hbar=1.054571817e-27, alpha=0.0072973525693, "
-    "r0=5.29177210903e-09, m_planck=2.176434e-05))",
+    "PhysicalParams(B=10000.0, epsilon=0.05, gamma=0.0, m=9.1093837015e-28, Z=2)",
     f"ShiftBreakdown(state={_STATE}, regime=<Regime.LANDE: 'lande'>, "
     "mode=<Mode.DERIVED: 'derived'>, correction_scale=0.0, "
     "terms=(ShiftTerm(label='jz_plus_sz', expression='-(e B / 2 m_e c) <Jz + Sz>', "
@@ -83,7 +79,7 @@ def test_records_are_tuples():
     assert STATE == (2, 1, Branch.PLUS, 0.5, None, None)
 
 
-_GOOD_PARAMS = dict(B=0.0, epsilon=1.0, gamma=0.0, m=1.0, Z=1, constants=DEFAULT_CONSTANTS)
+_GOOD_PARAMS = dict(B=0.0, epsilon=1.0, gamma=0.0, m=1.0, Z=1)
 
 
 @pytest.mark.parametrize("build", [

@@ -6,8 +6,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
-import threading
 import types
 
 import pytest
@@ -32,7 +30,7 @@ from rgupzeeman.spectrum import (
     zeeman_lines,
 )
 from rgupzeeman.units import DEFAULT_CONSTANTS as C
-from rgupzeeman.units import PhysicalParams, ValidationError, load_constants, make_params
+from rgupzeeman.units import PhysicalParams, ValidationError, make_params
 
 
 def textbook_g(l, branch):
@@ -160,10 +158,6 @@ def test_exp_sz_sum_rule():
 def test_exp_p2_angular():
     assert exp_p2_angular(0) == 0.0
     assert exp_p2_angular(1) == pytest.approx(2.0 * C.hbar**2 / C.r0**2, rel=1e-15)
-    assert exp_p2_angular(1, C._replace(r0=2.0 * C.r0)) == pytest.approx(
-        0.5 * C.hbar**2 / C.r0**2, rel=1e-15)
-    with pytest.raises(ValidationError):
-        exp_p2_angular(1, C._replace(r0=0.0))
 
 
 @pytest.mark.parametrize("l", [10**400, 2**53, -1, 1.5, math.nan],
@@ -192,27 +186,6 @@ def test_lande_g_factor_takes_the_branch_of_a_state():
         errors.append((err.value.field, str(err.value)))
     assert errors == [("branch", "branch: j = l - 1/2 requires l >= 1")] * 2
     assert lande_g_factor(1, Branch.MINUS) == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("regime", list(Regime))
-def test_a_table_with_no_bohr_radius_fails_on_every_path(regime):
-    # a params record refuses the table as it enters, so no path reaches a
-    # part with it; exp_p2_angular takes a bare table and keeps its own rule
-    table = C._replace(r0=0.0)
-    with pytest.raises(ValidationError) as err:
-        exp_p2_angular(1, table)
-    assert err.value.field == "r"
-    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
-    upper, lower = level_states(2, 1, Branch.PLUS), level_states(1, 0, Branch.PLUS)
-    for call in (lambda: energy_shift_B(state, make_params(B=1e4, constants=table), regime),
-                 lambda: zeeman_lines(upper, lower, PLANCK._replace(constants=table), regime),
-                 lambda: spectrum._plan_of(regime, Mode.DERIVED).sweep_B(
-                     state, make_params(B=1e4, gamma_mode="explicit", gamma=0.0,
-                                        constants=table), [1.0], 1.0, "eV", "", [].append),
-                 lambda: discrepancy_report(state, PhysicalParams(*PLANCK[:-1], table))):
-        with pytest.raises(ValidationError) as err:
-            call()
-        assert err.value.field == "r0"
 
 
 # -- energy shifts -------------------------------------------------------------
@@ -348,7 +321,7 @@ def test_substitution_identity_links_rgup_bracket_to_gup_addends():
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
     params = params_with_scale(0.0, B=1e4)
     gamma = 1.0 / (C.m_e * C.c)
-    params = make_params(B=1e4, epsilon=2.0, gamma_mode="explicit", gamma=gamma)
+    params = make_params(B=1e4, epsilon=0.1, gamma_mode="explicit", gamma=gamma)
     p2 = exp_p2_angular(state.l)
     gup = energy_shift_B(state, params, Regime.GUP)
     # -eps gamma^2 <p^2> * (-<p^2> / m_e) = + eps gamma^2 <p^2>^2 / m_e,
@@ -375,7 +348,7 @@ def test_regime_term_catalogue_matches_emission():
 def test_negative_epsilon_guard():
     # the record itself rejects it, so no regime can see a negative epsilon
     with pytest.raises(ValidationError) as err:
-        PhysicalParams(B=1e4, epsilon=-1.0, gamma=0.0, m=C.m_e, Z=1, constants=C)
+        PhysicalParams(B=1e4, epsilon=-1.0, gamma=0.0, m=C.m_e, Z=1)
     assert err.value.field == "epsilon"
 
 
@@ -453,8 +426,8 @@ def test_hls_textbook_limit_and_quadrature_cross_check():
 def test_hls_deformation_factor():
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=1.5, ml=1, ms=0.5)
     undeformed = hls_shift(state, params_zero_gamma())
-    deformed = hls_shift(state, params_with_scale(0.25))
-    assert deformed == pytest.approx(0.75 * undeformed, rel=1e-12)
+    deformed = hls_shift(state, params_with_scale(0.1))
+    assert deformed == pytest.approx(0.9 * undeformed, rel=1e-12)
 
 
 def test_hls_l0_vanishes():
@@ -464,9 +437,14 @@ def test_hls_l0_vanishes():
 
 @pytest.mark.parametrize("ml", [1, 0])
 def test_hls_outside_double_precision_is_a_domain_error(ml):
+    # the record refuses a scale that would take the factor 1 - scale outside
+    # double precision, so the shift stays finite at the other extremes
     state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=ml, ms=0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         hls_shift(state, make_params(gamma_mode="explicit", gamma=1e300))
+    assert err.value.field == "correction_scale"
+    for Z in (1, 2**53):
+        assert math.isfinite(hls_shift(state, params_with_scale(0.1, B=1.7e308, Z=Z)))
 
 
 def test_hls_requires_alt_basis():
@@ -642,13 +620,13 @@ _UNARY = {"UNARY_NEGATIVE", "UNARY_POSITIVE", "UNARY_INVERT"}
 
 
 def test_no_warm_part_computes_a_constant_at_run_time():
-    # a part folded for DEFAULT_CONSTANTS reads no table field and no math:
-    # the compiler folded every operation on the literals it writes for them
+    # a part reads no table field and no math: the compiler folded every
+    # operation on the literals it writes for them
     constants = {*spectrum.ConstantsTable._fields, "math"}
     for plan in _plans():
         for part in spectrum._PARTS:
             function = getattr(plan, part)
-            assert function.__name__ == part and function.__globals__["plain"] is not None
+            assert function.__name__ == part
             for code in _code_objects(function.__code__):
                 assert not constants & set(code.co_names), (plan.name, part)
                 ops = list(dis.get_instructions(code))
@@ -827,20 +805,19 @@ _COMPILED_FORMS = {}
 def _reference_terms(state, params, regime, mode):
     """(scale, [(label, tags, value)] of the addends that are on): each form
     evaluated by itself over names computed one by one, with no plan."""
-    K = params.constants
     l, mj = state.l, state.mj
     sgn = 1.0 if state.branch is Branch.PLUS else -1.0
-    p2 = exp_p2_angular(l, constants=K)
+    p2 = exp_p2_angular(l)
     if regime is Regime.GUP:
         scale, on = -params.eps_gamma2 * p2 + 0.0, params.eps_gamma2 != 0.0
     else:
         scale = params.correction_scale
         on = scale != 0.0
-    names = {**K._asdict(), "l": l, "ll": l * (l + 1), "sgn": sgn,
+    names = {**C._asdict(), "l": l, "ll": l * (l + 1), "sgn": sgn,
              "plus": 1.0 + sgn / (2 * l + 1), "minus": 1.0 - sgn / (2 * l + 1),
-             "p2": p2, "p4": p2 * p2, "mj": mj, "jz": mj * K.hbar,
-             "sz": sgn * mj * K.hbar / (2 * l + 1), "B": params.B,
-             "base": K.e * params.B / (2.0 * K.m_e * K.c),
+             "p2": p2, "p4": p2 * p2, "mj": mj, "jz": mj * C.hbar,
+             "sz": sgn * mj * C.hbar / (2 * l + 1), "B": params.B,
+             "base": C.e * params.B / (2.0 * C.m_e * C.c),
              "eps_gamma2": params.eps_gamma2, "scale": scale}
     quoted = mode is Mode.AS_PUBLISHED and regime in (Regime.GUP, Regime.RGUP)
     terms = []
@@ -910,11 +887,14 @@ def _outcome(call):
         return error.field, str(error)
 
 
-_OVERFLOWING = [make_params(B=B, epsilon=epsilon, gamma_mode="explicit", gamma=gamma)
+#: B up to past double precision, each with a scale 8q <= 1 allows: none, the
+#: Planck one, 0.1, and at a mass near 0, where GUP's eps gamma^2 is 1e298,
+#: then past double precision
+_OVERFLOWING = [make_params(B=B, epsilon=epsilon, gamma_mode="explicit", gamma=gamma, m=m)
                 for B in (0.0, 1e4, 1e280, 2e301, 1.7e308)
-                for epsilon, gamma in ((1.0, C.gamma_planck), (1.0, 1e150), (1.0, 1e167),
-                                       (1.0, 1e170), (1e300, 1e4), (1e300, 1e160),
-                                       (0.0, 1e300))]
+                for epsilon, gamma, m in ((1.0, 0.0, C.m_e), (1.0, C.gamma_planck, C.m_e),
+                                          (0.1, 1.0 / (C.m_e * C.c), C.m_e),
+                                          (1e-22, 1e160, 1e-160), (1e-22, 1e170, 1e-170))]
 _LARGE_STATES = (QuantumState(2, 1, Branch.PLUS, 0.5), QuantumState(4, 3, Branch.MINUS, -1.5),
                  QuantumState(10**9 + 1, 10**9, Branch.PLUS, 10**9 + 0.5),
                  QuantumState(2**53, 2**53 - 1, Branch.MINUS, 0.5))
@@ -994,9 +974,6 @@ def test_lines_match_a_per_state_reference_bit_for_bit(data):
         assert got == want
 
 
-#: the table a part is folded for, and two it runs as written: another
-#: consistent table, and an equal copy, which is not the same object
-_TABLES = (C, C._replace(m_e=1.5 * C.m_e, r0=C.r0 / 1.5), load_constants())
 _PLAN_KEYS = [(regime, published) for regime in Regime for published in (False, True)
               if not published or regime in (Regime.GUP, Regime.RGUP)]
 
@@ -1017,56 +994,18 @@ def _every_part(plan, params, sweeps=True):
     return out
 
 
-def test_every_part_gives_each_table_what_a_single_table_plan_gives():
-    params = [make_params(B=3.7e4, gamma_mode="explicit", gamma=1e15, constants=table)
-              for table in _TABLES]
-    # each table through the parts as written, which the folded parts match bit for bit
-    want = {}
+def test_every_part_gives_what_it_gives_unfolded(monkeypatch):
+    # each part reads the constants as literals; compiled as written, over the
+    # table's fields as globals, it gives the same bits
+    params = [PLANCK._replace(B=3.7e4), params_with_scale(0.05, B=3.7e4), params_zero_gamma(),
+              make_params(B=3.7e4, gamma_mode="explicit", gamma=1e15)]
+    want = {key: [_every_part(spectrum._Plan(*key), p) for p in params] for key in _PLAN_KEYS}
+    monkeypatch.setattr(spectrum, "_folded", lambda source: source)
     for key in _PLAN_KEYS:
         plan = spectrum._Plan(*key)
-        written = types.SimpleNamespace(**{part: plan._compile(part) for part in spectrum._PARTS})
-        want.update(((key, i), _every_part(written, params[i])) for i in range(len(_TABLES)))
-    plans = {key: spectrum._Plan(*key) for key in _PLAN_KEYS}
-    # every part is folded from its first call, and no table rebinds a global of it
-    folded = [getattr(plan, part) for plan in plans.values() for part in spectrum._PARTS]
-    assert [f.__name__ for f in folded] == [*spectrum._PARTS] * len(plans)
-    seen = [dict(f.__globals__) for f in folded]
-    for i in (0, 1, 2, 0, 1, 2, 2, 0, 1):
-        for key, plan in plans.items():
-            assert _every_part(plan, params[i]) == want[key, i], (key, i)
-    for f, names in zip(folded, seen):
-        assert f.__globals__.keys() == names.keys()
-        assert [name for name, value in names.items() if f.__globals__[name] is not value] == []
-
-    failed = []
-
-    def alternate(i):
-        for _ in range(100):
-            for key, plan in plans.items():
-                if _every_part(plan, params[i], sweeps=False) != want[key, i][:2]:
-                    failed.append((key, i))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, mid-lookup too
-    try:
-        threads = [threading.Thread(target=alternate, args=(i,)) for i in range(len(_TABLES))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not failed, failed[:3]
-
-
-def test_a_warm_part_runs_another_table_as_written():
-    # m_e**3 overflows for this consistent table (r0**2 does not underflow),
-    # while the scale check comes first in the shift
-    params = make_params(B=1e4, gamma_mode="explicit", gamma=1e300, m=C.m_e,
-                         constants=C._replace(m_e=1e110, r0=C.hbar**2 / (1e110 * C.e**2)))
-    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5)
-    for regime in (Regime.REL, Regime.RGUP):
-        plan = spectrum._Plan(regime, False)
-        moved = plan._compile("shift", plan._compile("shift"))
-        assert _outcome(lambda: moved(state, params, Mode.DERIVED)) == \
-            _outcome(lambda: plan._compile("shift")(state, params, Mode.DERIVED))
-    assert _outcome(lambda: moved(state, params, Mode.DERIVED))[0] == "correction_scale"
+        for part in spectrum._PARTS:
+            globals_ = getattr(plan, part).__globals__
+            assert "hbar" not in globals_, (key, part)
+            globals_.update(C._asdict())
+        assert "hbar" in plan.shift.__code__.co_names, key
+        assert [_every_part(plan, p) for p in params] == want[key], key

@@ -31,11 +31,6 @@ def test_load_constants_invariants(table):
         assert getattr(table, name) > 0.0
 
 
-def test_unknown_source_rejected():
-    with pytest.raises(ValidationError):
-        load_constants("codata-online")
-
-
 def test_mu_bohr_times_one_tesla_in_ev(table):
     # CODATA arithmetic: mu_B * 1e4 G = 5.788e-5 eV
     value_ev = convert_energy(table.mu_bohr * GAUSS_PER_TESLA, "erg", "eV")
@@ -66,22 +61,37 @@ def test_validate_rejects_a_field_that_is_not_finite_and_positive(field, value):
     assert caught.value.field == field
 
 
-@pytest.mark.parametrize("change, field", [
-    (dict(m_planck=0.0), "m_planck"),
-    (dict(r0=math.nan), "r0"),
-    (dict(alpha=1.0), "alpha"),
-], ids=("no-planck-mass", "nan-radius", "inconsistent-alpha"))
-def test_a_params_record_refuses_a_table_that_fails_validate(change, field):
-    constants = DEFAULT_CONSTANTS._replace(**change)
-    builds = (lambda: make_params(B=1e4, constants=constants),
-              lambda: make_params(B=1e4, gamma_mode="explicit", gamma=0.0, constants=constants),
-              lambda: PhysicalParams(B=1e4, epsilon=1.0, gamma=0.0, m=1.0, Z=1,
-                                     constants=constants),
-              lambda: make_params(B=1e4)._replace(constants=constants))
+#: gamma = 1/(m_e c), so the scale eps gamma^2 (m c)^2 is epsilon (m/m_e)^2
+_GAMMA_E = 1.0 / (DEFAULT_CONSTANTS.m_e * DEFAULT_CONSTANTS.c)
+
+
+@pytest.mark.parametrize("epsilon, gamma, m, ok", [
+    (0.1, _GAMMA_E, DEFAULT_CONSTANTS.m_e, True),
+    (1.0, _GAMMA_E, 0.35 * DEFAULT_CONSTANTS.m_e, True),
+    (1.0, 1e20 * _GAMMA_E, 1e-21 * DEFAULT_CONSTANTS.m_e, True),
+    (1e-300, 1e149 * _GAMMA_E, DEFAULT_CONSTANTS.m_e, True),
+    (0.0, 1e100, DEFAULT_CONSTANTS.m_e, True),
+    (0.2, _GAMMA_E, DEFAULT_CONSTANTS.m_e, False),
+    (1.0, 1e20, DEFAULT_CONSTANTS.m_e, False),
+    (1e-300, 1e300, DEFAULT_CONSTANTS.m_e, False),
+    (0.0, 1e300, DEFAULT_CONSTANTS.m_e, False),
+], ids=("scale-0.1", "light-mass", "tiny-mass", "tiny-epsilon", "no-epsilon", "scale-0.2",
+        "gamma-1e20", "square-overflows", "zero-times-overflow"))
+def test_a_params_record_holds_the_trans_planckian_bound(epsilon, gamma, m, ok):
+    # 8q <= 1 for q = eps gamma^2 (m c)^2, with (gamma m c)^2 inf where it
+    # overflows, so a q of inf or of 0 * inf = NaN fails too
+    builds = (lambda: make_params(epsilon=epsilon, gamma_mode="explicit", gamma=gamma, m=m),
+              lambda: PhysicalParams(B=0.0, epsilon=epsilon, gamma=gamma, m=m, Z=1),
+              lambda: make_params(gamma_mode="explicit", gamma=0.0)._replace(
+                  epsilon=epsilon, gamma=gamma, m=m))
     for build in builds:
-        with pytest.raises(ValidationError) as caught:
-            build()
-        assert caught.value.field == field
+        if ok:
+            assert 0.0 <= build().correction_scale <= 0.125
+        else:
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert caught.value.field == "correction_scale"
+            assert "exceeds 1/8" in str(caught.value)
 
 
 def test_make_params_planck_gamma(table):
@@ -130,8 +140,7 @@ def test_make_params_validation(kwargs, field):
     if "gamma_mode" in kwargs and not (kwargs["gamma_mode"] == "explicit" and "gamma" in kwargs):
         return  # one of make_params' own rules, which resolve gamma_mode
     # every other rule lives in the record, which rejects the same value
-    record = dict(B=0.0, epsilon=1.0, gamma=0.0, m=DEFAULT_CONSTANTS.m_e, Z=1,
-                  constants=DEFAULT_CONSTANTS)
+    record = dict(B=0.0, epsilon=1.0, gamma=0.0, m=DEFAULT_CONSTANTS.m_e, Z=1)
     record.update((k, v) for k, v in kwargs.items() if k != "gamma_mode")
     with pytest.raises(ValidationError) as err:
         PhysicalParams(**record)
@@ -140,8 +149,7 @@ def test_make_params_validation(kwargs, field):
 
 @pytest.mark.parametrize("Z", [2, 2.0])
 def test_integral_Z_is_stored_as_int(Z):
-    for params in (make_params(Z=Z), PhysicalParams(B=0.0, epsilon=1.0, gamma=0.0,
-                                                    m=1.0, Z=Z, constants=DEFAULT_CONSTANTS)):
+    for params in (make_params(Z=Z), PhysicalParams(B=0.0, epsilon=1.0, gamma=0.0, m=1.0, Z=Z)):
         assert params.Z == 2 and type(params.Z) is int
 
 
@@ -179,7 +187,7 @@ def test_convert_energy_unknown_unit():
 
 
 def test_constants_dump_shape(table):
-    lines = constants_dump(table).splitlines()
+    lines = constants_dump().splitlines()
     assert len(lines) == 8
     for line in lines:
         name, value, unit = line.split(" ")
