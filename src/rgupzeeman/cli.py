@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import math
 import os
@@ -23,7 +24,7 @@ import sys
 import warnings
 from typing import NamedTuple
 
-from . import __version__, opalg
+from . import __version__
 from .dispersion import TransPlanckianMassError, solve_mass_shell
 from .oracle import (
     _check_qn,
@@ -60,6 +61,18 @@ from .units import (
 )
 
 ENV_PREFIX = "RGUPZ_"
+
+
+# only verify-algebra runs opalg and the fractions it imports, so the module
+# is registered as an import would register it, and its code runs when one
+# of its attributes is first read
+opalg = sys.modules.get(__package__ + ".opalg")
+if opalg is None:
+    _spec = importlib.util.find_spec(__package__ + ".opalg")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    opalg = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(opalg)
+    sys.modules[__package__].opalg = opalg
 
 
 class CLIUsageError(Exception):
@@ -524,7 +537,7 @@ class _Flag(NamedTuple):
     option: str
     dest: str
     type: type | None = None
-    choices: tuple | dict | None = None
+    choices: tuple | dict | _Cases | None = None
     default: object = None
     help: str | None = None
     required: bool = False
@@ -558,6 +571,18 @@ _LEVEL_FLAGS = tuple(flag for side in ("upper", "lower") for flag in (
     _Flag(f"--{side}-branch", f"{side}_branch", choices=_BRANCHES, default="plus")))
 _FORMAT_HELP = {"json": "emit a single JSON object", "csv": "emit CSV rows"}
 
+
+class _Cases:
+    """The --case choices, opalg's cases and all, read from opalg when
+    first asked for; a parser built for help or an error text reads them."""
+
+    def __iter__(self):
+        return iter((*opalg.VERIFICATION_CASES, "all"))
+
+    def __contains__(self, case) -> bool:
+        return case == "all" or case in opalg.VERIFICATION_CASES
+
+
 #: subcommand -> (its help, its flags in help order, the formats of its
 #: mutually exclusive --json/--csv flags); output.format may also name table
 _COMMANDS = {
@@ -575,7 +600,7 @@ _COMMANDS = {
     "lines": ("allowed Zeeman lines between two levels",
               (*_LEVEL_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ("json",)),
     "verify-algebra": ("machine-verify the deformed commutator algebras", (
-        _Flag("--case", "case", choices=(*opalg.VERIFICATION_CASES, "all"), default="all"),
+        _Flag("--case", "case", choices=_Cases(), default="all"),
         _Flag("--target", "target", choices=("derived", "quoted"), default="derived",
               help="'quoted' checks the printed special-case cross "
                    "coefficient a1 and fails by the known factor 2")), ("json",)),
@@ -597,10 +622,12 @@ _COMMANDS = {
 }
 
 #: subcommand -> (option -> (dest, type, choices) of each single-value flag,
-#: the namespace argparse gives when no flag is set, in its order, the
-#: required dests); no row but --config's defaults to SUPPRESS
+#: option -> (dest, value) of each flag that takes no value, the namespace
+#: argparse gives when no flag is set, in its order, the required dests);
+#: no row but --config's and --banner's defaults to SUPPRESS
 _TABLES = {
     command: ({flag.option: (flag.dest, flag.type, flag.choices) for flag in (_CONFIG, *flags)},
+              {"--banner": ("banner", True), **{f"--{fmt}": ("format", fmt) for fmt in formats}},
               {"command": command, **{flag.dest: flag.default for flag in flags},
                **({"format": None} if formats else {})},
               {flag.dest for flag in flags if flag.required})
@@ -610,19 +637,51 @@ _TABLES = {
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-class _Parser(argparse.ArgumentParser):
-    """The rgupz parser.  parse_args reads a plain argv -- the subcommand, then
-    only exact --flag value or --flag=value pairs of its single-value flags --
-    from _TABLES, and hands every other argv to argparse unchanged, which
-    stays the one source of help, usage, error text and exit 2."""
+def _parse_plain(args: list[str]):
+    """The namespace argparse would give a plain argv, or None.
 
-    def parse_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        if namespace is None and args:
-            parsed = self._parse_plain(args)
-            if parsed is not None:
-                return parsed
-        return super().parse_args(args, namespace)
+    A plain argv is the subcommand, then only exact --flag value or
+    --flag=value pairs of its single-value flags and its bare --json, --csv
+    (one format) and --banner.  main hands every other argv to argparse,
+    which stays the one source of help, usage, error text and exit 2."""
+    table = _TABLES.get(args[0]) if args else None
+    if table is None:
+        return None
+    flags, switches, defaults, required = table
+    values = {}
+    tokens = iter(args[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            # the whole token, so a --json=x goes to argparse, which refuses it
+            dest, value = switches.get(token, (None, None))
+            # --json --csv: argparse reports the two formats
+            if dest is None or values.setdefault(dest, value) != value:
+                return None
+            continue
+        if not equals:
+            value = next(tokens, None)
+            # argparse reads any other token that starts with - as a flag
+            if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+                return None
+        elif value == "--":  # before 3.13 argparse reads --flag=-- as []
+            return None
+        dest, convert, choices = flags[flag]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading an explicit --flag=-- alike on every Python."""
 
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)
@@ -633,39 +692,6 @@ class _Parser(argparse.ArgumentParser):
             if isinstance(getattr(parsed, dest, None), list):
                 self.exit(2, f"{self.prog}: error: argument {flag}: expected one argument\n")
         return parsed, extras
-
-    @staticmethod
-    def _parse_plain(args: list[str]):
-        """The namespace argparse would give a plain argv, or None."""
-        table = _TABLES.get(args[0])
-        if table is None:
-            return None
-        flags, defaults, required = table
-        values = {}
-        tokens = iter(args[1:])
-        for token in tokens:
-            flag, equals, value = token.partition("=")
-            if flag not in flags:
-                return None
-            if not equals:
-                value = next(tokens, None)
-                # argparse reads any other token that starts with - as a flag
-                if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
-                    return None
-            elif value == "--":  # before 3.13 argparse reads --flag=-- as []
-                return None
-            dest, convert, choices = flags[flag]
-            if convert is not None:
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError):
-                    return None
-            if choices is not None and value not in choices:
-                return None
-            values[dest] = value
-        if not required <= values.keys():
-            return None
-        return argparse.Namespace(**{**defaults, **values})
 
 
 def _add_flag(parser: argparse.ArgumentParser, flag: _Flag) -> None:
@@ -704,11 +730,14 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    # the parser holds no per-call state, so one per process serves every call
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        # the parser holds no per-call state, so one per process serves every call
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     try:
         cfg = RunConfig.load(getattr(args, "config", None))
         # looked up at call time, so a replaced cmd_* attribute is the one run

@@ -161,14 +161,14 @@ class PhysicalParams(_ParamsFields):
 
     def __new__(cls, B, epsilon, gamma, m, Z):
         if B < 0.0 or not math.isfinite(B):
-            raise ValidationError("B", f"field magnitude must be >= 0, got {B!r}")
+            raise ValidationError("B", f"field magnitude must be finite and >= 0, got {B!r}")
         if epsilon < 0.0 or not math.isfinite(epsilon):
-            raise ValidationError("epsilon", f"must be >= 0, got {epsilon!r}")
+            raise ValidationError("epsilon", f"must be finite and >= 0, got {epsilon!r}")
         if m <= 0.0 or not math.isfinite(m):
-            raise ValidationError("m", f"mass must be > 0, got {m!r}")
+            raise ValidationError("m", f"mass must be finite and > 0, got {m!r}")
         check_Z(Z)
         if gamma < 0.0 or not math.isfinite(gamma):
-            raise ValidationError("gamma", f"must be >= 0, got {gamma!r}")
+            raise ValidationError("gamma", f"must be finite and >= 0, got {gamma!r}")
         gmc = gamma * (m * DEFAULT_CONSTANTS.c)
         q = epsilon * (gmc * gmc)  # float * gives inf where float ** raises
         if not has_real_root(q):

@@ -272,6 +272,9 @@ def test_a_cold_start_does_not_load_ast():
         "def loaded():\n"
         "    return ({'ast', '_ast'} - before) & set(sys.modules)\n"
         "assert not loaded(), loaded()\n"
+        "def build_parser():\n"
+        "    raise AssertionError('argparse built')\n"
+        "rgupzeeman.cli.build_parser = build_parser\n"
         "for argv in (['shift', '--l', '1', '--mj', '0.5', '--regime', 'rgup'],\n"
         "             ['lines', '--upper-l', '2', '--lower-l', '1', '--regime', 'rgup'],\n"
         "             ['sweep', '--param', 'B', '--values', '0,1', '--l', '1', '--mj', '0.5'],\n"
@@ -279,8 +282,24 @@ def test_a_cold_start_does_not_load_ast():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert rgupzeeman.cli.main(argv) == 0\n"
         "    assert not loaded(), (argv, loaded())\n"
+        # opalg is registered for the benchmark's tracer, but only
+        # verify-algebra runs it (and fractions); no plain argv builds argparse
+        "assert 'rgupzeeman.opalg' in sys.modules\n"
+        "for argv in (['constants', '--json'],\n"
+        "             ['shift', '--l', '1', '--mj', '0.5', '--csv'],\n"
+        "             ['shift', '--l', '1', '--mj', '0.5', '--json', '--banner'],\n"
+        "             ['sweep', '--param', 'B', '--values', '0,1', '--l', '1', '--mj', '0.5'],\n"
+        "             ['lines', '--upper-l', '2', '--lower-l', '1', '--json'],\n"
+        "             ['discrepancy', '--l', '1', '--mj', '0.5', '--json'],\n"
+        "             ['dispersion', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rgupzeeman.cli.main(argv) == 0\n"
+        "    assert not {'fractions', 'decimal'} & set(sys.modules), argv\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rgupzeeman.cli.main(['verify-algebra', '--json']) == 0\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

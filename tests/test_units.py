@@ -132,11 +132,19 @@ def test_make_params_physical_scale():
     (dict(Z=math.nan), "Z"),
     (dict(gamma_mode="explicit", gamma=math.inf), "gamma"),
     (dict(gamma_mode="explicit", gamma=math.nan), "gamma"),
+    (dict(B=-math.inf), "B"),
+    (dict(epsilon=-math.inf), "epsilon"),
+    (dict(m=-math.inf), "m"),
+    (dict(gamma_mode="explicit", gamma=-math.inf), "gamma"),
 ])
 def test_make_params_validation(kwargs, field):
     with pytest.raises(ValidationError) as err:
         make_params(**kwargs)
     assert err.value.field == field
+    if field != "Z" and not all(map(math.isfinite, (v for v in kwargs.values()
+                                                    if isinstance(v, float)))):
+        # an infinite B reads "finite and >= 0", not only ">= 0"
+        assert "finite" in str(err.value), err.value
     if "gamma_mode" in kwargs and not (kwargs["gamma_mode"] == "explicit" and "gamma" in kwargs):
         return  # one of make_params' own rules, which resolve gamma_mode
     # every other rule lives in the record, which rejects the same value
