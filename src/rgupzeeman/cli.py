@@ -13,40 +13,22 @@ underscores and the RGUPZ_ prefix (params.b_tesla -> RGUPZ_PARAMS_B_TESLA).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import math
 import os
 import re
 import sys
+import types
 import warnings
 from typing import NamedTuple
 
 from . import __version__
 from .dispersion import TransPlanckianMassError, solve_mass_shell
-from .oracle import (
-    _check_qn,
-    p2_closed_form,
-    p2_expectation_exact,
-    p4_expectation_exact,
-    radial_expectation,
-)
-from .spectrum import (
-    Branch,
-    Mode,
-    QuantumState,
-    Regime,
-    REGIME_TERM_LABELS,
-    _check_mj,
-    _plan_of,
-    discrepancy_report,
-    energy_shift_B,
-    level_states,
-    zeeman_lines,
-)
 from .units import (
+    _MAX_EXACT_INT,
     DEFAULT_CONSTANTS,
     ENERGY_UNITS,
     GAUSS_PER_TESLA,
@@ -62,17 +44,53 @@ from .units import (
 
 ENV_PREFIX = "RGUPZ_"
 
+#: module -> the names cli takes from it.  Each command runs only the
+#: modules it reads: verify-algebra runs opalg, oracle runs oracle, and
+#: shift, sweep, lines and discrepancy run spectrum (_READS).  So each module
+#: is registered as an import would register it, and its code runs when one
+#: of its attributes is first read; its names are bound into the globals by
+#: the first command that reads them, and until then __getattr__ serves them
+_DEFERRED = {
+    "opalg": (),
+    "oracle": ("_check_qn", "p2_closed_form", "p2_expectation_exact",
+               "p4_expectation_exact", "radial_expectation"),
+    "spectrum": ("Branch", "Mode", "QuantumState", "Regime", "REGIME_TERM_LABELS",
+                 "_check_mj", "_plan_of", "discrepancy_report", "energy_shift_B",
+                 "level_states", "zeeman_lines"),
+}
+#: command -> the deferred module whose names it reads
+_READS = {"shift": "spectrum", "sweep": "spectrum", "lines": "spectrum",
+          "discrepancy": "spectrum", "oracle": "oracle"}
 
-# only verify-algebra runs opalg and the fractions it imports, so the module
-# is registered as an import would register it, and its code runs when one
-# of its attributes is first read
-opalg = sys.modules.get(__package__ + ".opalg")
-if opalg is None:
-    _spec = importlib.util.find_spec(__package__ + ".opalg")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    opalg = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(opalg)
-    sys.modules[__package__].opalg = opalg
+
+def _register(name: str) -> types.ModuleType:
+    """The package's submodule `name` if it is already imported, else a lazy
+    one, registered in sys.modules and on the package."""
+    module = sys.modules.get(f"{__package__}.{name}")
+    if module is None:
+        spec = importlib.util.find_spec(f"{__package__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+opalg, oracle, spectrum = map(_register, _DEFERRED)
+
+
+def _bind(module: str | None) -> None:
+    """Bind the names cli takes from a deferred module into the globals, once;
+    a name already bound is a patched one (a test's or a tracer's), and stays."""
+    for name in _DEFERRED.pop(module, ()):
+        globals().setdefault(name, getattr(globals()[module], name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            return getattr(globals()[module], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CLIUsageError(Exception):
@@ -304,14 +322,17 @@ def _sweep_records(values, args, param_values):
             params = _make_params(b_tesla, value, gamma, Z)
         elif params is None:
             params = _make_params(b_tesla, epsilon, gamma, Z)
-        if param in ("l", "n") and not is_integer(value):
-            raise ValidationError(param, f"swept {param} must be an integer, got {value!r}")
+        if param in ("l", "n"):
+            if not is_integer(value):
+                raise ValidationError(param, f"swept {param} must be an integer, got {value!r}")
+            # an int where it is exact; past 2**53 the rules refuse the value
+            # as given (1e+300), not the 301 digits of its int
+            value = int(value) if abs(value) <= _MAX_EXACT_INT else value
         if state is None or param == "l":
-            swept = {param: int(value)} if param in ("l", "n") else \
-                {"mj": value} if param == "mj" else {}
+            swept = {param: value} if param in ("l", "n", "mj") else {}
             state = _state_from(args, **swept)
         elif param == "n":
-            check_n_l(int(value), state.l)
+            check_n_l(value, state.l)
         elif param == "mj":
             _check_mj(value, state.j)
         first = first or (params, state)
@@ -444,6 +465,9 @@ def cmd_dispersion(args, cfg: RunConfig) -> int:
     if not all(map(math.isfinite, (solution.exact_root, solution.series_root,
                                    solution.residual))):
         raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
+    # -(mc)^2 underflows for mc below ~1e-154: a zero root would read as exact
+    if abs(solution.exact_root) < sys.float_info.min:
+        raise ValidationError("mc", f"the root underflows double precision at mc = {mc!r}")
 
     if cfg.get(args, "output.format") == "json":
         _print_json({
@@ -537,14 +561,14 @@ class _Flag(NamedTuple):
     option: str
     dest: str
     type: type | None = None
-    choices: tuple | dict | _Cases | None = None
+    choices: tuple | dict | _Choices | None = None
     default: object = None
     help: str | None = None
     required: bool = False
 
 
 _BRANCHES = ("plus", "minus")
-_CONFIG = _Flag("--config", "config", default=argparse.SUPPRESS, help="key = value defaults file")
+_CONFIG = _Flag("--config", "config", help="key = value defaults file")
 _PARAMS_FLAGS = (
     _Flag("--B-tesla", "B_tesla", float,
           help="field magnitude in tesla (converted to gauss internally)"),
@@ -560,9 +584,32 @@ _STATE_FLAGS = (
           help="fine-structure branch j = l +- 1/2"),
     _Flag("--mj", "mj", float, help="magnetic quantum number (half-odd-integer)"),
 )
+
+
+class _Choices:
+    """A flag's choices that a deferred module defines, read from it when
+    first asked for, so only a command that reads them runs the module; a
+    parser built for help or an error text reads them all."""
+
+    def __init__(self, read):
+        self._read = read
+
+    @functools.cached_property
+    def _values(self) -> tuple:
+        return self._read()
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __contains__(self, value) -> bool:
+        return value in self._values
+
+
 _REGIME_FLAGS = (
-    _Flag("--regime", "regime", choices=tuple(r.value for r in Regime), default="lande"),
-    _Flag("--mode", "mode", choices=tuple(m.value for m in Mode), default="derived"),
+    _Flag("--regime", "regime", default="lande",
+          choices=_Choices(lambda: tuple(r.value for r in spectrum.Regime))),
+    _Flag("--mode", "mode", default="derived",
+          choices=_Choices(lambda: tuple(m.value for m in spectrum.Mode))),
     _Flag("--unit", "unit", choices=ENERGY_UNITS, help="energy display unit (default eV)"),
 )
 _LEVEL_FLAGS = tuple(flag for side in ("upper", "lower") for flag in (
@@ -570,17 +617,6 @@ _LEVEL_FLAGS = tuple(flag for side in ("upper", "lower") for flag in (
     _Flag(f"--{side}-l", f"{side}_l", int, help=f"at most {MAX_LINES_L}", required=True),
     _Flag(f"--{side}-branch", f"{side}_branch", choices=_BRANCHES, default="plus")))
 _FORMAT_HELP = {"json": "emit a single JSON object", "csv": "emit CSV rows"}
-
-
-class _Cases:
-    """The --case choices, opalg's cases and all, read from opalg when
-    first asked for; a parser built for help or an error text reads them."""
-
-    def __iter__(self):
-        return iter((*opalg.VERIFICATION_CASES, "all"))
-
-    def __contains__(self, case) -> bool:
-        return case == "all" or case in opalg.VERIFICATION_CASES
 
 
 #: subcommand -> (its help, its flags in help order, the formats of its
@@ -600,7 +636,8 @@ _COMMANDS = {
     "lines": ("allowed Zeeman lines between two levels",
               (*_LEVEL_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ("json",)),
     "verify-algebra": ("machine-verify the deformed commutator algebras", (
-        _Flag("--case", "case", choices=_Cases(), default="all"),
+        _Flag("--case", "case", default="all",
+              choices=_Choices(lambda: (*opalg.VERIFICATION_CASES, "all"))),
         _Flag("--target", "target", choices=("derived", "quoted"), default="derived",
               help="'quoted' checks the printed special-case cross "
                    "coefficient a1 and fails by the known factor 2")), ("json",)),
@@ -677,21 +714,7 @@ def _parse_plain(args: list[str]):
         values[dest] = value
     if not required <= values.keys():
         return None
-    return argparse.Namespace(**{**defaults, **values})
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse, reading an explicit --flag=-- alike on every Python."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        parsed, extras = super().parse_known_args(args, namespace)
-        # before 3.13 argparse stores an explicit --flag=-- as [], which no
-        # flag here takes: exit 2, as 3.13 does
-        command = getattr(parsed, "command", None)
-        for flag, (dest, _, _) in (_TABLES[command][0] if command else {}).items():
-            if isinstance(getattr(parsed, dest, None), list):
-                self.exit(2, f"{self.prog}: error: argument {flag}: expected one argument\n")
-        return parsed, extras
+    return types.SimpleNamespace(**{**defaults, **values})
 
 
 def _add_flag(parser: argparse.ArgumentParser, flag: _Flag) -> None:
@@ -700,10 +723,29 @@ def _add_flag(parser: argparse.ArgumentParser, flag: _Flag) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand: main builds it only for an
+    argv that the plain-argv table declines, so only help and errors import
+    argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse, reading an explicit --flag=-- alike on every Python."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            parsed, extras = super().parse_known_args(args, namespace)
+            # before 3.13 argparse stores an explicit --flag=-- as [], which no
+            # flag here takes: exit 2, as 3.13 does
+            command = getattr(parsed, "command", None)
+            for flag, (dest, _, _) in (_TABLES[command][0] if command else {}).items():
+                if isinstance(getattr(parsed, dest, None), list):
+                    self.exit(2, f"{self.prog}: error: argument {flag}: expected one argument\n")
+            return parsed, extras
+
     # --config/--banner are accepted both before and after the subcommand;
-    # SUPPRESS keeps a subcommand's absent flag from clobbering the root value
+    # SUPPRESS keeps a subcommand's absent flag from clobbering the root
+    # value, and argparse tests for its own object, not for an equal text
     common = argparse.ArgumentParser(add_help=False)
-    _add_flag(common, _CONFIG)
+    _add_flag(common, _CONFIG._replace(default=argparse.SUPPRESS))
     common.add_argument("--banner", action="store_true", default=argparse.SUPPRESS,
                         help="print the version banner before any output")
 
@@ -738,6 +780,7 @@ def main(argv=None) -> int:
         if _parser is None:
             _parser = build_parser()
         args = _parser.parse_args(argv)
+    _bind(_READS.get(args.command))
     try:
         cfg = RunConfig.load(getattr(args, "config", None))
         # looked up at call time, so a replaced cmd_* attribute is the one run

@@ -45,7 +45,6 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from . import oracle
 from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA,
                     PhysicalParams, ValidationError, check_n_l, in_unit, is_integer)
 
@@ -673,6 +672,7 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
         raise ValidationError("ml", "spin-orbit shift needs the (ml, ms) basis labels")
     if state.l == 0:
         return 0.0
+    from . import oracle  # here, not at the top: no other spectrum function reads it
     C = DEFAULT_CONSTANTS
     ls = C.hbar**2 * state.ml * state.ms  # <L.S> in the decoupled basis: ladder terms average out
     inv_r3 = oracle.closed_form_r_expectation(state.n, state.l, params.Z, -3)

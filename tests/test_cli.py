@@ -303,6 +303,56 @@ def test_a_cold_start_does_not_load_ast():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv, ran", [
+    (["constants"], []),
+    (["dispersion", "--json"], []),
+    (["verify-algebra", "--case", "rel-linear"], ["opalg"]),
+    (["shift", "--l", "1", "--mj", "0.5", "--regime", "rgup", "--mode", "as-published"],
+     ["spectrum"]),
+    (["sweep", "--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5"], ["spectrum"]),
+    (["lines", "--upper-l", "2", "--lower-l", "1", "--json"], ["spectrum"]),
+    (["discrepancy", "--l", "1", "--mj", "0.5"], ["spectrum"]),
+    (["oracle", "--n", "2", "--l", "1"], ["oracle"]),
+], ids=("constants", "dispersion", "verify-algebra", "shift", "sweep", "lines", "discrepancy",
+        "oracle"))
+def test_a_command_runs_only_the_modules_it_reads(argv, ran):
+    # each of the three is registered from the start, and a pending lazy
+    # module is not a plain module until one of its attributes is read
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import rgupzeeman.cli\n"
+        "def build_parser():\n"
+        "    raise AssertionError('argparse built')\n"
+        "rgupzeeman.cli.build_parser = build_parser\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert rgupzeeman.cli.main({argv!r}) == 0\n"
+        "print([m for m in ('opalg', 'oracle', 'spectrum')\n"
+        "       if type(sys.modules['rgupzeeman.' + m]) is types.ModuleType])\n"
+        # scipy imports numpy.testing, which imports unittest and argparse
+        "print('argparse' in sys.modules and 'numpy' not in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{ran!r}\nFalse\n"
+
+
+def test_help_and_errors_still_come_from_argparse():
+    # argparse is imported only when main builds the parser; the --regime,
+    # --mode and --case choices are read from their modules for it
+    proc = run_cli("shift", "-h")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: rgupz shift ")
+    assert b"{lande,rel,gup,rgup}" in proc.stdout and b"{derived,as-published}" in proc.stdout
+    proc = run_cli("verify-algebra", "-h")
+    assert b"{nonrel-special,rel-linear,rel-position-position,all}" in proc.stdout
+    proc = run_cli("shift", "--json", "--csv")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.endswith(
+        b"rgupz shift: error: argument --csv: not allowed with argument --json\n")
+
+
 _COMPILED = (
     "from rgupzeeman.spectrum import _PARTS, _PLANS\n"
     "def compiled():\n"
@@ -628,6 +678,16 @@ def test_n_and_mj_sweeps_fail_on_the_row_a_state_would(main, param, values, fixe
     assert (status, out, err) == (3, "", want)
 
 
+@pytest.mark.parametrize("param, fixed, want", [
+    ("n", ("--l", "1", "--mj", "0.5"), "n: must be a positive integer <= 2**53, got 1e+300"),
+    ("l", ("--l", "1", "--mj", "0.5"), "n: must be a positive integer <= 2**53, got 1e+300"),
+    ("l", ("--n", "4", "--mj", "0.5"), "l: must satisfy 0 <= l < n, got 1e+300"),
+], ids=("n", "l", "l-fixed-n"))
+def test_a_swept_integer_past_2_53_is_reported_as_given(main, param, fixed, want):
+    status, out, err = main("sweep", "--param", param, "--values", "1e300", *fixed)
+    assert (status, out, err) == (3, "", f"rgupz: domain error: {want}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("shift", "--l", str(10**400), "--mj", "0.5"),
     ("oracle", "--n", "2", "--l", "1", "--Z", str(10**400)),
@@ -815,6 +875,22 @@ def test_dispersion_rejects_non_physical_input(main, argv):
     assert status == 3
     assert out == ""
     assert err.startswith("rgupz: domain error: ")
+
+
+@pytest.mark.parametrize("argv, root", [
+    (("--mc", "1e-150"), -1e-300),
+    (("--mc", "1e-160"), None),  # a subnormal root
+    (("--mc", "1e-200"), None),  # -(mc)^2 is 0.0, and the residual would read exact
+    (("--m-grams", "1e-300"), None),
+], ids=("normal-root", "subnormal-root", "zero-root", "zero-root-m-grams"))
+def test_a_root_below_double_precision_is_a_domain_error(main, argv, root):
+    status, out, err = main("dispersion", *argv, "--json")
+    if root is not None:
+        assert status == 0 and json.loads(out)["exact_root"] == root
+        return
+    assert (status, out) == (3, "")
+    assert err.startswith("rgupz: domain error: mc: the root underflows double precision")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
