@@ -5,9 +5,8 @@ Library layout:
 - units: Gaussian-CGS constants, parameter records, energy conversion
 - opalg: exact noncommutative operator polynomials and algebra checks
 - dispersion: deformed mass-shell root and its series
-- oracle: hydrogen radial wavefunctions and quadrature expectations; the
-  only package module that needs numpy and scipy, loaded when a
-  quadrature runs
+- oracle: hydrogen radial wavefunctions and quadrature expectations, on a
+  Gauss-Laguerre rule built in pure Python
 - spectrum: the term table, per-regime shift breakdowns, spin-orbit
   shift, Zeeman lines
 - cli: the rgupz command

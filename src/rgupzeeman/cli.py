@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import types
-import warnings
 from typing import NamedTuple
 
 from . import __version__
@@ -515,8 +514,9 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
     return 0
 
 
-#: the Gauss-Laguerre rule degenerates (exit 4) from ~400 nodes on, and a
-#: rule of 10^8 nodes is still being built after 20 s, before any check runs
+#: the Gauss-Laguerre rule degenerates (exit 4) from ~380 nodes on, and its
+#: cost grows as the square of the node count (~1 s at this cap), so a rule
+#: of 10^8 nodes would still be building long before any check runs
 MAX_ORACLE_NODES = 1000
 
 
@@ -527,19 +527,15 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     _check_qn(n, l, Z)
     Z = int(Z)  # a configured Z reads as 2.0; the JSON shows 2, as for --Z 2
     try:
-        # a degenerate rule (too many nodes) also trips numpy overflow
-        # warnings; the one failure line below reports it instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            moments = {str(k): radial_expectation(n, l, Z, k, n_nodes=args.nodes)
-                       for k in range(-3 if l else -2, 3)}  # <r^-3> diverges at l = 0
-            payload = {
-                "n": n, "l": l, "Z": Z, "nodes": args.nodes,
-                "r_moments_cm^k": moments,
-                "p2": p2_expectation_exact(n, l, Z, n_nodes=args.nodes),
-                "p2_closed_form": p2_closed_form(n, Z),
-                "p4": p4_expectation_exact(n, l, Z, n_nodes=args.nodes),
-            }
+        moments = {str(k): radial_expectation(n, l, Z, k, n_nodes=args.nodes)
+                   for k in range(-3 if l else -2, 3)}  # <r^-3> diverges at l = 0
+        payload = {
+            "n": n, "l": l, "Z": Z, "nodes": args.nodes,
+            "r_moments_cm^k": moments,
+            "p2": p2_expectation_exact(n, l, Z, n_nodes=args.nodes),
+            "p2_closed_form": p2_closed_form(n, Z),
+            "p4": p4_expectation_exact(n, l, Z, n_nodes=args.nodes),
+        }
     except RuntimeError as exc:  # the virial cross-check in p2_expectation_exact
         failure = str(exc)
     else:

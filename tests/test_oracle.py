@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rgupzeeman.oracle import (
+    _laguerre_rule,
     closed_form_r_expectation,
     energy_level,
     make_grid,
@@ -31,8 +32,34 @@ def test_normalization_via_quadrature():
 
 def test_grid_weights_positive():
     grid = make_grid(3, 1)
-    assert (grid.weights > 0.0).all()
+    assert all(w > 0.0 for w in grid.weights)
     assert grid.n_nodes == 120
+
+
+def test_rule_integrates_monomials_exactly():
+    # sum_i w_i x_i^k = int_0^inf e^{-x} x^k dx = k!, exact for k < 2n
+    nodes, weights = _laguerre_rule(120)
+    for k in range(40):
+        got = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        assert got == pytest.approx(math.factorial(k), rel=1e-12), k
+
+
+def test_rule_nodes_positive_and_increasing():
+    nodes, weights = _laguerre_rule(120)
+    assert len(nodes) == len(weights) == 120
+    assert nodes[0] > 0.0
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 8, 60, 120, 240])
+def test_rule_matches_scipy(n_nodes):
+    special = pytest.importorskip("scipy.special")
+    want_x, want_w = special.roots_laguerre(n_nodes)
+    nodes, weights = _laguerre_rule(n_nodes)
+    assert nodes == pytest.approx(want_x.tolist(), rel=1e-12, abs=0.0)
+    for w, want in zip(weights, want_w.tolist()):
+        if want > 1e-300:
+            assert w == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("k,n,l", R_MOMENTS)
