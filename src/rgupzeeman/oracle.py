@@ -18,7 +18,7 @@ matrix, found by implicit QL and polished by one Newton step on the
 three-term recurrence, and each weight is 1/(x L_n'(x)^2).  The
 reference rule uses 120 nodes: every weight is then a strictly positive
 normal double, and the order-doubled 240-node rule (used by the
-convergence checks) is still NaN-free.  From ~380 nodes on the
+convergence checks) is still NaN-free.  From 363 nodes on the
 double-precision recurrence overflows at the largest nodes, which come
 out NaN, and the integrands here are polynomials of degree < 40, so more
 nodes buy nothing.

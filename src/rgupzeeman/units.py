@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dispersion import has_real_root
-
 GAUSS_PER_TESLA = 1.0e4
 
 # CODATA 2018, converted to Gaussian-CGS.
@@ -135,6 +133,11 @@ def check_n_l(n, l) -> None:
         raise ValidationError("n", f"must be a positive integer <= 2**53, got {n!r}")
     if l < 0 or l >= n or not is_integer(l):
         raise ValidationError("l", f"must satisfy 0 <= l < n, got {l!r}")
+
+
+def has_real_root(q: float) -> bool:
+    """Whether the mass shell at q = eps gamma^2 (mc)^2 has a real root: 8q <= 1."""
+    return 8.0 * q <= 1.0
 
 
 class _ParamsFields(NamedTuple):

@@ -215,7 +215,7 @@ def test_oracle_cli_json():
 @pytest.mark.parametrize("argv, code", [
     (("--nodes", "0"), 2),
     (("--n", "8", "--l", "0", "--nodes", "8"), 4),   # too few nodes: virial mismatch
-    (("--nodes", "400"), 4),                         # degenerate rule: NaN everywhere
+    (("--nodes", "400"), 2),                         # past the last NaN-free rule
     (("--n", "200", "--l", "199"), 4),               # x^l past the double range
     (("--n", "172", "--l", "0", "--nodes", "360"), 4),  # +inf and -inf terms in one sum
 ], ids=("zero-nodes", "too-few-nodes", "too-many-nodes", "l-past-the-double-range",
@@ -248,6 +248,19 @@ def test_oracle_node_cap_exits_before_any_rule_is_built(main, monkeypatch):
         assert status == 2
         assert out == ""
         assert err.startswith("rgupz: error: ") and len(err.splitlines()) == 1
+
+
+def test_oracle_n_cap_exits_before_any_rule_is_built(main, monkeypatch):
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quantum number was checked or a quadrature rule was built")
+    for name in ("_check_qn", "radial_expectation", "p2_expectation_exact",
+                 "p4_expectation_exact"):
+        monkeypatch.setattr(cli, name, quadrature)
+    for n in (cli.MAX_ORACLE_N + 1, 2**53):
+        status, out, err = main("oracle", "--n", str(n), "--l", "0")
+        assert status == 2
+        assert out == ""
+        assert err == f"rgupz: error: --n must be <= {cli.MAX_ORACLE_N}, got {n}\n"
 
 
 def test_no_command_loads_numpy_or_scipy():
@@ -899,6 +912,18 @@ def test_a_root_below_double_precision_is_a_domain_error(main, argv, root):
     assert (status, out) == (3, "")
     assert err.startswith("rgupz: domain error: mc: the root underflows double precision")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mc", "1e60", "--eps-gamma2", "1e-130"),
+    ("--mc", "1e-80", "--eps-gamma2", "1e155"),
+    ("--mc", "1e102", "--eps-gamma2", "1e-210"),
+], ids=("huge-mc-cubed", "huge-eps-gamma2-squared", "huge-mc-tiny-eps-gamma2"))
+def test_dispersion_order_two_series_needs_no_intermediate_past_the_root(main, argv):
+    status, out, err = main("dispersion", *argv, "--order", "2", "--json")
+    assert (status, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["series_root"] == pytest.approx(payload["exact_root"], rel=1e-14)
 
 
 @pytest.mark.parametrize("argv", [

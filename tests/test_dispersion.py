@@ -5,12 +5,11 @@ import pytest
 
 from rgupzeeman.dispersion import (
     TransPlanckianMassError,
-    has_real_root,
     p0sq_exact,
     p0sq_series,
     solve_mass_shell,
 )
-from rgupzeeman.units import DEFAULT_CONSTANTS, make_params
+from rgupzeeman.units import DEFAULT_CONSTANTS, ValidationError, has_real_root, make_params
 
 # frozen from a 50-digit Decimal evaluation of -2/(1 + sqrt(1 - 0.08))
 EXACT_ROOT_MC1_Q001 = -1.0208423834364022920128096791865304
@@ -103,8 +102,23 @@ def test_solve_mass_shell_physical_scale():
     assert abs(sol.residual) <= 1e-12
 
 
-def test_residual_of_an_underflowing_mc_squared_is_finite():
-    # mc != 0 but (mc)^2 underflows to 0: the residual must not divide by it
-    solution = solve_mass_shell(1e-200, 0.0)
-    assert solution.residual == 0.0
-    assert solution.exact_root == 0.0
+@pytest.mark.parametrize("mc, eps_gamma2, field, message", [
+    (0.0, 0.0, "mc", "must be finite and > 0, got 0.0"),
+    (-1.0, 0.0, "mc", "must be finite and > 0, got -1.0"),
+    (float("nan"), 0.0, "mc", "must be finite and > 0, got nan"),
+    (float("inf"), 0.0, "mc", "must be finite and > 0, got inf"),
+    (1.0, -1.0, "eps_gamma2", "must be finite and >= 0, got -1.0"),
+    (1.0, float("nan"), "eps_gamma2", "must be finite and >= 0, got nan"),
+    (1.0, float("inf"), "eps_gamma2", "must be finite and >= 0, got inf"),
+    (1e300, 0.0, "mc", "the root overflows double precision at mc = 1e+300"),
+    # (mc)^2 underflows to 0, or the root to a subnormal: it would read as exact
+    (1e-200, 0.0, "mc", "the root underflows double precision at mc = 1e-200"),
+    (1e-160, 0.1, "mc", "the root underflows double precision at mc = 1e-160"),
+], ids=("zero-mc", "negative-mc", "nan-mc", "inf-mc", "negative-eps-gamma2",
+        "nan-eps-gamma2", "inf-eps-gamma2", "overflowing-root", "zero-root",
+        "subnormal-root"))
+def test_solve_mass_shell_refuses_what_a_double_cannot_hold(mc, eps_gamma2, field, message):
+    with pytest.raises(ValidationError) as err:
+        solve_mass_shell(mc, eps_gamma2)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"

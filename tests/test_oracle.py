@@ -120,7 +120,7 @@ def test_p2_reference_values():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_p2_virial_guard_rejects_nan():
-    # past ~250 nodes the Laguerre rule degenerates and every sum is NaN
+    # from 363 nodes on the Laguerre rule degenerates and every sum is NaN
     with pytest.raises(RuntimeError):
         p2_expectation_exact(2, 1, 1, n_nodes=400)
 

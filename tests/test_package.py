@@ -42,11 +42,22 @@ def test_a_bare_import_runs_no_submodule_until_a_name_is_read():
         "assert set(rgupzeeman.__all__) <= set(dir(rgupzeeman))\n"
         "assert loaded() == [], loaded()\n"
         "assert rgupzeeman.spectrum.Regime is rgupzeeman.Regime\n"
-        "assert loaded() == ['rgupzeeman.dispersion', 'rgupzeeman.spectrum',\n"
-        "                    'rgupzeeman.units'], loaded()\n"
+        "assert loaded() == ['rgupzeeman.spectrum', 'rgupzeeman.units'], loaded()\n"
         "assert rgupzeeman.make_params is rgupzeeman.units.make_params\n"
         "assert rgupzeeman.oracle.p2_closed_form\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_units_is_the_leaf_module():
+    # units imports no other rgupzeeman module, so dispersion, which imports
+    # units, also loads first in a fresh interpreter
+    loaded = "sorted(m for m in sys.modules if m.startswith('rgupzeeman.'))"
+    for module, expected in (("units", ["rgupzeeman.units"]),
+                             ("dispersion", ["rgupzeeman.dispersion", "rgupzeeman.units"])):
+        script = (f"import sys, rgupzeeman.{module}\n"
+                  f"assert {loaded} == {expected!r}, {loaded}\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
