@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib.util
-import io
 import math
 import os
 import re
@@ -761,6 +760,20 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
+class _Bannered:
+    """stdout, with the version banner before its first non-empty text;
+    pending is a flag, not a rebound write, as cmd_sweep reads write once."""
+
+    def __init__(self, out):
+        self.out, self.pending = out, True
+
+    def write(self, text: str) -> int:
+        if self.pending and text:
+            self.pending = False
+            self.out.write(f"rgupz {__version__}\n")
+        return self.out.write(text)
+
+
 def main(argv=None) -> int:
     global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -778,11 +791,10 @@ def main(argv=None) -> int:
         if not getattr(args, "banner", False):
             code = command(args, cfg)
         else:
-            # held back until the command returns, so a failing one prints nothing
-            with contextlib.redirect_stdout(io.StringIO()) as out:
+            # streamed: every command checks its input before it writes, so a
+            # failing one prints no banner either
+            with contextlib.redirect_stdout(_Bannered(sys.stdout)):
                 code = command(args, cfg)
-            if out.getvalue():
-                sys.stdout.write(f"rgupz {__version__}\n{out.getvalue()}")
         sys.stdout.flush()  # inside the try, so a closed pipe raises here
         return code
     except BrokenPipeError:

@@ -18,7 +18,7 @@ consumes the products eps*gamma^2 and (mc)^2, so "test units" mc = 1 are
 fine.  solve_mass_shell alone decides what the shell answers.  In order, it
 refuses mc not finite and > 0 (ValidationError "mc"), eps gamma^2 not finite
 and >= 0 ("eps_gamma2"), 8q > 1 (TransPlanckianMassError), then a root that
-overflows, or underflows (mc < ~1e-154) and so would read as exact ("mc").
+underflows (mc < ~1e-154) and so would read as exact, or overflows ("mc").
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ def solve_mass_shell(mc: float, eps_gamma2: float,
     series = p0sq_series(mc, eps_gamma2, order)
     mc2 = mc * mc
     raw = 2.0 * eps_gamma2 * exact * exact + exact + mc2
-    if not all(map(math.isfinite, (exact, series, raw))):
-        raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
+    # first: past eps gamma^2 ~ 9e307, 2 eps gamma^2 is inf beside a tiny root
     if abs(exact) < sys.float_info.min:
         raise ValidationError("mc", f"the root underflows double precision at mc = {mc!r}")
+    if not all(map(math.isfinite, (exact, series, raw))):
+        raise ValidationError("mc", f"the root overflows double precision at mc = {mc!r}")
     return DispersionSolution(exact_root=exact, series_root=series,
                               residual=raw / mc2, order=order)

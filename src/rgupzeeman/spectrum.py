@@ -20,8 +20,9 @@ once, on first use, with each field of the constants table,
 DEFAULT_CONSTANTS, and math.pi written as its float, so the compiler folds
 what reads only them, with the bits the part as written gives.  A sweep
 part evaluates per grid value only what reads the swept field; no
-subexpression of that is moved out of its loop.  One sweep part per field (B, epsilon, l, n,
-m_j) checks its grid's two end rows, then writes the CSV rows of a sweep;
+subexpression of that is moved out of its loop.  One sweep part per field
+(B, epsilon, l, n, m_j) checks its grid's two end rows, each running the
+text every row runs, then writes the CSV rows of a sweep;
 multiplet, an m_j sweep, gives zeeman_lines a level's offsets once and its
 magnetic values at each m_j.
 
@@ -115,8 +116,9 @@ class _StateFields(NamedTuple):
 
 class QuantumState(_StateFields):
     """Hydrogenic level (n, l, j = l +- 1/2, m_j), optionally with the
-    decoupled basis labels (m_l, m_s) for the spin-orbit case.  Raises
-    ValidationError naming the offending field, from _replace too."""
+    decoupled basis labels (m_l, m_s), m_l + m_s = m_j, for the spin-orbit
+    case.  Raises ValidationError naming the offending field, from _replace
+    too."""
 
     __slots__ = ()
 
@@ -130,6 +132,8 @@ class QuantumState(_StateFields):
                 raise ValidationError("ml", f"must be an integer with |ml| <= l, got {ml!r}")
             if ms not in (0.5, -0.5):
                 raise ValidationError("ms", f"must be +-1/2, got {ms!r}")
+            if ml + ms != mj:
+                raise ValidationError("ml", f"ml + ms = {ml + ms!r} must equal mj = {mj!r}")
         return tuple.__new__(cls, (n, l, branch, mj, ml, ms))
 
     @classmethod
@@ -321,6 +325,9 @@ _PARAMS_HALF = (
 _GUP_PARAMS_HALF = (
     *_PARAMS_HALF[:2],
     ("scale", "scale = -eps_gamma2 * p2 + 0.0  # + 0.0 normalizes -0.0 away"),
+    # the one scale an input takes outside double precision: 8q <= 1 bounds
+    # eps (gamma m c)^2, not eps gamma^2, which a library m near 0 lets grow
+    ("scale", "if not isfinite(scale): finite(scale, 'correction_scale')"),
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
@@ -329,8 +336,9 @@ _GUP_PARAMS_HALF = (
 _SWEPT = {"sweep_B": ("B", "value * GAUSS_PER_TESLA"), "sweep_epsilon": ("epsilon", "value"),
           "sweep_l": ("l", "int(value)"), "sweep_n": ("n", "int(value)"),
           "sweep_mj": ("mj", "value"), "multiplet": ("mj", "value")}
-#: every part: the def, the records' fields and what reads no swept field
-_HEAD = "def {part}(state, params, {arguments}):\n{unpack}{before}"
+#: every part: the def, every field of the records and what reads no swept field
+_HEAD = ("def {part}(state, params, {arguments}):\n    n, l, branch, mj, ml, ms = state\n"
+         "    B, epsilon, gamma, m, Z = params\n{before}")
 #: the source of each part a plan compiles (see _Plan), with _Plan._fields to
 #: fill in: shift checks its values' sum and gives their records; a swept
 #: part evaluates per grid value what reads the swept field, and emits it
@@ -342,7 +350,6 @@ _PARTS = {
 #: what _Plan._assign writes per addend i: its value, and its ShiftTerm record
 _VALUE = "v{i} = ({form}) + 0.0"
 _RECORD = "t{i} = new(ShiftTerm, ({term[0]!r}, {term[1]!r}, v{i}, {term[2]!r}))"
-_SCALE_CHECK = ("scale", "if not isfinite(scale):\n    finite(scale, 'correction_scale')")
 _CHECK = """\
     values = {values}
     try:
@@ -361,11 +368,6 @@ def _words(source: str) -> list[str]:
     return source.translate(_SEPARATORS).split()
 
 
-def _names(fields, keep) -> str:
-    """The fields kept, each followed by a comma, and _ for the others."""
-    return "".join((f if f in keep else "_") + ", " for f in fields)
-
-
 #: what a part writes for each field of DEFAULT_CONSTANTS and for math.pi:
 #: the float's repr, which reads back as the same float
 _LITERALS = {**{name: repr(value) for name, value in DEFAULT_CONSTANTS._asdict().items()},
@@ -381,16 +383,7 @@ def _folded(source: str) -> str:
 
 def _code(half, keep, indent="    ") -> str:
     """The statements of a half whose names are kept, each folded, indented."""
-    return "".join(indent + _folded(statement).replace("\n", "\n" + indent) + "\n"
-                   for name, statement in half if name in keep)
-
-
-def _gate(lines, indent: str) -> str:
-    """(line, gated) pairs as code, the gated lines under "if deformed:"."""
-    code = ["", ""]
-    for line, gated in lines:
-        code[gated] += indent + "    " * gated + line + "\n"
-    return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
+    return "".join(indent + _folded(statement) + "\n" for name, statement in half if name in keep)
 
 
 class _Plan:
@@ -419,18 +412,20 @@ class _Plan:
     sweeps no field.  Each part is compiled once: its forms and statements
     write each field of DEFAULT_CONSTANTS and math.pi as its float, so the
     compiler folds every operation on these alone into a constant, with the
-    bits the operation gives at run time.  A sweep part's two end rows
-    evaluate every statement with every check; each grid value evaluates
-    only what reads the swept field, directly or through another statement
-    (a gated addend also when the gate does), and binds only what its cells
-    read.  Such a statement or form runs whole per grid value: its
-    subexpressions that read no swept field are not moved out of the loop.
+    bits the operation gives at run time.  Each grid value of a sweep part
+    evaluates what reads the swept field, directly or through another
+    statement (a gated addend also when the gate does); the two checked end
+    rows run that same text.  Such a statement or form runs whole per grid
+    value: its subexpressions that read no swept field are not moved out of
+    the loop.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
-    addends are gated as energy_shift_B describes.  Each part raises
-    ValidationError for a scale outside double precision; every part but
-    multiplet, after a sum of the values that is not finite, names the
-    first term outside double precision, else the total.
+    addends are gated as energy_shift_B describes.  A GUP part raises
+    ValidationError for a scale outside double precision, checked in GUP's
+    params half right where the scale is formed; the params' rule 8q <= 1
+    keeps every other regime's scale finite.  Every part but multiplet,
+    after a sum of the values that is not finite, names the first term
+    outside double precision, else the total.
     """
 
     def __init__(self, regime: Regime, published: bool):
@@ -459,9 +454,9 @@ class _Plan:
 
     @functools.cached_property
     def _statements(self) -> tuple:
-        """The level, m_j and params halves in evaluation order, then the scale check."""
+        """The level, m_j and params halves in evaluation order."""
         params = _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF
-        return (*_LEVEL_HALF, *_MJ_HALF, *params, _SCALE_CHECK)
+        return (*_LEVEL_HALF, *_MJ_HALF, *params)
 
     @functools.cached_property
     def _needed(self) -> set:
@@ -484,13 +479,11 @@ class _Plan:
         """The template for each addend index, formatted with its index i,
         folded form and term, the deformation addends' under "if deformed:",
         after the others."""
-        lines = []
-        for gated in (False, True):
-            for i in addends:
-                if self.deformation[i] == gated:
-                    form = _folded(self.forms[i])
-                    lines.append((template.format(i=i, form=form, term=self.terms[i]), gated))
-        return _gate(lines, indent)
+        code = ["", ""]
+        for i in addends:
+            line = template.format(i=i, form=_folded(self.forms[i]), term=self.terms[i])
+            code[self.deformation[i]] += indent + "    " * self.deformation[i] + line + "\n"
+        return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
 
     def _gather(self, addends, prefix: str = "v") -> str:
         """The tuple of the addends given, without those gated off."""
@@ -514,57 +507,40 @@ class _Plan:
         fixed = [i for i in every if i not in moving]
         before = _code(self._statements, needed - marked) + self._assign(_VALUE, fixed)
         check = _CHECK.format(values=self._gather(every))
-
-        def body(half, keep):
-            return ((f"        {swept} = {binding}\n" if swept in keep else "")
-                    + _code(half, keep & marked, "        ")
-                    + self._assign(_VALUE, moving, "        "))
-        ends = "" if part == "multiplet" else body(self._statements, needed)
-        # a row between the two checked ends binds only what its values read
-        row = {"deformed"} if any(self.deformation[i] for i in moving) else set()
-        row.update(*(_words(self.forms[i]) for i in moving))
-        for name, statement in reversed(self._statements):
-            if name in row:
-                row.update(_words(statement))
-        loop = body(self._statements[:-1], row)  # [:-1]: no scale check
+        # every row, the two checked end rows too, runs this per grid value
+        loop = ((f"        {swept} = {binding}\n" if swept in needed else "")
+                + _code(self._statements, needed & marked, "        ")
+                + self._assign(_VALUE, moving, "        "))
         if not swept:  # shift
-            fields = dict(arguments="mode", before=before, check=check)
-        elif part == "multiplet":
-            fields = dict(arguments="grid, out", before=before, ends="", loop=loop,
-                          emit=f"out({self._gather(moving)})",
-                          after=f"    return {self._gather(fixed)}\n")
-        else:
-            # c<i> holds the text of a cell that reads no swept value
-            cells, fixed_cells = [self.regime.value], ""
-            for i, gated in enumerate(self.deformation):
-                text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
-                if i in moving:
-                    cells.append(f"{{{text}}}" if gated else f"{{v{i} * per!r}}")
-                else:
-                    fixed_cells += f"    c{i} = {text}\n"
-                    cells.append(f"{{c{i}}}")
-            check = "".join("    " + line for line in check.splitlines(True))
-            if moving:
-                loop += check
-                cells.append("{total * per!r}")
+            return dict(arguments="mode", before=before, check=check,
+                        terms=self._assign(_RECORD, every), records=self._gather(every, "t"))
+        if part == "multiplet":
+            return dict(arguments="grid, out", before=before, ends="", loop=loop,
+                        emit=f"out({self._gather(moving)})",
+                        after=f"    return {self._gather(fixed)}\n")
+        # c<i> holds the text of a cell that reads no swept value
+        cells, fixed_cells = [self.regime.value], ""
+        for i, gated in enumerate(self.deformation):
+            text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
+            if i in moving:
+                cells.append(f"{{{text}}}" if gated else f"{{v{i} * per!r}}")
             else:
-                fixed_cells += "    ct = repr(total * per)\n"
-                cells.append("{ct}")
-            # each end row runs a row's checks in a row's order, then the display
-            # unit's; every row between two valid ends is valid (see cli.cmd_sweep)
-            ends = (f"    for value in grid[0], grid[-1]:\n{ends}{check}"
-                    "        in_unit((*values, total), per, unit)\n"
-                    + fixed_cells + "    write(header)\n")
-            fields = dict(arguments="grid, per, unit, header, write", before=before, ends=ends,
-                          loop=loop, emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
-        # the record fields the part reads
-        read = set(_words("".join(fields.values())))
-        fields["unpack"] = "".join(f"    {_names(record._fields, read)}= {name}\n"
-                                   for record, name in ((QuantumState, "state"),
-                                                        (PhysicalParams, "params")))
-        if not swept:
-            fields.update(terms=self._assign(_RECORD, every), records=self._gather(every, "t"))
-        return fields
+                fixed_cells += f"    c{i} = {text}\n"
+                cells.append(f"{{c{i}}}")
+        check = "".join("    " + line for line in check.splitlines(True))
+        # each end row runs a row and its checks, then the display unit's;
+        # every row between two valid ends is valid (see cli.cmd_sweep)
+        ends = (f"    for value in grid[0], grid[-1]:\n{loop}{check}"
+                "        in_unit((*values, total), per, unit)\n")
+        if moving:
+            loop += check
+            cells.append("{total * per!r}")
+        else:
+            fixed_cells += "    ct = repr(total * per)\n"
+            cells.append("{ct}")
+        return dict(arguments="grid, per, unit, header, write", before=before,
+                    ends=ends + fixed_cells + "    write(header)\n", loop=loop,
+                    emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:

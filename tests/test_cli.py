@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -847,13 +848,33 @@ def test_readme_lists_exactly_the_supported_keys():
     assert sorted(re.findall(r"`(\w+\.\w+)`", listed)) == sorted(cli._SETTINGS)
 
 
+_LONG_SWEEP = ("sweep", "--param", "B", "--from", "0", "--to", "1", "--l", "1", "--mj", "0.5",
+               "--regime", "rgup", "--steps")
+
+
 def test_banner_is_not_printed_by_a_failing_command(main):
     status, out, _ = main("--banner", "shift", "--l", "0", "--branch", "minus", "--mj", "0.5")
     assert status == 3
     assert out == ""
-    status, out, _ = main("--banner", *_SHIFT)
+    for argv in (_SHIFT, (*_LONG_SWEEP, "1000")):
+        status, out, _ = main("--banner", *argv)
+        assert status == 0
+        assert out == "rgupz 0.1.0\n" + main(*argv)[1]
+
+
+def test_a_bannered_sweep_holds_no_output(monkeypatch):
+    # the rows stream to stdout: only the grid itself stays in memory
+    import tracemalloc
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            status = cli.main(["--banner", *_LONG_SWEEP, "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert status == 0
-    assert out == "rgupz 0.1.0\n" + main(*_SHIFT)[1]
+    assert peak < 10 * 2**20, peak
 
 
 def test_dispersion_reads_epsilon_and_gamma_from_env_and_config(main, monkeypatch, tmp_path):
@@ -976,6 +997,20 @@ def test_json_payloads_hold_no_records(main, monkeypatch, argv):
     assert status == 0
     assert len(payloads) == 1
     plain(payloads[0])
+
+
+def test_lines_display_unit_check_has_little_headroom(main):
+    # a line within a factor ~1.47 of the largest double, in Hz: the display
+    # unit's check in cmd_lines guards a reachable edge
+    status, out, err = main("lines", "--upper-l", "1000", "--lower-l", "999",
+                            "--upper-branch", "plus", "--lower-branch", "minus",
+                            "--B-tesla", "3.06e296", "--regime", "gup", "--epsilon", "0.125",
+                            "--gamma", "3.661763584985729e+16", "--unit", "Hz")
+    assert (status, err) == (0, "")
+    numbers = [float(word) for line in out.splitlines()[1:]
+               for word in line.split()[6::2]]
+    assert len(numbers) == 2 * 5994 and all(map(math.isfinite, numbers))
+    assert max(numbers) > sys.float_info.max / 1.5
 
 
 def test_lines_l_cap_exits_before_any_state_is_built(main, monkeypatch):

@@ -114,9 +114,11 @@ def test_solve_mass_shell_physical_scale():
     # (mc)^2 underflows to 0, or the root to a subnormal: it would read as exact
     (1e-200, 0.0, "mc", "the root underflows double precision at mc = 1e-200"),
     (1e-160, 0.1, "mc", "the root underflows double precision at mc = 1e-160"),
+    # 2 eps gamma^2 is inf here, and so is the residual: the root still underflows
+    (1e-160, 1e308, "mc", "the root underflows double precision at mc = 1e-160"),
 ], ids=("zero-mc", "negative-mc", "nan-mc", "inf-mc", "negative-eps-gamma2",
         "nan-eps-gamma2", "inf-eps-gamma2", "overflowing-root", "zero-root",
-        "subnormal-root"))
+        "subnormal-root", "subnormal-root-at-huge-eps-gamma2"))
 def test_solve_mass_shell_refuses_what_a_double_cannot_hold(mc, eps_gamma2, field, message):
     with pytest.raises(ValidationError) as err:
         solve_mass_shell(mc, eps_gamma2)

@@ -67,6 +67,10 @@ def test_state_validation():
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=2, ms=0.5)
     with pytest.raises(ValidationError):
         QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=1)
+    # ml + ms != mj: its hls_shift would be that of (ml, ms) = (1, 1/2)
+    with pytest.raises(ValidationError) as err:
+        QuantumState(n=2, l=1, branch=Branch.PLUS, mj=1.5, ml=-1, ms=-0.5)
+    assert err.value.field == "ml"
     # a branch that is not a Branch member, as text, is named as the branch
     for build in (lambda: QuantumState(2, 1, "plus", 0.5),
                   lambda: QuantumState(1, 0, "minus", 0.5),
@@ -439,7 +443,7 @@ def test_hls_l0_vanishes():
 def test_hls_outside_double_precision_is_a_domain_error(ml):
     # the record refuses a scale that would take the factor 1 - scale outside
     # double precision, so the shift stays finite at the other extremes
-    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=0.5, ml=ml, ms=0.5)
+    state = QuantumState(n=2, l=1, branch=Branch.PLUS, mj=ml + 0.5, ml=ml, ms=0.5)
     with pytest.raises(ValidationError) as err:
         hls_shift(state, make_params(gamma_mode="explicit", gamma=1e300))
     assert err.value.field == "correction_scale"
@@ -604,6 +608,18 @@ def test_a_sweep_reruns_only_what_reads_the_swept_field():
         for part in ("sweep_B", "sweep_epsilon", "sweep_mj"):
             assert not [s for s in level if s in loops[part]], (plan.name, part)
         assert "sz = " in loops["sweep_l"], plan.name
+
+
+def test_each_row_runs_what_its_checked_end_rows_run():
+    for plan in _plans():
+        for part in spectrum._PARTS:
+            fields = plan._fields(part)
+            if part not in ("shift", "multiplet"):
+                assert fields["ends"].startswith(
+                    f"    for value in grid[0], grid[-1]:\n{fields['loop']}"), (plan.name, part)
+            # only GUP's scale, -eps gamma^2 <p^2>, is not bounded by 8q <= 1
+            source = spectrum._PARTS[part].format(part=part, **fields)
+            assert ("isfinite(scale)" in source) == (plan.regime is Regime.GUP), (plan.name, part)
 
 
 def _code_objects(code):
