@@ -167,7 +167,11 @@ _PARAM_KEYS = ("params.b_tesla", "params.epsilon", "params.gamma", "params.z")
 
 def _make_params(b_tesla: float, epsilon: float, gamma: float | None, Z: float,
                  m: float | None = None):
-    return make_params(B=b_tesla * GAUSS_PER_TESLA, epsilon=epsilon,
+    B = b_tesla * GAUSS_PER_TESLA
+    if not 0.0 <= B < math.inf:  # PhysicalParams' rule, naming the tesla given
+        raise ValidationError("B", f"field magnitude must be finite and >= 0, "
+                                   f"got {b_tesla!r} T = {B!r} G")
+    return make_params(B=B, epsilon=epsilon,
                        gamma_mode="planck" if gamma is None else "explicit",
                        gamma=gamma, m=m, Z=Z)
 

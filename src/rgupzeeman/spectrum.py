@@ -15,16 +15,16 @@ states), the m_j half and the params half (B, eps gamma^2, the
 deformation scale and its gate).  A _Plan generates its functions from
 the forms and those halves, each taking the QuantumState and PhysicalParams
 records and reading their fields itself: shift gives a breakdown, and
-every other part is a sweep of one field over a grid.  A part is compiled
-once, on first use, with each field of the constants table,
-DEFAULT_CONSTANTS, and math.pi written as its float, so the compiler folds
-what reads only them, with the bits the part as written gives.  A sweep
-part evaluates per grid value only what reads the swept field; no
-subexpression of that is moved out of its loop.  One sweep part per field
-(B, epsilon, l, n, m_j) checks its grid's two end rows, each running the
-text every row runs, then writes the CSV rows of a sweep;
-multiplet, an m_j sweep, gives zeeman_lines a level's offsets once and its
-magnetic values at each m_j.
+every other part is a sweep of one field over a grid.  A part runs only
+the statements its output reads.  It is compiled once, on first use, with
+each field of the constants table, DEFAULT_CONSTANTS, and math.pi written
+as its float, so the compiler folds what reads only them, with the bits
+the part as written gives.  A sweep part evaluates per grid value only
+what reads the swept field; no subexpression of that is moved out of its
+loop.  One sweep part per field (B, epsilon, l, n, m_j) checks its grid's
+two end rows, each running the text every row runs, then writes the CSV
+rows of a sweep; multiplet, an m_j sweep, gives zeeman_lines a level's
+offsets once and its magnetic values at each m_j.
 
 Two evaluation modes exist for GUP/RGUP.  "derived" (the default and the
 authoritative one) evaluates the expectation expression with
@@ -38,7 +38,6 @@ deformation-era terms and in the <p^2> cross term).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -291,11 +290,12 @@ _TERMS = (
 
 #: The names a form reads beyond the fields of QuantumState, PhysicalParams
 #: and ConstantsTable, each with the statement that binds it, in evaluation
-#: order.  The level half depends on l, the branch and the constants only,
-#: so every state of a level shares it: p2 is the angular-only <p^2> of
-#: exp_p2_angular at r0, and p4 = <p^2>^2.  The m_j half gives <Jz> and
-#: <Sz>.  The params half gives the deformation scale, eps gamma^2 (mc)^2
-#: as in PhysicalParams.correction_scale, and deformed, which gates the
+#: order; a check binds nothing and is named None.  The level half depends
+#: on l, the branch and the constants only, so every state of a level
+#: shares it: p2 is the angular-only <p^2> of exp_p2_angular at r0, and
+#: p4 = <p^2>^2.  The m_j half gives <Jz> and <Sz>.  The params half gives
+#: the deformation scale, eps gamma^2 (mc)^2 as in shift's record and
+#: PhysicalParams.correction_scale, and deformed, which gates the
 #: deformation addends (RGUP: scale != 0).
 _LEVEL_HALF = (
     ("sgn", "sgn = 1.0 if branch is PLUS else -1.0"),
@@ -326,8 +326,9 @@ _GUP_PARAMS_HALF = (
     *_PARAMS_HALF[:2],
     ("scale", "scale = -eps_gamma2 * p2 + 0.0  # + 0.0 normalizes -0.0 away"),
     # the one scale an input takes outside double precision: 8q <= 1 bounds
-    # eps (gamma m c)^2, not eps gamma^2, which a library m near 0 lets grow
-    ("scale", "if not isfinite(scale): finite(scale, 'correction_scale')"),
+    # eps (gamma m c)^2, not eps gamma^2, which a library m near 0 lets grow;
+    # every GUP part checks it, as-published ones whose forms read no scale too
+    (None, "if not isfinite(scale): finite(scale, 'correction_scale')"),
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
@@ -357,7 +358,7 @@ _CHECK = """\
     except (OverflowError, ValueError):  # overflow, or inf - inf
         total = nan
     if not isfinite(total):
-        name_failure(LABELS[deformed], values, total)
+        name_failure({labels}, values, total)
 """
 _SEPARATORS = str.maketrans(dict.fromkeys("()*+-/.,=<>:#", " "))
 
@@ -391,10 +392,12 @@ class _Plan:
 
     terms holds (label, expression, tags) per term, in emission order, and
     forms the Python expression of each.  The plan generates its functions
-    from the forms and the halves that bind what they read, keeping only
-    the statements the forms need, so each reads the QuantumState and
-    PhysicalParams fields itself.  Each function is an attribute compiled
-    on first use, so a cold start compiles only what it runs:
+    from the forms and the halves that bind what they read, so each reads
+    the QuantumState and PhysicalParams fields itself.  A function keeps
+    only the statements its output reads: its forms, the gate "deformed" if
+    the plan has a gated addend, every check of the halves, and the scale of
+    shift's record.  Each function is an attribute compiled on first use,
+    so a cold start compiles only what it runs:
 
     - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
     - sweep_B, sweep_epsilon, sweep_l, sweep_n and sweep_mj(state, params,
@@ -420,7 +423,7 @@ class _Plan:
     the loop.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
-    addends are gated as energy_shift_B describes.  A GUP part raises
+    addends are gated as energy_shift_B describes.  Every GUP part raises
     ValidationError for a scale outside double precision, checked in GUP's
     params half right where the scale is formed; the params' rule 8q <= 1
     keeps every other regime's scale finite.  Every part but multiplet,
@@ -443,7 +446,7 @@ class _Plan:
             raise AttributeError(part)
         namespace = {"math": math, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
-                     "LABELS": self._labels, "new": tuple.__new__, "ShiftTerm": ShiftTerm,
+                     "new": tuple.__new__, "ShiftTerm": ShiftTerm,
                      "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
                      "name_failure": _name_failure, "GAUSS_PER_TESLA": GAUSS_PER_TESLA,
                      "in_unit": in_unit}
@@ -451,29 +454,6 @@ class _Plan:
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         setattr(self, part, namespace[part])
         return namespace[part]
-
-    @functools.cached_property
-    def _statements(self) -> tuple:
-        """The level, m_j and params halves in evaluation order."""
-        params = _GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF
-        return (*_LEVEL_HALF, *_MJ_HALF, *params)
-
-    @functools.cached_property
-    def _needed(self) -> set:
-        """The names of the statements the forms, the checks and the gate need."""
-        needed = {"scale", "deformed", *_words(" ".join(self.forms))}
-        # a statement reads only names bound before it, so one backward pass
-        # finds every statement needed
-        for name, statement in reversed(self._statements):
-            if name in needed:
-                needed.update(_words(statement))
-        return needed
-
-    @functools.cached_property
-    def _labels(self) -> tuple:
-        """The labels of the addends on, with the deformation off and on."""
-        return tuple(tuple(label for (label, _, _), d in zip(self.terms, self.deformation)
-                           if gate or not d) for gate in (False, True))
 
     def _assign(self, template: str, addends, indent: str = "    ") -> str:
         """The template for each addend index, formatted with its index i,
@@ -485,35 +465,50 @@ class _Plan:
             code[self.deformation[i]] += indent + "    " * self.deformation[i] + line + "\n"
         return code[0] + (code[1] and f"{indent}if deformed:\n{code[1]}")
 
-    def _gather(self, addends, prefix: str = "v") -> str:
-        """The tuple of the addends given, without those gated off."""
-        on = "".join(f"{prefix}{i}, " for i in addends)
-        off = "".join(f"{prefix}{i}, " for i in addends if not self.deformation[i])
+    def _gather(self, addends, item: str = "v{i}") -> str:
+        """The tuple of the addends given, without those gated off, each
+        written as item formatted with its index i and term."""
+        on = "".join(item.format(i=i, term=self.terms[i]) + ", " for i in addends)
+        off = "".join(item.format(i=i, term=self.terms[i]) + ", "
+                      for i in addends if not self.deformation[i])
         return f"({on})" if on == off else f"({on}) if deformed else ({off})"
 
     def _fields(self, part: str) -> dict:
         """The text _PARTS takes for a part: shift, or a sweep of the field
         _SWEPT gives it, bound per grid value as _SWEPT gives it."""
         swept, binding = _SWEPT.get(part, ("", ""))
-        needed, every = self._needed, range(len(self.forms))
+        every = range(len(self.forms))
+        statements = (*_LEVEL_HALF, *_MJ_HALF,
+                      *(_GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF))
+        # the output reads the forms, the gate of a gated addend, every check
+        # (named None) and shift's scale; a statement reads only names bound
+        # before it, so one backward pass finds every statement needed
+        needed = {None, *_words(" ".join(self.forms))}
+        if any(self.deformation):
+            needed.add("deformed")
+        if not swept:
+            needed.add("scale")
+        for name, statement in reversed(statements):
+            if name in needed:
+                needed.update(_words(statement))
         # one forward pass marks what reads the swept field, directly or
         # through a statement marked before
         marked = {swept} if swept else set()
-        for name, statement in self._statements:
+        for name, statement in statements:
             if name in needed and marked.intersection(_words(statement)):
                 marked.add(name)
         moving = [i for i in every if self.deformation[i] and "deformed" in marked
                   or marked.intersection(_words(self.forms[i]))]
         fixed = [i for i in every if i not in moving]
-        before = _code(self._statements, needed - marked) + self._assign(_VALUE, fixed)
-        check = _CHECK.format(values=self._gather(every))
+        before = _code(statements, needed - marked) + self._assign(_VALUE, fixed)
+        check = _CHECK.format(values=self._gather(every), labels=self._gather(every, "{term[0]!r}"))
         # every row, the two checked end rows too, runs this per grid value
         loop = ((f"        {swept} = {binding}\n" if swept in needed else "")
-                + _code(self._statements, needed & marked, "        ")
+                + _code(statements, needed & marked, "        ")
                 + self._assign(_VALUE, moving, "        "))
         if not swept:  # shift
             return dict(arguments="mode", before=before, check=check,
-                        terms=self._assign(_RECORD, every), records=self._gather(every, "t"))
+                        terms=self._assign(_RECORD, every), records=self._gather(every, "t{i}"))
         if part == "multiplet":
             return dict(arguments="grid, out", before=before, ends="", loop=loop,
                         emit=f"out({self._gather(moving)})",

@@ -777,6 +777,23 @@ def test_a_line_outside_double_precision_in_its_unit_is_a_domain_error(main, mon
     assert err == "rgupz: domain error: unit: a value is outside double precision in Hz\n"
 
 
+@pytest.mark.parametrize("argv, env, given", [
+    ((*_SHIFT, "--B-tesla", "1e305"), {}, "1e+305 T = inf G"),
+    ((*_LINES, "--B-tesla", "1e305"), {}, "1e+305 T = inf G"),
+    (("sweep", "--param", "B", "--values", "1,1e305", "--l", "1", "--mj", "0.5"), {},
+     "1e+305 T = inf G"),
+    (_SHIFT, {"RGUPZ_PARAMS_B_TESLA": "1e305"}, "1e+305 T = inf G"),
+    ((*_SHIFT, "--B-tesla=-1"), {}, "-1.0 T = -10000.0 G"),
+], ids=("shift", "lines", "sweep", "config", "negative"))
+def test_a_refused_field_is_named_in_the_tesla_given(main, monkeypatch, argv, env, given):
+    # not only as the gauss value it converts to, which the user never gave
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    status, out, err = main(*argv)
+    assert (status, out, err) == (
+        3, "", f"rgupz: domain error: B: field magnitude must be finite and >= 0, got {given}\n")
+
+
 _ORACLE = ("oracle", "--n", "2", "--l", "1")
 
 

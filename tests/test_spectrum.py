@@ -602,8 +602,11 @@ def test_a_sweep_reruns_only_what_reads_the_swept_field():
     level = [statement.partition("\n")[0] for _, statement in spectrum._LEVEL_HALF]
     for plan in _plans():
         loops = {part: plan._fields(part)["loop"] for part in spectrum._SWEPT}
-        # no form reads n, so an n sweep only writes each row's value cell
+        # no form reads n, so an n sweep only writes each row's value cell;
+        # no lande or rel form reads epsilon, and neither has a gate
         assert loops["sweep_n"] == "", plan.name
+        if plan.regime in (Regime.LANDE, Regime.REL):
+            assert loops["sweep_epsilon"] == "", plan.name
         # the level half reads l, the branch and the constants only
         for part in ("sweep_B", "sweep_epsilon", "sweep_mj"):
             assert not [s for s in level if s in loops[part]], (plan.name, part)
@@ -620,6 +623,23 @@ def test_each_row_runs_what_its_checked_end_rows_run():
             # only GUP's scale, -eps gamma^2 <p^2>, is not bounded by 8q <= 1
             source = spectrum._PARTS[part].format(part=part, **fields)
             assert ("isfinite(scale)" in source) == (plan.regime is Regime.GUP), (plan.name, part)
+
+
+def test_every_name_a_part_assigns_is_read_later():
+    # no dead statement: each name bound after the two record-unpacking
+    # lines is read on a later line of the same part
+    for plan in _plans():
+        for part in spectrum._PARTS:
+            source = spectrum._PARTS[part].format(part=part, **plan._fields(part))
+            nodes = [node for statement in ast.parse(source).body[0].body[2:]
+                     for node in ast.walk(statement)]
+            reads = [(node.id, node.lineno) for node in nodes
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+            for node in nodes:
+                if isinstance(node, ast.Assign):
+                    [target] = node.targets
+                    assert any(name == target.id and line > node.lineno
+                               for name, line in reads), (plan.name, part, target.id)
 
 
 def _code_objects(code):
