@@ -16,6 +16,12 @@ zero means zero, not "small".
 Two metrics are supported: euclidean with spatial indices 1..D
 (eta = delta), and minkowski with spacetime indices 0..3 and signature
 (-+++).
+
+Each verification case is its deformed operators, its truncation caps and
+its bracket targets: every [x_i, p_j] against
+i hbar (delta_ij eta_ii (1 + d p0.p0) + c d p0_i p0_j), with d the
+deformation parameters and c the cross coefficient, and every [a_i, a_j]
+that vanishes against zero.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 #: formal parameters carried by coefficients, in canonical order
 PARAMS = ("hbar", "i", "a1", "a2", "eps", "gamma2")
 _PIDX = {name: k for k, name in enumerate(PARAMS)}
+_I, _HBAR = _PIDX["i"], _PIDX["hbar"]
 _NO_PARAMS = (0,) * len(PARAMS)
 
 
@@ -59,16 +66,34 @@ def euclidean(dim: int = 3) -> Metric:
 MINKOWSKI = Metric("minkowski", 4)
 
 
-def _reduce_i(coeff: Fraction, params: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-    """Fold i^2 = -1 so the stored power of i is 0 or 1."""
-    ip = params[_PIDX["i"]]
-    if ip < 2:
-        return coeff, params
-    if (ip // 2) % 2:
-        coeff = -coeff
-    out = list(params)
-    out[_PIDX["i"]] = ip % 2
-    return coeff, tuple(out)
+def _pidx(name: str) -> int:
+    """The slot of a formal parameter in a term's parameter powers."""
+    if name not in _PIDX:
+        raise ValueError(f"unknown formal parameter {name!r}")
+    return _PIDX[name]
+
+
+def _canonical(coeff, params, xs, ps) -> tuple[tuple, Fraction]:
+    """The (key, coefficient) of a term: its indices sorted, and i^2 = -1
+    folded so the stored power of i is 0 or 1."""
+    coeff = Fraction(coeff)
+    ip = params[_I]
+    if ip > 1:
+        if (ip // 2) % 2:
+            coeff = -coeff
+        params = (*params[:_I], ip % 2, *params[_I + 1:])
+    return (tuple(params), tuple(sorted(xs)), tuple(sorted(ps))), coeff
+
+
+def _accumulate(acc: dict, items: Iterable[tuple[tuple, Fraction]]) -> dict:
+    """Add each (key, coeff) into acc, dropping a key whose sum vanishes."""
+    for key, coeff in items:
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 class OperatorPoly:
@@ -96,28 +121,15 @@ class OperatorPoly:
                                            tuple[int, ...], tuple[int, ...]]]
                        ) -> "OperatorPoly":
         """Canonicalize (coeff, params, x-indices, p-indices) items."""
-        acc: dict[tuple, Fraction] = {}
-        for coeff, params, xs, ps in raw:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            coeff, params = _reduce_i(coeff, tuple(params))
-            key = (params, tuple(sorted(xs)), tuple(sorted(ps)))
-            total = acc.get(key, Fraction(0)) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return cls(metric, acc)
+        return cls(metric, _accumulate({}, (_canonical(*term) for term in raw)))
 
     # -- inspection -------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Fraction, tuple[int, ...],
                                       tuple[int, ...], tuple[int, ...]]]:
         """Yield (coeff, params, xs, ps) in canonical sorted order."""
-        for key in sorted(self._terms):
-            params, xs, ps = key
-            yield self._terms[key], params, xs, ps
+        for (params, xs, ps), coeff in sorted(self._terms.items()):
+            yield coeff, params, xs, ps
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -131,8 +143,7 @@ class OperatorPoly:
         return self.metric == other.metric and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.metric,
-                     tuple(sorted((k, v) for k, v in self._terms.items()))))
+        return hash((self.metric, tuple(sorted(self._terms.items()))))
 
     # -- ring operations --------------------------------------------------
 
@@ -142,14 +153,8 @@ class OperatorPoly:
 
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
         self._check_metric(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = acc.get(key, Fraction(0)) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return OperatorPoly(self.metric, acc)
+        return OperatorPoly(self.metric,
+                            _accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "OperatorPoly":
         return OperatorPoly(self.metric, {k: -v for k, v in self._terms.items()})
@@ -167,11 +172,9 @@ class OperatorPoly:
 
     def times(self, name: str, power: int = 1) -> "OperatorPoly":
         """Multiply by a formal parameter power (central, commutes with all)."""
-        if name not in _PIDX:
-            raise ValueError(f"unknown formal parameter {name!r}")
+        idx = _pidx(name)
         if power < 0:
             raise ValueError("parameter powers must be non-negative")
-        idx = _PIDX[name]
         raw = []
         for key, coeff in self._terms.items():
             params, xs, ps = key
@@ -193,34 +196,26 @@ class OperatorPoly:
         how the special-case deformed variables are obtained.
         substitute("eps", 0) kills every term carrying eps.
         """
-        if name not in _PIDX:
-            raise ValueError(f"unknown formal parameter {name!r}")
-        if target is not None and target not in _PIDX:
-            raise ValueError(f"unknown formal parameter {target!r}")
+        src = _pidx(name)
+        dst = None if target is None else _pidx(target)
         factor = Fraction(factor)
-        src = _PIDX[name]
         raw = []
         for key, coeff in self._terms.items():
             params, xs, ps = key
             k = params[src]
             new = list(params)
             new[src] = 0
-            if target is not None:
-                new[_PIDX[target]] += k
+            if dst is not None:
+                new[dst] += k
             raw.append((coeff * factor**k, tuple(new), xs, ps))
         return OperatorPoly.from_raw_terms(self.metric, raw)
 
     def truncate(self, caps: Mapping[str, int]) -> "OperatorPoly":
         """Drop every term whose parameter powers exceed the given caps."""
-        for name in caps:
-            if name not in _PIDX:
-                raise ValueError(f"unknown formal parameter {name!r}")
-        keep = {}
-        for key, coeff in self._terms.items():
-            params = key[0]
-            if all(params[_PIDX[name]] <= cap for name, cap in caps.items()):
-                keep[key] = coeff
-        return OperatorPoly(self.metric, keep)
+        limits = [(_pidx(name), cap) for name, cap in caps.items()]
+        return OperatorPoly(self.metric, {
+            key: coeff for key, coeff in self._terms.items()
+            if all(key[0][k] <= cap for k, cap in limits)})
 
     # -- display -----------------------------------------------------------
 
@@ -291,6 +286,18 @@ def p0_squared(metric: Metric) -> OperatorPoly:
 
 # -- products ----------------------------------------------------------------
 
+def _strip(indices: tuple[int, ...], removed: Mapping[int, int]) -> list[int]:
+    """The indices, less removed[k] occurrences of each index k."""
+    left = dict(removed)
+    kept = []
+    for idx in indices:
+        if left.get(idx, 0):
+            left[idx] -= 1
+        else:
+            kept.append(idx)
+    return kept
+
+
 def _word_contributions(xs_a: tuple[int, ...], ps_a: tuple[int, ...],
                         xs_b: tuple[int, ...], ps_b: tuple[int, ...],
                         metric: Metric):
@@ -301,59 +308,41 @@ def _word_contributions(xs_a: tuple[int, ...], ps_a: tuple[int, ...],
     j pairs on index k picks up (-i*hbar*eta_kk)^j, with
     C(n_k, j) * C(m_k, j) * j! ways of choosing the pairs.
 
-    Yields (integer multiplier, extra i power, extra hbar power, xs, ps).
+    Yields (integer multiplier, pairs contracted, xs, ps); each pair
+    contracted adds one power of i and one of hbar.
     """
     pa = Counter(ps_a)
     xb = Counter(xs_b)
     shared = sorted(set(pa) & set(xb))
     if not shared:
-        yield 1, 0, 0, tuple(sorted(xs_a + xs_b)), tuple(sorted(ps_a + ps_b))
+        yield 1, 0, xs_a + xs_b, ps_a + ps_b
         return
     ranges = [range(min(pa[k], xb[k]) + 1) for k in shared]
     for counts in itertools.product(*ranges):
+        removed = dict(zip(shared, counts))
         mult = 1
-        removed = dict(zip(shared, counts))
         for k, j in removed.items():
-            if j == 0:
-                continue
-            ways = math.comb(pa[k], j) * math.comb(xb[k], j) * math.factorial(j)
-            mult *= ways * (-metric.eta(k)) ** j
-        total = sum(counts)
-        xs = list(xs_a)
-        for idx in xs_b:
-            if removed.get(idx, 0):
-                removed[idx] -= 1
-            else:
-                xs.append(idx)
-        removed = dict(zip(shared, counts))
-        ps = []
-        for idx in ps_a:
-            if removed.get(idx, 0):
-                removed[idx] -= 1
-            else:
-                ps.append(idx)
-        ps.extend(ps_b)
-        yield mult, total, total, tuple(sorted(xs)), tuple(sorted(ps))
+            if j:
+                ways = math.comb(pa[k], j) * math.comb(xb[k], j) * math.factorial(j)
+                mult *= ways * (-metric.eta(k)) ** j
+        yield (mult, sum(counts), (*xs_a, *_strip(xs_b, removed)),
+               (*_strip(ps_a, removed), *ps_b))
 
 
 def normal_product(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
     """The operator product a*b, rewritten to normal order exactly."""
     a._check_metric(b)
     raw = []
-    hbar_idx = _PIDX["hbar"]
-    i_idx = _PIDX["i"]
-    for key_a, coeff_a in a._terms.items():
-        params_a, xs_a, ps_a = key_a
-        for key_b, coeff_b in b._terms.items():
-            params_b, xs_b, ps_b = key_b
+    for (params_a, xs_a, ps_a), coeff_a in a._terms.items():
+        for (params_b, xs_b, ps_b), coeff_b in b._terms.items():
             coeff = coeff_a * coeff_b
-            params = tuple(pa + pb for pa, pb in zip(params_a, params_b))
-            for mult, di, dh, xs, ps in _word_contributions(
+            params = [pa + pb for pa, pb in zip(params_a, params_b)]
+            for mult, pairs, xs, ps in _word_contributions(
                     xs_a, ps_a, xs_b, ps_b, a.metric):
-                new = list(params)
-                new[i_idx] += di
-                new[hbar_idx] += dh
-                raw.append((coeff * mult, tuple(new), xs, ps))
+                new = params.copy()
+                new[_I] += pairs
+                new[_HBAR] += pairs
+                raw.append((coeff * mult, new, xs, ps))
     return OperatorPoly.from_raw_terms(a.metric, raw)
 
 
@@ -458,72 +447,53 @@ def verify_algebra(case: str, target: str = "derived") -> VerificationReport:
         raise ValueError(f"unknown target {target!r}")
 
     if case == "nonrel-special":
-        return _verify_nonrel_special(target)
+        metric, caps = euclidean(3), {"a1": 1}
+        xs, ps = ([op.substitute("a2", 2, "a1") for op in ops]
+                  for ops in deformed_ops_nonrel(3))
+        cross = 2 if target == "derived" else 1
+        checks = (_position_momentum_checks(metric, xs, ps, caps, ("a1",), cross)
+                  + _vanishing_checks(metric, "x", xs, caps)
+                  + _vanishing_checks(metric, "p", ps, caps))
+        notes = (_DISCREPANCY_NOTE,) if target == "derived" else (
+            _DISCREPANCY_NOTE, "target=quoted: checking the printed coefficient a1")
+        return VerificationReport(case, tuple(checks), notes)
+    metric, caps = MINKOWSKI, {"eps": 1}
+    xs, ps = deformed_ops_rel()
     if case == "rel-linear":
-        return _verify_rel_linear()
-    return _verify_rel_position_position()
+        checks = _position_momentum_checks(metric, xs, ps, caps, ("eps", "gamma2"), 2)
+    else:
+        checks = _vanishing_checks(metric, "x", xs, caps)
+    return VerificationReport(case, tuple(checks))
 
 
-def _verify_nonrel_special(target: str) -> VerificationReport:
-    metric = euclidean(3)
-    xs, ps = deformed_ops_nonrel(3)
-    xs = tuple(op.substitute("a2", 2, "a1") for op in xs)
-    ps = tuple(op.substitute("a2", 2, "a1") for op in ps)
-    caps = {"a1": 1}
+def _check(bracket: str, a: OperatorPoly, b: OperatorPoly, caps: Mapping[str, int],
+           target: OperatorPoly) -> AlgebraCheck:
+    computed = commutator(a, b).truncate(caps)
+    return AlgebraCheck(bracket, computed, target, computed - target)
+
+
+def _position_momentum_checks(metric: Metric, xs, ps, caps: Mapping[str, int],
+                              deformation: tuple[str, ...],
+                              cross: int) -> list[AlgebraCheck]:
+    """Each [x_i, p_j], truncated to caps, against
+    i hbar (delta_ij eta_ii (1 + d p0.p0) + cross d p0_i p0_j), where d is
+    the product of the deformation parameters."""
     ps2 = p0_squared(metric)
-    cross_coeff = 2 if target == "derived" else 1
-
     checks = []
     for i, xi in zip(metric.indices(), xs):
         for j, pj in zip(metric.indices(), ps):
-            computed = commutator(xi, pj).truncate(caps)
-            expected = normal_product(p0(i, metric), p0(j, metric)) \
-                .scale(cross_coeff).times("a1")
-            if i == j:
-                expected = expected + unit(metric) + ps2.times("a1")
-            expected = expected.times("i").times("hbar")
-            checks.append(AlgebraCheck(f"[x{i}, p{j}]", computed, expected,
-                                       computed - expected))
-    for (i, xi), (j, xj) in itertools.combinations(zip(metric.indices(), xs), 2):
-        computed = commutator(xi, xj).truncate(caps)
-        checks.append(AlgebraCheck(f"[x{i}, x{j}]", computed, zero(metric), computed))
-    for (i, pi), (j, pj) in itertools.combinations(zip(metric.indices(), ps), 2):
-        computed = commutator(pi, pj).truncate(caps)
-        checks.append(AlgebraCheck(f"[p{i}, p{j}]", computed, zero(metric), computed))
-
-    notes = (_DISCREPANCY_NOTE,) if target == "derived" else (
-        _DISCREPANCY_NOTE, "target=quoted: checking the printed coefficient a1")
-    return VerificationReport("nonrel-special", tuple(checks), notes)
+            delta = metric.eta(i) if i == j else 0
+            target = (normal_product(p0(i, metric), p0(j, metric)).scale(cross)
+                      + ps2.scale(delta))
+            for name in deformation:
+                target = target.times(name)
+            target = (target + unit(metric).scale(delta)).times("i").times("hbar")
+            checks.append(_check(f"[x{i}, p{j}]", xi, pj, caps, target))
+    return checks
 
 
-def _verify_rel_linear() -> VerificationReport:
-    metric = MINKOWSKI
-    xs, ps = deformed_ops_rel()
-    ps2 = p0_squared(metric)
-    caps = {"eps": 1}
-
-    checks = []
-    for mu, xmu in zip(metric.indices(), xs):
-        for nu, pnu in zip(metric.indices(), ps):
-            computed = commutator(xmu, pnu).truncate(caps)
-            expected = normal_product(p0(mu, metric), p0(nu, metric)) \
-                .scale(2).times("eps").times("gamma2")
-            if mu == nu:
-                eta = metric.eta(mu)
-                expected = expected + unit(metric).scale(eta) \
-                    + ps2.scale(eta).times("eps").times("gamma2")
-            expected = expected.times("i").times("hbar")
-            checks.append(AlgebraCheck(f"[x{mu}, p{nu}]", computed, expected,
-                                       computed - expected))
-    return VerificationReport("rel-linear", tuple(checks))
-
-
-def _verify_rel_position_position() -> VerificationReport:
-    metric = MINKOWSKI
-    xs, _ = deformed_ops_rel()
-    caps = {"eps": 1}
-    checks = []
-    for (mu, xmu), (nu, xnu) in itertools.combinations(zip(metric.indices(), xs), 2):
-        computed = commutator(xmu, xnu).truncate(caps)
-        checks.append(AlgebraCheck(f"[x{mu}, x{nu}]", computed, zero(metric), computed))
-    return VerificationReport("rel-position-position", tuple(checks))
+def _vanishing_checks(metric: Metric, symbol: str, ops,
+                      caps: Mapping[str, int]) -> list[AlgebraCheck]:
+    """Each [a_i, a_j], i < j, of the operators a = ops, against zero."""
+    return [_check(f"[{symbol}{i}, {symbol}{j}]", ai, aj, caps, zero(metric))
+            for (i, ai), (j, aj) in itertools.combinations(zip(metric.indices(), ops), 2)]

@@ -382,6 +382,11 @@ def _folded(source: str) -> str:
     return re.sub(_LITERAL, lambda name: _LITERALS[name[0]], source)
 
 
+def _deeper(source: str) -> str:
+    """Statements, each line one level deeper."""
+    return "".join("    " + line for line in source.splitlines(True))
+
+
 def _code(half, keep, indent="    ") -> str:
     """The statements of a half whose names are kept, each folded, indented."""
     return "".join(indent + _folded(statement) + "\n" for name, statement in half if name in keep)
@@ -403,10 +408,11 @@ class _Plan:
     - sweep_B, sweep_epsilon, sweep_l, sweep_n and sweep_mj(state, params,
       grid, per, unit, header, write): a sweep of that field over the grid
       (B in tesla; the records give every other field).  It runs the rows of
-      the grid's two ends first, with ValidationError("unit") for a value
-      times per (from erg into unit) outside double precision, then writes
-      the header and "value,regime,cells,total\n" per grid value, each value
-      times per and "0.0" for an addend gated off;
+      the grid's two ends first (one row, when no row reads the grid value),
+      with ValidationError("unit") for a value times per (from erg into
+      unit) outside double precision, then writes the header and
+      "value,regime,cells,total\n" per grid value, each value times per and
+      "0.0" for an addend gated off;
     - multiplet(state, params, grid, out): the m_j sweep of zeeman_lines.  It
       calls out with the values that read m_j at each m_j of the grid, and
       returns the others, the "non-magnetic" ones.
@@ -522,11 +528,13 @@ class _Plan:
             else:
                 fixed_cells += f"    c{i} = {text}\n"
                 cells.append(f"{{c{i}}}")
-        check = "".join("    " + line for line in check.splitlines(True))
         # each end row runs a row and its checks, then the display unit's;
-        # every row between two valid ends is valid (see cli.cmd_sweep)
-        ends = (f"    for value in grid[0], grid[-1]:\n{loop}{check}"
-                "        in_unit((*values, total), per, unit)\n")
+        # every row between two valid ends is valid (see cli.cmd_sweep).  A
+        # part whose rows read no grid value runs the checks once
+        ends = check + "    in_unit((*values, total), per, unit)\n"
+        if loop:
+            ends = f"    for value in grid[0], grid[-1]:\n{loop}{_deeper(ends)}"
+        check = _deeper(check)
         if moving:
             loop += check
             cells.append("{total * per!r}")

@@ -124,6 +124,17 @@ def test_verify_algebra_all_passes():
     assert "coefficient-discrepancy" in out
 
 
+@pytest.mark.parametrize("name, argv, code", [
+    ("verify_algebra_all.json", ("verify-algebra", "--case", "all", "--json"), 0),
+    ("verify_algebra_quoted.txt",
+     ("verify-algebra", "--case", "nonrel-special", "--target", "quoted"), 4),
+])
+def test_verify_algebra_golden_bytes(name, argv, code):
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
 def test_verify_algebra_json_structure():
     proc = run_cli("verify-algebra", "--case", "rel-linear", "--json")
     payload = json.loads(proc.stdout)

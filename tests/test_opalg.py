@@ -219,6 +219,23 @@ def test_verify_nonrel_special_quoted_target_fails():
         assert not check.residual.is_zero()
 
 
+@pytest.mark.parametrize("case, target, calls", [
+    ("nonrel-special", "derived", 48), ("nonrel-special", "quoted", 48),
+    ("rel-linear", "derived", 52), ("rel-position-position", "derived", 16),
+])
+def test_normal_product_calls_per_case(case, target, calls, monkeypatch):
+    # counted through the module attribute, which is what a tracer patches
+    original, counted = opalg.normal_product, []
+
+    def counting(a, b):
+        counted.append(case)
+        return original(a, b)
+
+    monkeypatch.setattr(opalg, "normal_product", counting)
+    verify_algebra(case, target)
+    assert len(counted) == calls
+
+
 def test_verify_unknown_case():
     with pytest.raises(ValueError):
         verify_algebra("kmm-second-order")

@@ -618,8 +618,13 @@ def test_each_row_runs_what_its_checked_end_rows_run():
         for part in spectrum._PARTS:
             fields = plan._fields(part)
             if part not in ("shift", "multiplet"):
-                assert fields["ends"].startswith(
-                    f"    for value in grid[0], grid[-1]:\n{fields['loop']}"), (plan.name, part)
+                ends = fields["ends"]
+                if fields["loop"]:
+                    assert ends.startswith(
+                        f"    for value in grid[0], grid[-1]:\n{fields['loop']}"), (plan.name, part)
+                else:  # no row reads the grid value: one checked row stands for every row
+                    assert "for value" not in ends, (plan.name, part)
+                    assert ends.count("fsum(") == ends.count("in_unit(") == 1, (plan.name, part)
             # only GUP's scale, -eps gamma^2 <p^2>, is not bounded by 8q <= 1
             source = spectrum._PARTS[part].format(part=part, **fields)
             assert ("isfinite(scale)" in source) == (plan.regime is Regime.GUP), (plan.name, part)
