@@ -2,7 +2,8 @@
 
 Library layout:
 
-- units: Gaussian-CGS constants, parameter records, energy conversion
+- units: Gaussian-CGS constants, parameter records, energy conversion,
+  and the shared vocabulary: Branch, Regime, Mode and the algebra case names
 - opalg: exact noncommutative operator polynomials and algebra checks
 - dispersion: deformed mass-shell root and its series
 - oracle: hydrogen radial wavefunctions and quadrature expectations, on a
@@ -27,13 +28,13 @@ __version__ = "0.1.0"
 
 #: each exported name -> the submodule that defines it
 _HOMES = {name: module for module, names in (
-    ("units", ("ConstantsTable", "PhysicalParams", "ValidationError", "convert_energy",
-               "load_constants", "make_params")),
+    ("units", ("Branch", "ConstantsTable", "Mode", "PhysicalParams", "Regime",
+               "ValidationError", "convert_energy", "load_constants", "make_params")),
     ("dispersion", ("DispersionSolution", "TransPlanckianMassError", "p0sq_exact",
                     "p0sq_series", "solve_mass_shell")),
-    ("spectrum", ("Branch", "DiscrepancyReport", "Mode", "QuantumState", "Regime",
-                  "ShiftBreakdown", "ZeemanLine", "discrepancy_report", "energy_shift_B",
-                  "hls_shift", "lande_g_factor", "level_states", "zeeman_lines")),
+    ("spectrum", ("DiscrepancyReport", "QuantumState", "ShiftBreakdown", "ZeemanLine",
+                  "discrepancy_report", "energy_shift_B", "hls_shift", "lande_g_factor",
+                  "level_states", "zeeman_lines")),
 ) for name in names}
 _SUBMODULES = ("units", "opalg", "dispersion", "oracle", "spectrum", "cli")
 

@@ -14,7 +14,6 @@ underscores and the RGUPZ_ prefix (params.b_tesla -> RGUPZ_PARAMS_B_TESLA).
 from __future__ import annotations
 
 import contextlib
-import functools
 import importlib.util
 import math
 import os
@@ -30,6 +29,10 @@ from .units import (
     DEFAULT_CONSTANTS,
     ENERGY_UNITS,
     GAUSS_PER_TESLA,
+    VERIFICATION_CASES,
+    Branch,
+    Mode,
+    Regime,
     ValidationError,
     _constant_rows,
     check_n_l,
@@ -52,9 +55,8 @@ _DEFERRED = {
     "opalg": (),
     "oracle": ("_check_qn", "p2_closed_form", "p2_expectation_exact",
                "p4_expectation_exact", "radial_expectation"),
-    "spectrum": ("Branch", "Mode", "QuantumState", "Regime", "REGIME_TERM_LABELS",
-                 "_check_mj", "_plan_of", "discrepancy_report", "energy_shift_B",
-                 "level_states", "zeeman_lines"),
+    "spectrum": ("QuantumState", "REGIME_TERM_LABELS", "_check_mj", "_plan_of",
+                 "discrepancy_report", "energy_shift_B", "level_states", "zeeman_lines"),
 }
 #: command -> the deferred module whose names it reads
 _READS = {"shift": "spectrum", "sweep": "spectrum", "lines": "spectrum",
@@ -415,7 +417,7 @@ def cmd_lines(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_algebra(args, cfg: RunConfig) -> int:
-    cases = opalg.VERIFICATION_CASES if args.case == "all" else (args.case,)
+    cases = VERIFICATION_CASES if args.case == "all" else (args.case,)
     reports = [opalg.verify_algebra(case, target=args.target) for case in cases]
 
     if cfg.get(args, "output.format") == "json":
@@ -554,13 +556,13 @@ class _Flag(NamedTuple):
     option: str
     dest: str
     type: type | None = None
-    choices: tuple | dict | _Choices | None = None
+    choices: tuple | dict | None = None
     default: object = None
     help: str | None = None
     required: bool = False
 
 
-_BRANCHES = ("plus", "minus")
+_BRANCHES = tuple(b.value for b in Branch)
 _CONFIG = _Flag("--config", "config", help="key = value defaults file")
 _PARAMS_FLAGS = (
     _Flag("--B-tesla", "B_tesla", float,
@@ -579,30 +581,9 @@ _STATE_FLAGS = (
 )
 
 
-class _Choices:
-    """A flag's choices that a deferred module defines, read from it when
-    first asked for, so only a command that reads them runs the module; a
-    parser built for help or an error text reads them all."""
-
-    def __init__(self, read):
-        self._read = read
-
-    @functools.cached_property
-    def _values(self) -> tuple:
-        return self._read()
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __contains__(self, value) -> bool:
-        return value in self._values
-
-
 _REGIME_FLAGS = (
-    _Flag("--regime", "regime", default="lande",
-          choices=_Choices(lambda: tuple(r.value for r in spectrum.Regime))),
-    _Flag("--mode", "mode", default="derived",
-          choices=_Choices(lambda: tuple(m.value for m in spectrum.Mode))),
+    _Flag("--regime", "regime", default="lande", choices=tuple(r.value for r in Regime)),
+    _Flag("--mode", "mode", default="derived", choices=tuple(m.value for m in Mode)),
     _Flag("--unit", "unit", choices=ENERGY_UNITS, help="energy display unit (default eV)"),
 )
 _LEVEL_FLAGS = tuple(flag for side in ("upper", "lower") for flag in (
@@ -629,8 +610,7 @@ _COMMANDS = {
     "lines": ("allowed Zeeman lines between two levels",
               (*_LEVEL_FLAGS, *_PARAMS_FLAGS, *_REGIME_FLAGS), ("json",)),
     "verify-algebra": ("machine-verify the deformed commutator algebras", (
-        _Flag("--case", "case", default="all",
-              choices=_Choices(lambda: (*opalg.VERIFICATION_CASES, "all"))),
+        _Flag("--case", "case", default="all", choices=(*VERIFICATION_CASES, "all")),
         _Flag("--target", "target", choices=("derived", "quoted"), default="derived",
               help="'quoted' checks the printed special-case cross "
                    "coefficient a1 and fails by the known factor 2")), ("json",)),

@@ -32,6 +32,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .units import VERIFICATION_CASES
+
 #: formal parameters carried by coefficients, in canonical order
 PARAMS = ("hbar", "i", "a1", "a2", "eps", "gamma2")
 _PIDX = {name: k for k, name in enumerate(PARAMS)}
@@ -378,28 +380,27 @@ def deformed_ops_nonrel(dim: int = 3) -> tuple[tuple[OperatorPoly, ...],
     return tuple(positions), tuple(momenta)
 
 
+def _rel_positions() -> tuple[OperatorPoly, ...]:
+    """The linearized covariant positions on minkowski: x^mu = x0^mu."""
+    return tuple(x0(mu, MINKOWSKI) for mu in MINKOWSKI.indices())
+
+
 def deformed_ops_rel() -> tuple[tuple[OperatorPoly, ...],
                                 tuple[OperatorPoly, ...]]:
-    """Linearized covariant deformed variables on minkowski (-+++).
+    """Linearized covariant deformed variables on minkowski (-+++): the
+    positions of _rel_positions and
 
-        x^mu = x0^mu
         p^mu = p0^mu (1 + eps gamma2 p0.p0)
     """
     metric = MINKOWSKI
     ps2 = p0_squared(metric)
-    positions = []
-    momenta = []
-    for mu in metric.indices():
-        positions.append(x0(mu, metric))
-        momenta.append(p0(mu, metric)
-                       + normal_product(p0(mu, metric), ps2).times("eps").times("gamma2"))
-    return tuple(positions), tuple(momenta)
+    momenta = tuple(p0(mu, metric)
+                    + normal_product(p0(mu, metric), ps2).times("eps").times("gamma2")
+                    for mu in metric.indices())
+    return _rel_positions(), momenta
 
 
 # -- algebra verification -----------------------------------------------------
-
-VERIFICATION_CASES = ("nonrel-special", "rel-linear", "rel-position-position")
-
 
 class AlgebraCheck(NamedTuple):
     """One commutator comparison: computed vs target, with exact residual."""
@@ -431,6 +432,8 @@ _DISCREPANCY_NOTE = (
     "a2 = 2*a1 and with the covariant factor 2). The shipped target is the "
     "machine-derived expression."
 )
+_QUOTED_REL_NOTE = ("target=quoted: the quoted target applies to nonrel-special only; "
+                    "this case checked its derived target")
 
 
 def verify_algebra(case: str, target: str = "derived") -> VerificationReport:
@@ -439,7 +442,8 @@ def verify_algebra(case: str, target: str = "derived") -> VerificationReport:
     target="derived" checks against the machine-derived expressions (the
     shipped targets); target="quoted" checks the nonrel-special case
     against the quoted printed coefficient (a1 instead of 2*a1 on the
-    cross term), which fails by the exact discrepancy.
+    cross term), which fails by the exact discrepancy; a rel case checks
+    its derived target either way, and notes so under target="quoted".
     """
     if case not in VERIFICATION_CASES:
         raise ValueError(f"unknown verification case {case!r}")
@@ -458,12 +462,13 @@ def verify_algebra(case: str, target: str = "derived") -> VerificationReport:
             _DISCREPANCY_NOTE, "target=quoted: checking the printed coefficient a1")
         return VerificationReport(case, tuple(checks), notes)
     metric, caps = MINKOWSKI, {"eps": 1}
-    xs, ps = deformed_ops_rel()
     if case == "rel-linear":
-        checks = _position_momentum_checks(metric, xs, ps, caps, ("eps", "gamma2"), 2)
+        checks = _position_momentum_checks(metric, *deformed_ops_rel(), caps,
+                                           ("eps", "gamma2"), 2)
     else:
-        checks = _vanishing_checks(metric, "x", xs, caps)
-    return VerificationReport(case, tuple(checks))
+        checks = _vanishing_checks(metric, "x", _rel_positions(), caps)
+    notes = () if target == "derived" else (_QUOTED_REL_NOTE,)
+    return VerificationReport(case, tuple(checks), notes)
 
 
 def _check(bracket: str, a: OperatorPoly, b: OperatorPoly, caps: Mapping[str, int],

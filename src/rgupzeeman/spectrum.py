@@ -42,28 +42,11 @@ import itertools
 import math
 import operator
 import re
-from enum import Enum
 from typing import NamedTuple
 
-from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA,
-                    PhysicalParams, ValidationError, check_n_l, in_unit, is_integer)
-
-
-class Branch(Enum):
-    PLUS = "plus"     # j = l + 1/2
-    MINUS = "minus"   # j = l - 1/2
-
-
-class Regime(Enum):
-    LANDE = "lande"
-    REL = "rel"
-    GUP = "gup"
-    RGUP = "rgup"
-
-
-class Mode(Enum):
-    DERIVED = "derived"
-    AS_PUBLISHED = "as-published"
+from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA, Branch,
+                    Mode, PhysicalParams, Regime, ValidationError, check_n_l, in_unit,
+                    is_integer)
 
 
 def _is_half_odd(value: float) -> bool:

@@ -7,11 +7,16 @@ gauss, and energies can be displayed in eV, wavenumbers, or hertz.
 
 The elementary charge is stored as a positive magnitude; every sign is
 written explicitly in the formulas that consume it.
+
+It also holds the names the other modules and the CLI share (Branch,
+Regime, Mode, the algebra cases), so the CLI lists its flags' choices
+without running spectrum or opalg.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 from typing import NamedTuple
 
 GAUSS_PER_TESLA = 1.0e4
@@ -38,6 +43,27 @@ _ENERGY_UNIT_TO_ERG = {
 }
 
 ENERGY_UNITS = tuple(_ENERGY_UNIT_TO_ERG)
+
+
+class Branch(Enum):
+    PLUS = "plus"     # j = l + 1/2
+    MINUS = "minus"   # j = l - 1/2
+
+
+class Regime(Enum):
+    LANDE = "lande"
+    REL = "rel"
+    GUP = "gup"
+    RGUP = "rgup"
+
+
+class Mode(Enum):
+    DERIVED = "derived"
+    AS_PUBLISHED = "as-published"
+
+
+#: the algebra cases opalg.verify_algebra checks
+VERIFICATION_CASES = ("nonrel-special", "rel-linear", "rel-position-position")
 
 
 class ValidationError(ValueError):

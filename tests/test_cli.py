@@ -135,6 +135,25 @@ def test_verify_algebra_golden_bytes(name, argv, code):
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
+_QUOTED_REL_NOTE = ("target=quoted: the quoted target applies to nonrel-special only; "
+                    "this case checked its derived target")
+
+
+@pytest.mark.parametrize("case", ["rel-linear", "rel-position-position"])
+def test_a_rel_case_notes_that_it_checked_its_derived_target(case):
+    # the quoted target exists for nonrel-special only: a rel case checks its
+    # derived target either way, exits 0 and says so in one note
+    derived = run_cli("verify-algebra", "--case", case)
+    proc = run_cli("verify-algebra", "--case", case, "--target", "quoted")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == derived.stdout + f"  note: {_QUOTED_REL_NOTE}\n".encode()
+    derived = json.loads(run_cli("verify-algebra", "--case", case, "--json").stdout)
+    proc = run_cli("verify-algebra", "--case", case, "--target", "quoted", "--json")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    (report,) = json.loads(proc.stdout)["reports"]
+    assert report == {**derived["reports"][0], "notes": [_QUOTED_REL_NOTE]}
+
+
 def test_verify_algebra_json_structure():
     proc = run_cli("verify-algebra", "--case", "rel-linear", "--json")
     payload = json.loads(proc.stdout)
@@ -371,9 +390,38 @@ def test_a_command_runs_only_the_modules_it_reads(argv, ran):
     assert proc.stdout == f"{ran!r}\nFalse\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["shift", "--json", "--csv"], 2),
+    (["verify-algebra", "--case", "nope"], 2),
+    (["shift", "-h"], 0),
+], ids=("two-formats", "unknown-case", "help"))
+def test_help_and_errors_run_neither_spectrum_nor_opalg(argv, code):
+    # the parser reads every --regime, --mode and --case choice from units,
+    # so building it for help or an error loads no deferred module
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import rgupzeeman.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = rgupzeeman.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'argparse' in sys.modules)\n"
+        "print([m for m in ('opalg', 'spectrum')\n"
+        "       if type(sys.modules['rgupzeeman.' + m]) is types.ModuleType])\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RGUPZ_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{code} True\n[]\n[]\n"
+
+
 def test_help_and_errors_still_come_from_argparse():
-    # argparse is imported only when main builds the parser; the --regime,
-    # --mode and --case choices are read from their modules for it
+    # argparse is imported only when main builds the parser; it lists the
+    # --regime, --mode and --case choices from units
     proc = run_cli("shift", "-h")
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.startswith(b"usage: rgupz shift ")
@@ -897,12 +945,12 @@ def test_a_bannered_sweep_holds_no_output(monkeypatch):
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            status = cli.main(["--banner", *_LONG_SWEEP, "100000"])
+            status = cli.main(["--banner", *_LONG_SWEEP, "10000"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert status == 0
-    assert peak < 10 * 2**20, peak
+    assert peak < 2**20, peak
 
 
 def test_dispersion_reads_epsilon_and_gamma_from_env_and_config(main, monkeypatch, tmp_path):

@@ -221,7 +221,7 @@ def test_verify_nonrel_special_quoted_target_fails():
 
 @pytest.mark.parametrize("case, target, calls", [
     ("nonrel-special", "derived", 48), ("nonrel-special", "quoted", 48),
-    ("rel-linear", "derived", 52), ("rel-position-position", "derived", 16),
+    ("rel-linear", "derived", 52), ("rel-position-position", "derived", 12),
 ])
 def test_normal_product_calls_per_case(case, target, calls, monkeypatch):
     # counted through the module attribute, which is what a tracer patches
