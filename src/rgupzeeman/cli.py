@@ -353,8 +353,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # B and epsilon rules are intervals, so a NaN (which does not sort) and
     # the sorted grid's two ends stand for every row: each row between two
     # valid ends of a sorted, NaN-free grid is valid, and no record is built
-    # for it.  The trans-Planckian bound 8q <= 1, q = eps gamma^2 (mc)^2, is
-    # an interval in epsilon too.  l, n and mj are checked row by row
+    # for it.  The record's two rules, first the trans-Planckian bound 8q <= 1
+    # (q = eps gamma^2 (mc)^2) and then a finite eps gamma^2, are each
+    # monotone in epsilon, so intervals too.  l, n and mj are checked row by row
     checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]] \
         if args.param in ("B", "epsilon") else values
     # every field the sweep part does not rebind
@@ -513,7 +514,7 @@ def cmd_discrepancy(args, cfg: RunConfig) -> int:
 #: rule degenerates (exit 4), and its cost grows as the square of the count
 MAX_ORACLE_NODES = 362
 #: each integrand's Laguerre recurrence runs n - l - 1 steps per node (~3 s
-#: at n = 1000 on 362 nodes); no n above ~120 verifies on any allowed rule
+#: at n = 1000 on 362 nodes); no n above ~120 verifies on the default rule
 MAX_ORACLE_N = 1000
 
 

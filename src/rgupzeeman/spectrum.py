@@ -42,6 +42,7 @@ import itertools
 import math
 import operator
 import re
+from keyword import iskeyword
 from typing import NamedTuple
 
 from .units import (_MAX_EXACT_INT, ConstantsTable, DEFAULT_CONSTANTS, GAUSS_PER_TESLA, Branch,
@@ -273,13 +274,12 @@ _TERMS = (
 
 #: The names a form reads beyond the fields of QuantumState, PhysicalParams
 #: and ConstantsTable, each with the statement that binds it, in evaluation
-#: order; a check binds nothing and is named None.  The level half depends
-#: on l, the branch and the constants only, so every state of a level
-#: shares it: p2 is the angular-only <p^2> of exp_p2_angular at r0, and
-#: p4 = <p^2>^2.  The m_j half gives <Jz> and <Sz>.  The params half gives
-#: the deformation scale, eps gamma^2 (mc)^2 as in shift's record and
-#: PhysicalParams.correction_scale, and deformed, which gates the
-#: deformation addends (RGUP: scale != 0).
+#: order.  The level half depends on l, the branch and the constants only,
+#: so every state of a level shares it: p2 is the angular-only <p^2> of
+#: exp_p2_angular at r0, and p4 = <p^2>^2.  The m_j half gives <Jz> and
+#: <Sz>.  The params half gives the deformation scale, eps gamma^2 (mc)^2
+#: as in shift's record and PhysicalParams.correction_scale, and deformed,
+#: which gates the deformation addends (RGUP: scale != 0).
 _LEVEL_HALF = (
     ("sgn", "sgn = 1.0 if branch is PLUS else -1.0"),
     ("ll", "ll = l * (l + 1)"),
@@ -307,11 +307,9 @@ _PARAMS_HALF = (
 #: deformation is on while eps gamma^2 != 0
 _GUP_PARAMS_HALF = (
     *_PARAMS_HALF[:2],
-    ("scale", "scale = -eps_gamma2 * p2 + 0.0  # + 0.0 normalizes -0.0 away"),
-    # the one scale an input takes outside double precision: 8q <= 1 bounds
-    # eps (gamma m c)^2, not eps gamma^2, which a library m near 0 lets grow;
-    # every GUP part checks it, as-published ones whose forms read no scale too
-    (None, "if not isfinite(scale): finite(scale, 'correction_scale')"),
+    # + 0.0 normalizes -0.0 away; the params' rules keep eps gamma^2 finite,
+    # and |<p^2>| <= 3.3e-6 for every l < 2**53, so the scale stays finite
+    ("scale", "scale = -eps_gamma2 * p2 + 0.0"),
     ("deformed", "deformed = eps_gamma2 != 0.0"),
 )
 
@@ -343,13 +341,13 @@ _CHECK = """\
     if not isfinite(total):
         name_failure({labels}, values, total)
 """
-_SEPARATORS = str.maketrans(dict.fromkeys("()*+-/.,=<>:#", " "))
+_IDENTIFIER = re.compile(r"\b(?!\d)\w+")
 
 
 def _words(source: str) -> list[str]:
-    """The identifiers in some Python source, and words that name nothing a
-    plan binds."""
-    return source.translate(_SEPARATORS).split()
+    """The names in some Python source: its identifiers but its keywords.
+    A statement or form holds no comment, whose words would read as names."""
+    return [word for word in _IDENTIFIER.findall(source) if not iskeyword(word)]
 
 
 #: what a part writes for each field of DEFAULT_CONSTANTS and for math.pi:
@@ -383,9 +381,9 @@ class _Plan:
     from the forms and the halves that bind what they read, so each reads
     the QuantumState and PhysicalParams fields itself.  A function keeps
     only the statements its output reads: its forms, the gate "deformed" if
-    the plan has a gated addend, every check of the halves, and the scale of
-    shift's record.  Each function is an attribute compiled on first use,
-    so a cold start compiles only what it runs:
+    the plan has a gated addend, and the scale of shift's record.  Each
+    function is an attribute compiled on first use, so a cold start
+    compiles only what it runs:
 
     - shift(state, params, mode): the ShiftBreakdown energy_shift_B returns;
     - sweep_B, sweep_epsilon, sweep_l, sweep_n and sweep_mj(state, params,
@@ -412,12 +410,11 @@ class _Plan:
     the loop.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
-    addends are gated as energy_shift_B describes.  Every GUP part raises
-    ValidationError for a scale outside double precision, checked in GUP's
-    params half right where the scale is formed; the params' rule 8q <= 1
-    keeps every other regime's scale finite.  Every part but multiplet,
-    after a sum of the values that is not finite, names the first term
-    outside double precision, else the total.
+    addends are gated as energy_shift_B describes.  No part checks its
+    scale: the params' rules, 8q <= 1 and then a finite eps gamma^2, keep
+    every regime's scale finite.  Every part but multiplet, after a sum of
+    the values that is not finite, names the first term outside double
+    precision, else the total.
     """
 
     def __init__(self, regime: Regime, published: bool):
@@ -436,9 +433,8 @@ class _Plan:
         namespace = {"math": math, "nan": math.nan, "fsum": math.fsum,
                      "isfinite": math.isfinite, "PLUS": _PLUS, "REGIME": self.regime,
                      "new": tuple.__new__, "ShiftTerm": ShiftTerm,
-                     "ShiftBreakdown": ShiftBreakdown, "finite": _finite,
-                     "name_failure": _name_failure, "GAUSS_PER_TESLA": GAUSS_PER_TESLA,
-                     "in_unit": in_unit}
+                     "ShiftBreakdown": ShiftBreakdown, "name_failure": _name_failure,
+                     "GAUSS_PER_TESLA": GAUSS_PER_TESLA, "in_unit": in_unit}
         source = _PARTS[part].format(part=part, **self._fields(part))
         exec(compile(source, f"<{self.name} {part}>", "exec"), namespace)
         setattr(self, part, namespace[part])
@@ -469,10 +465,10 @@ class _Plan:
         every = range(len(self.forms))
         statements = (*_LEVEL_HALF, *_MJ_HALF,
                       *(_GUP_PARAMS_HALF if self.regime is Regime.GUP else _PARAMS_HALF))
-        # the output reads the forms, the gate of a gated addend, every check
-        # (named None) and shift's scale; a statement reads only names bound
-        # before it, so one backward pass finds every statement needed
-        needed = {None, *_words(" ".join(self.forms))}
+        # the output reads the forms, the gate of a gated addend and shift's
+        # scale; a statement reads only names bound before it, so one
+        # backward pass finds every statement needed
+        needed = set(_words(" ".join(self.forms)))
         if any(self.deformation):
             needed.add("deformed")
         if not swept:
@@ -594,6 +590,17 @@ def _plan_of(regime: Regime, mode: Mode) -> _Plan:
     raise ValidationError("mode", f"unknown mode {mode!r}")
 
 
+def _check_records(states, params) -> None:
+    """Raises ValidationError unless each state is a QuantumState and params
+    a PhysicalParams: only the records' constructors apply their rules, so
+    no plain tuple stands in for one."""
+    for state in states:
+        if not isinstance(state, QuantumState):
+            raise ValidationError("state", f"must be a QuantumState, not {type(state).__name__}")
+    if not isinstance(params, PhysicalParams):
+        raise ValidationError("params", f"must be a PhysicalParams, not {type(params).__name__}")
+
+
 def _name_failure(labels: tuple[str, ...], values: tuple[float, ...], total: float):
     """Raises for a sum of the values that is not finite, naming the first
     term outside double precision, else the total."""
@@ -609,9 +616,11 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     Deformation addends are emitted only while the regime's deformation is
     on (RGUP: eps gamma^2 (mc)^2 != 0; GUP: eps gamma^2 != 0), so a
     gamma = 0 RGUP breakdown is term-for-term the REL one and a gamma = 0
-    GUP breakdown is the LANDE one.  Raises ValidationError when the scale,
-    a term or the total is not finite in double precision.
+    GUP breakdown is the LANDE one.  Raises ValidationError for a state or
+    params that is not its record, and when a term or the total is not
+    finite in double precision.
     """
+    _check_records((state,), params)
     return _plan_of(regime, mode).shift(state, params, mode)
 
 
@@ -628,8 +637,10 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
     (1 - eps gamma^2 (mc)^2) hbar^2 m_l m_s / (2 m_e^2 c^2) * Z e^2 <1/r^3>,
     for the Coulomb potential (<1/r^3> in closed form; the Thomas 1/2 is
     already inside).  Vanishes identically for l = 0.  Finite for every
-    valid state and params: the params' scale is at most 1/8.
+    valid state and params: the params' first rule bounds the scale by 1/8.
+    Raises ValidationError for a state or params that is not its record.
     """
+    _check_records((state,), params)
     if state.ml is None or state.ms is None:
         raise ValidationError("ml", "spin-orbit shift needs the (ml, ms) basis labels")
     if state.l == 0:
@@ -674,13 +685,14 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                  mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
     """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}.
 
-    Raises ValidationError when a line shift or offset is not finite in
-    double precision.
+    Raises ValidationError for a state or params that is not its record,
+    and when a line shift or offset is not finite in double precision.
     """
     upper = tuple(upper)
     lower = tuple(lower)
     if not upper or not lower:
         raise ValidationError("states", "upper and lower level sets must be non-empty")
+    _check_records(upper + lower, params)
 
     plan = _plan_of(regime, mode)
     multiplet, fsum, isfinite = plan.multiplet, math.fsum, math.isfinite
@@ -762,7 +774,8 @@ def discrepancy_report(state: QuantumState, params: PhysicalParams) -> Discrepan
     """Evaluate GUP and RGUP in both modes and classify per-term differences.
 
     A difference whose published/derived ratio matches its term's expected
-    ratio takes the term's class tags; any other is "uncatalogued".
+    ratio takes the term's class tags; any other is "uncatalogued".  Raises
+    ValidationError as energy_shift_B does.
     """
     differences = []
     agreements = []

@@ -181,8 +181,10 @@ class PhysicalParams(_ParamsFields):
     dimensionless deformation strength, gamma the inverse-momentum
     deformation scale in s/(g cm), m the mass entering (m c)^2 factors
     (defaults to the electron mass; kept separate for exploratory sweeps)
-    and Z the nuclear charge, stored as an int.  The deformation scale
-    q = eps gamma^2 (m c)^2 keeps the mass shell's real root: 8q <= 1.
+    and Z the nuclear charge, stored as an int.  After each field's own
+    rule, two rules judge the record by the values it reports, in this
+    order: its correction_scale q = eps gamma^2 (m c)^2 keeps the mass
+    shell's real root, 8q <= 1, and then its eps_gamma2 is finite.
     Raises ValidationError naming the offending field, from _replace too.
     """
 
@@ -198,12 +200,18 @@ class PhysicalParams(_ParamsFields):
         check_Z(Z)
         if gamma < 0.0 or not math.isfinite(gamma):
             raise ValidationError("gamma", f"must be finite and >= 0, got {gamma!r}")
-        gmc = gamma * (m * DEFAULT_CONSTANTS.c)
-        q = epsilon * (gmc * gmc)  # float * gives inf where float ** raises
+        record = tuple.__new__(cls, (B, epsilon, gamma, m, int(Z)))
+        try:
+            q = record.correction_scale
+        except OverflowError:  # the square overflows
+            q = math.inf
         if not has_real_root(q):
             raise ValidationError("correction_scale", f"eps*gamma^2*(mc)^2 = {q!r} "
                                                       "exceeds 1/8 (trans-Planckian)")
-        return tuple.__new__(cls, (B, epsilon, gamma, m, int(Z)))
+        if not math.isfinite(record.eps_gamma2):
+            raise ValidationError("eps_gamma2",
+                                  f"must be finite and >= 0, got {record.eps_gamma2!r}")
+        return record
 
     @classmethod
     def _make(cls, iterable):
@@ -216,7 +224,9 @@ class PhysicalParams(_ParamsFields):
 
     @property
     def correction_scale(self) -> float:
-        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2, <= 1/8."""
+        """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2, <= 1/8:
+        the value the record's first rule reads, formed with the operations
+        that form the scale of a lande, rel or rgup shift."""
         return self.epsilon * (self.gamma * (self.m * DEFAULT_CONSTANTS.c)) ** 2
 
 

@@ -995,6 +995,45 @@ def test_dispersion_rejects_non_physical_input(main, argv):
     assert err.startswith("rgupz: domain error: ")
 
 
+def test_an_eps_gamma2_past_double_precision_keeps_its_dispersion_message(main):
+    # the scale eps (gamma m c)^2 is 0.09, but eps gamma^2 is no double: the
+    # params record refuses it in solve_mass_shell's words
+    status, out, err = main("dispersion", "--m-grams", "1e-170", "--gamma", "1e170",
+                            "--epsilon", "1e-22")
+    assert (status, out) == (3, "")
+    assert err == "rgupz: domain error: eps_gamma2: must be finite and >= 0, got inf\n"
+
+
+#: a gamma and epsilon whose scale, squared by libm pow as the shifts square
+#: it, is 1/8 + 1 ulp on glibc, and 1/8 when squared by float *
+_PAST_THE_BOUND = ("--gamma", "5.581096798031417e16", "--epsilon", "0.05380857687514862")
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "--l", "1", "--mj", "0.5", "--regime", "rgup", *_PAST_THE_BOUND),
+    ("sweep", "--param", "B", "--values", "0,1", "--l", "1", "--mj", "0.5", "--regime", "rgup",
+     *_PAST_THE_BOUND),
+    ("sweep", "--param", "epsilon", "--values", f"0,{_PAST_THE_BOUND[3]}", "--l", "1",
+     "--mj", "0.5", "--regime", "rgup", *_PAST_THE_BOUND[:2]),
+    ("lines", "--upper-l", "1", "--lower-l", "0", "--regime", "rgup", *_PAST_THE_BOUND),
+    ("discrepancy", "--l", "1", "--mj", "0.5", *_PAST_THE_BOUND),
+    ("dispersion", *_PAST_THE_BOUND),
+], ids=("shift", "sweep-B", "sweep-epsilon", "lines", "discrepancy", "dispersion"))
+def test_a_scale_the_shifts_put_past_the_bound_is_refused_by_every_command(main, argv):
+    from rgupzeeman.units import ValidationError, make_params
+    try:
+        scale = make_params(epsilon=float(_PAST_THE_BOUND[3]), gamma_mode="explicit",
+                            gamma=float(_PAST_THE_BOUND[1])).correction_scale
+    except ValidationError:  # the record refuses the scale the shifts would form
+        scale = None
+    status, out, err = main(*argv)
+    if scale is None:
+        assert (status, out) == (3, "")
+        assert err.startswith("rgupz: domain error: correction_scale: "), err
+    else:  # a libm whose pow squares as float * does
+        assert scale <= 0.125 and status in (0, 3) and (status == 0) == (out != "")
+
+
 @pytest.mark.parametrize("argv, root", [
     (("--mc", "1e-150"), -1e-300),
     (("--mc", "1e-160"), None),  # a subnormal root

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rgupzeeman.units import (
     DEFAULT_CONSTANTS,
@@ -65,6 +67,15 @@ def test_validate_rejects_a_field_that_is_not_finite_and_positive(field, value):
 _GAMMA_E = 1.0 / (DEFAULT_CONSTANTS.m_e * DEFAULT_CONSTANTS.c)
 
 
+def _builds(epsilon, gamma, m):
+    """The three ways to build a params record: make_params, the
+    constructor and _replace."""
+    return (lambda: make_params(epsilon=epsilon, gamma_mode="explicit", gamma=gamma, m=m),
+            lambda: PhysicalParams(B=0.0, epsilon=epsilon, gamma=gamma, m=m, Z=1),
+            lambda: make_params(gamma_mode="explicit", gamma=0.0)._replace(
+                epsilon=epsilon, gamma=gamma, m=m))
+
+
 @pytest.mark.parametrize("epsilon, gamma, m, ok", [
     (0.1, _GAMMA_E, DEFAULT_CONSTANTS.m_e, True),
     (1.0, _GAMMA_E, 0.35 * DEFAULT_CONSTANTS.m_e, True),
@@ -80,11 +91,7 @@ _GAMMA_E = 1.0 / (DEFAULT_CONSTANTS.m_e * DEFAULT_CONSTANTS.c)
 def test_a_params_record_holds_the_trans_planckian_bound(epsilon, gamma, m, ok):
     # 8q <= 1 for q = eps gamma^2 (m c)^2, with (gamma m c)^2 inf where it
     # overflows, so a q of inf or of 0 * inf = NaN fails too
-    builds = (lambda: make_params(epsilon=epsilon, gamma_mode="explicit", gamma=gamma, m=m),
-              lambda: PhysicalParams(B=0.0, epsilon=epsilon, gamma=gamma, m=m, Z=1),
-              lambda: make_params(gamma_mode="explicit", gamma=0.0)._replace(
-                  epsilon=epsilon, gamma=gamma, m=m))
-    for build in builds:
+    for build in _builds(epsilon, gamma, m):
         if ok:
             assert 0.0 <= build().correction_scale <= 0.125
         else:
@@ -92,6 +99,62 @@ def test_a_params_record_holds_the_trans_planckian_bound(epsilon, gamma, m, ok):
                 build()
             assert caught.value.field == "correction_scale"
             assert "exceeds 1/8" in str(caught.value)
+
+
+@st.composite
+def _near_the_bound(draw):
+    """(epsilon, gamma, m): m from 1e-170 g up, and epsilon within 8 ulps of
+    the bound eps (gamma m c)^2 = 1/8, formed with float *."""
+    m = 10.0 ** draw(st.floats(-170.0, -20.0))
+    gamma = 10.0 ** draw(st.floats(-150.0, 140.0)) / (m * DEFAULT_CONSTANTS.c)
+    gmc = gamma * (m * DEFAULT_CONSTANTS.c)
+    epsilon = 0.125 / (gmc * gmc)
+    ulps = draw(st.integers(-8, 8))
+    for _ in range(abs(ulps)):
+        epsilon = math.nextafter(epsilon, math.copysign(math.inf, ulps))
+    return epsilon, gamma, m
+
+
+def _scale(epsilon, gamma, m):
+    """eps (gamma m c)^2 as every shift forms it, inf where the square overflows."""
+    try:
+        return epsilon * (gamma * (m * DEFAULT_CONSTANTS.c)) ** 2
+    except OverflowError:
+        return math.inf
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_near_the_bound())
+# x ** 2 (libm pow) and x * x differ here on glibc: the scale is 1/8 + 1 ulp
+@example((0.05380857687514862, 5.581096798031417e16, DEFAULT_CONSTANTS.m_e))
+# a scale of 0.09 whose eps gamma^2 overflows
+@example((1e-22, 1e170, 1e-170))
+def test_an_admitted_record_keeps_both_rules(values):
+    # the record reports a scale <= 1/8 and a finite eps gamma^2, and
+    # refuses only by a rule the values break, the scale's first
+    scale = _scale(*values)
+    for build in _builds(*values):
+        try:
+            params = build()
+        except ValidationError as error:
+            if error.field == "correction_scale":
+                assert not scale <= 0.125, (values, scale)
+            else:
+                assert error.field == "eps_gamma2" and scale <= 0.125, (values, error)
+                assert values[0] * values[1] * values[1] == math.inf, values
+            continue
+        assert params.correction_scale == scale, values
+        assert 0.0 <= scale <= 0.125 and math.isfinite(params.eps_gamma2), values
+
+
+def test_an_eps_gamma2_past_double_precision_is_refused_by_name():
+    # the scale 0.09 keeps the real root, but eps gamma^2 = 1e318 is no double:
+    # refused with solve_mass_shell's own text
+    for build in _builds(1e-22, 1e170, 1e-170):
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert caught.value.field == "eps_gamma2"
+        assert str(caught.value) == "eps_gamma2: must be finite and >= 0, got inf"
 
 
 def test_make_params_planck_gamma(table):
