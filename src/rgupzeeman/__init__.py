@@ -29,9 +29,9 @@ __version__ = "0.1.0"
 #: each exported name -> the submodule that defines it
 _HOMES = {name: module for module, names in (
     ("units", ("Branch", "ConstantsTable", "Mode", "PhysicalParams", "Regime",
-               "ValidationError", "convert_energy", "load_constants", "make_params")),
-    ("dispersion", ("DispersionSolution", "TransPlanckianMassError", "p0sq_exact",
-                    "p0sq_series", "solve_mass_shell")),
+               "TransPlanckianMassError", "ValidationError", "convert_energy",
+               "load_constants", "make_params")),
+    ("dispersion", ("DispersionSolution", "p0sq_exact", "p0sq_series", "solve_mass_shell")),
     ("spectrum", ("DiscrepancyReport", "QuantumState", "ShiftBreakdown", "ZeemanLine",
                   "discrepancy_report", "energy_shift_B", "hls_shift", "lande_g_factor",
                   "level_states", "zeeman_lines")),

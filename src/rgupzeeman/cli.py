@@ -23,7 +23,7 @@ import types
 from typing import NamedTuple
 
 from . import __version__
-from .dispersion import TransPlanckianMassError, solve_mass_shell
+from .dispersion import solve_mass_shell
 from .units import (
     _MAX_EXACT_INT,
     DEFAULT_CONSTANTS,
@@ -353,8 +353,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # B and epsilon rules are intervals, so a NaN (which does not sort) and
     # the sorted grid's two ends stand for every row: each row between two
     # valid ends of a sorted, NaN-free grid is valid, and no record is built
-    # for it.  The record's two rules, first the trans-Planckian bound 8q <= 1
-    # (q = eps gamma^2 (mc)^2) and then a finite eps gamma^2, are each
+    # for it.  The record's two rules, first 8q <= 1 for q = epsilon * (gmc * gmc),
+    # a correctly rounded product, and then a finite eps gamma^2, are each
     # monotone in epsilon, so intervals too.  l, n and mj are checked row by row
     checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]] \
         if args.param in ("B", "epsilon") else values
@@ -790,7 +790,7 @@ def main(argv=None) -> int:
     except CLIUsageError as exc:
         print(f"rgupz: error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, TransPlanckianMassError) as exc:
+    except ValidationError as exc:
         print(f"rgupz: domain error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,8 +17,11 @@ physical q ~ 1e-45 and needs no series switchover.  Everything here only
 consumes the products eps*gamma^2 and (mc)^2, so "test units" mc = 1 are
 fine.  solve_mass_shell alone decides what the shell answers.  In order, it
 refuses mc not finite and > 0 (ValidationError "mc"), eps gamma^2 not finite
-and >= 0 ("eps_gamma2"), 8q > 1 (TransPlanckianMassError), then a root that
-underflows (mc < ~1e-154) and so would read as exact, or overflows ("mc").
+and >= 0 ("eps_gamma2"), 8q > 1 ("correction_scale": the params record's
+TransPlanckianMassError), then a root that underflows (mc < ~1e-154) and so
+would read as exact, or overflows ("mc").  Its q = (eps gamma^2)(mc)^2 can
+differ in the last digits from the record's eps (gamma m c)^2, so near 1/8
+the two verdicts can differ.
 """
 
 from __future__ import annotations
@@ -27,16 +30,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .units import ValidationError, has_real_root
-
-
-class TransPlanckianMassError(ValueError):
-    """No real mass-shell root: 8 eps gamma^2 (mc)^2 exceeds 1."""
-
-    def __init__(self, scale: float):
-        super().__init__(
-            f"no real root: eps*gamma^2*(mc)^2 = {scale!r} exceeds 1/8")
-        self.scale = scale
+from .units import TransPlanckianMassError, ValidationError, has_real_root
 
 
 class DispersionSolution(NamedTuple):
@@ -72,7 +66,7 @@ def p0sq_series(mc: float, eps_gamma2: float, order: int = 1) -> float:
     if order == 2:
         q = eps_gamma2 * mc2
         return -mc2 - 2.0 * eps_gamma2 * mc2 * mc2 - 8.0 * q * q * mc2
-    raise ValueError(f"unsupported series order {order!r} (use 1 or 2)")
+    raise ValidationError("order", f"unsupported series order {order!r} (use 1 or 2)")
 
 
 def solve_mass_shell(mc: float, eps_gamma2: float,

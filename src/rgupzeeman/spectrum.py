@@ -296,10 +296,10 @@ _MJ_HALF = (
 _PARAMS_HALF = (
     ("base", "base = e * B / (2.0 * m_e * c)"),
     ("eps_gamma2", "eps_gamma2 = epsilon * gamma * gamma"),
-    # (gamma m c)^2, its own statement so that an epsilon sweep squares once;
-    # the params' rule 8 eps (gamma m c)^2 <= 1 keeps it finite
-    ("gmc2", "gmc2 = (gamma * (m * c)) ** 2"),
-    ("scale", "scale = epsilon * gmc2"),
+    # PhysicalParams.correction_scale's statements, so scale is the record's q;
+    # an epsilon sweep forms gmc once, and 8q <= 1 keeps gmc * gmc finite
+    ("gmc", "gmc = gamma * (m * c)"),
+    ("scale", "scale = epsilon * (gmc * gmc)"),
     ("deformed", "deformed = scale != 0.0"),
 )
 #: GUP's params half: in the nonrelativistic limit p0.p0 -> -hbar^2 grad^2
@@ -641,7 +641,7 @@ def hls_shift(state: QuantumState, params: PhysicalParams) -> float:
     Raises ValidationError for a state or params that is not its record.
     """
     _check_records((state,), params)
-    if state.ml is None or state.ms is None:
+    if state.ml is None:
         raise ValidationError("ml", "spin-orbit shift needs the (ml, ms) basis labels")
     if state.l == 0:
         return 0.0
@@ -709,15 +709,12 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
             shifts = None
         # a state's total is finite only where its two sums are too
         if shifts is None or not all(map(isfinite, map(offset.__add__, shifts))):
-            offset = None
             for state, values in zip(run, magnetic):
                 # a failure is named as the state's shift names it: the term or
                 # the total first, then the shift, then the level's offset sum
                 try:
-                    shift = _finite_sum(values, "shift")
-                    if offset is None:
-                        offset = _finite_sum(offsets, "level_offset")
-                    _finite(shift + offset, "total")
+                    _finite(_finite_sum(values, "shift") + _finite_sum(offsets, "level_offset"),
+                            "total")
                 except ValidationError:
                     # names the term or the total that left, if one did
                     plan.shift(state, params, mode)

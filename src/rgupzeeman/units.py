@@ -166,6 +166,16 @@ def has_real_root(q: float) -> bool:
     return 8.0 * q <= 1.0
 
 
+class TransPlanckianMassError(ValidationError):
+    """The params record's and the mass shell's one trans-Planckian refusal:
+    no real root, as 8q > 1 (or NaN) for q = eps gamma^2 (mc)^2 = self.scale."""
+
+    def __init__(self, scale: float):
+        super().__init__("correction_scale",
+                         f"eps*gamma^2*(mc)^2 = {scale!r} exceeds 1/8 (trans-Planckian)")
+        self.scale = scale
+
+
 class _ParamsFields(NamedTuple):
     B: float
     epsilon: float
@@ -183,9 +193,9 @@ class PhysicalParams(_ParamsFields):
     (defaults to the electron mass; kept separate for exploratory sweeps)
     and Z the nuclear charge, stored as an int.  After each field's own
     rule, two rules judge the record by the values it reports, in this
-    order: its correction_scale q = eps gamma^2 (m c)^2 keeps the mass
-    shell's real root, 8q <= 1, and then its eps_gamma2 is finite.
-    Raises ValidationError naming the offending field, from _replace too.
+    order: its correction_scale q keeps the mass shell's real root, 8q <= 1
+    (TransPlanckianMassError), and then its eps_gamma2 is finite.  Raises
+    ValidationError naming the offending field, from _replace too.
     """
 
     __slots__ = ()
@@ -201,13 +211,8 @@ class PhysicalParams(_ParamsFields):
         if gamma < 0.0 or not math.isfinite(gamma):
             raise ValidationError("gamma", f"must be finite and >= 0, got {gamma!r}")
         record = tuple.__new__(cls, (B, epsilon, gamma, m, int(Z)))
-        try:
-            q = record.correction_scale
-        except OverflowError:  # the square overflows
-            q = math.inf
-        if not has_real_root(q):
-            raise ValidationError("correction_scale", f"eps*gamma^2*(mc)^2 = {q!r} "
-                                                      "exceeds 1/8 (trans-Planckian)")
+        if not has_real_root(record.correction_scale):
+            raise TransPlanckianMassError(record.correction_scale)
         if not math.isfinite(record.eps_gamma2):
             raise ValidationError("eps_gamma2",
                                   f"must be finite and >= 0, got {record.eps_gamma2!r}")
@@ -226,8 +231,10 @@ class PhysicalParams(_ParamsFields):
     def correction_scale(self) -> float:
         """Dimensionless deformation scale epsilon * gamma^2 * (m c)^2, <= 1/8:
         the value the record's first rule reads, formed with the operations
-        that form the scale of a lande, rel or rgup shift."""
-        return self.epsilon * (self.gamma * (self.m * DEFAULT_CONSTANTS.c)) ** 2
+        that form the scale of a lande, rel or rgup shift: correctly rounded
+        products (no libm pow), inf past double precision."""
+        gmc = self.gamma * (self.m * DEFAULT_CONSTANTS.c)
+        return self.epsilon * (gmc * gmc)
 
 
 def make_params(

@@ -225,6 +225,19 @@ def test_dispersion_cli_trans_planckian_is_domain_error():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("dispersion", "--mc", "1", "--eps-gamma2", "0.2"),
+    ("dispersion", "--epsilon", "1e50"),
+    ("shift", "--l", "1", "--mj", "0.5", "--regime", "rgup", "--epsilon", "1e50"),
+], ids=("dispersion-mc", "dispersion-epsilon", "shift"))
+def test_every_trans_planckian_refusal_reads_as_the_records(main, argv):
+    # the mass shell and the params record refuse with one error and one text
+    status, out, err = main(*argv)
+    assert (status, out) == (3, "")
+    assert err.startswith("rgupz: domain error: correction_scale: "), err
+    assert err.endswith(" exceeds 1/8 (trans-Planckian)\n") and err.count("\n") == 1, err
+
+
 def test_discrepancy_cli_reports_catalogued_classes():
     proc = run_cli("discrepancy", "--l", "1", "--branch", "plus", "--mj", "0.5",
                    "--json")
@@ -1004,8 +1017,9 @@ def test_an_eps_gamma2_past_double_precision_keeps_its_dispersion_message(main):
     assert err == "rgupz: domain error: eps_gamma2: must be finite and >= 0, got inf\n"
 
 
-#: a gamma and epsilon whose scale, squared by libm pow as the shifts square
-#: it, is 1/8 + 1 ulp on glibc, and 1/8 when squared by float *
+#: a gamma and epsilon whose scale eps (gamma m c)^2 is exactly 1/8 when squared
+#: by float *, as the record and the shifts square it, and 1/8 + 1 ulp on glibc
+#: when squared by libm pow; dispersion's q = (eps gamma^2)(m c)^2 is past 1/8
 _PAST_THE_BOUND = ("--gamma", "5.581096798031417e16", "--epsilon", "0.05380857687514862")
 
 
@@ -1020,18 +1034,20 @@ _PAST_THE_BOUND = ("--gamma", "5.581096798031417e16", "--epsilon", "0.0538085768
     ("dispersion", *_PAST_THE_BOUND),
 ], ids=("shift", "sweep-B", "sweep-epsilon", "lines", "discrepancy", "dispersion"))
 def test_a_scale_the_shifts_put_past_the_bound_is_refused_by_every_command(main, argv):
-    from rgupzeeman.units import ValidationError, make_params
-    try:
-        scale = make_params(epsilon=float(_PAST_THE_BOUND[3]), gamma_mode="explicit",
-                            gamma=float(_PAST_THE_BOUND[1])).correction_scale
-    except ValidationError:  # the record refuses the scale the shifts would form
-        scale = None
+    # the record and every shift command square with * and admit the scale
+    # at exactly 1/8; only dispersion, whose own q is past 1/8, refuses it,
+    # with the record's correction_scale text
+    from rgupzeeman.units import make_params
+    assert make_params(epsilon=float(_PAST_THE_BOUND[3]), gamma_mode="explicit",
+                       gamma=float(_PAST_THE_BOUND[1])).correction_scale == 0.125
     status, out, err = main(*argv)
-    if scale is None:
+    if argv[0] == "dispersion":
         assert (status, out) == (3, "")
         assert err.startswith("rgupz: domain error: correction_scale: "), err
-    else:  # a libm whose pow squares as float * does
-        assert scale <= 0.125 and status in (0, 3) and (status == 0) == (out != "")
+    else:
+        assert (status, err) == (0, "") and out
+    if argv[0] == "shift":
+        assert json.loads(main(*argv, "--json")[1])["correction_scale"] == 0.125
 
 
 @pytest.mark.parametrize("argv, root", [

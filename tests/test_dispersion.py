@@ -43,8 +43,9 @@ def test_series_order_two():
 
 
 def test_series_unsupported_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         p0sq_series(1.0, 0.01, order=3)
+    assert isinstance(err.value, ValidationError) and err.value.field == "order"
 
 
 def test_exact_vs_series_scan():
@@ -75,6 +76,15 @@ def test_trans_planckian_error_carries_scale():
     with pytest.raises(TransPlanckianMassError) as err:
         p0sq_exact(1.0, 0.2)
     assert err.value.scale == pytest.approx(0.2)
+    # the record and the mass shell raise the one refusal, under one field
+    for refused in (lambda: make_params(epsilon=1e50), lambda: p0sq_exact(1.0, 0.2),
+                    lambda: solve_mass_shell(1.0, 0.2)):
+        with pytest.raises(TransPlanckianMassError) as err:
+            refused()
+        assert isinstance(err.value, ValidationError), err.value
+        assert err.value.field == "correction_scale"
+        assert str(err.value) == (f"correction_scale: eps*gamma^2*(mc)^2 = {err.value.scale!r}"
+                                  " exceeds 1/8 (trans-Planckian)")
 
 
 def test_the_bound_holds_at_one_eighth_and_refuses_nan_and_inf():
