@@ -374,7 +374,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 #: the sorted sweep grid is held in memory
 MAX_SWEEP_STEPS = 10**6
-#: each level holds its 2j + 1 states in memory; l = 1000 takes about 0.25 s
+#: each level holds its 2j + 1 states in memory; a cold l = 1000 run takes
+#: about 0.1 s, 0.14 s with --json (2-vCPU host, Python 3.11)
 MAX_LINES_L = 1000
 
 

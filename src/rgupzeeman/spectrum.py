@@ -620,7 +620,8 @@ def energy_shift_B(state: QuantumState, params: PhysicalParams, regime: Regime,
     params that is not its record, and when a term or the total is not
     finite in double precision.
     """
-    _check_records((state,), params)
+    if not (isinstance(state, QuantumState) and isinstance(params, PhysicalParams)):
+        _check_records((state,), params)  # raises, naming the one that is not
     return _plan_of(regime, mode).shift(state, params, mode)
 
 
@@ -681,34 +682,23 @@ _TRANSITIONS = ((1.0, "sigma+"), (0.0, "pi"), (-1.0, "sigma-"))
 _LINE_ORDER = operator.attrgetter("upper.mj", "lower.mj")
 
 
-def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
-                 mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
-    """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1}.
-
-    Raises ValidationError for a state or params that is not its record,
-    and when a line shift or offset is not finite in double precision.
-    """
-    upper = tuple(upper)
-    lower = tuple(lower)
-    if not upper or not lower:
-        raise ValidationError("states", "upper and lower level sets must be non-empty")
-    _check_records(upper + lower, params)
-
-    plan = _plan_of(regime, mode)
-    multiplet, fsum, isfinite = plan.multiplet, math.fsum, math.isfinite
-    entries = []  # (state, l, magnetic sum, offset sum), following upper + lower
+def _runs(states, plan: _Plan, params: PhysicalParams, mode: Mode):
+    """Yields (l, states, m_j, magnetic sums, offset sum) of each run of
+    states of one level, in input order.  A failing state raises as its
+    shift does."""
     # only l, the branch and the constants enter the level half, and the
     # offset terms read no m_j, so each run of states in one level is one call
-    for _, run in itertools.groupby(upper + lower, _level_key):
+    for (l, _), run in itertools.groupby(states, _level_key):
         run, magnetic = tuple(run), []
-        offsets = multiplet(run[0], params, [state.mj for state in run], magnetic.append)
+        grid = [state.mj for state in run]
+        offsets = plan.multiplet(run[0], params, grid, magnetic.append)
         try:
-            offset = fsum(offsets)
-            shifts = list(map(fsum, magnetic))
+            offset = math.fsum(offsets)
+            shifts = list(map(math.fsum, magnetic))
         except (OverflowError, ValueError):  # overflow, or inf - inf
             shifts = None
         # a state's total is finite only where its two sums are too
-        if shifts is None or not all(map(isfinite, map(offset.__add__, shifts))):
+        if shifts is None or not all(map(math.isfinite, map(offset.__add__, shifts))):
             for state, values in zip(run, magnetic):
                 # a failure is named as the state's shift names it: the term or
                 # the total first, then the shift, then the level's offset sum
@@ -719,26 +709,50 @@ def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
                     # names the term or the total that left, if one did
                     plan.shift(state, params, mode)
                     raise
-        entries += zip(run, itertools.repeat(run[0].l), shifts, itertools.repeat(offset))
+        yield l, run, grid, shifts, offset
+
+
+def zeeman_lines(upper, lower, params: PhysicalParams, regime: Regime,
+                 mode: Mode = Mode.DERIVED) -> tuple[ZeemanLine, ...]:
+    """All transitions passing delta l = +-1 and delta m_j in {-1, 0, +1},
+    ordered by upper m_j, then lower m_j, with ties in upper, then lower
+    input order.
+
+    Raises ValidationError for a state or params that is not its record,
+    and when a line shift or offset is not finite in double precision: the
+    failing line named is the first in input scan order (upper input order,
+    then delta m_j = +1, 0, -1, then lower input order).
+    """
+    upper = tuple(upper)
+    lower = tuple(lower)
+    if not upper or not lower:
+        raise ValidationError("states", "upper and lower level sets must be non-empty")
+    _check_records(upper + lower, params)
+
+    plan = _plan_of(regime, mode)
+    # every state is checked, upper first, before any line is
+    uppers = list(_runs(upper, plan, params, mode))
     # m_j is a half-odd integer below 2**52, so m_j and m_j +- 1 are exact keys
     lower_by_mj = {}
-    for entry in entries[len(upper):]:
-        lower_by_mj.setdefault(entry[0].mj, []).append(entry)
+    for l, run, grid, shifts, offset in _runs(lower, plan, params, mode):
+        for mj, entry in zip(grid, zip(run, itertools.repeat(l), shifts, itertools.repeat(offset))):
+            lower_by_mj.setdefault(mj, []).append(entry)
 
-    lines = []
+    isfinite, lines = math.isfinite, []
     append = lines.append
-    for u, l, mag_u, off_u in entries[:len(upper)]:
-        mj = u.mj
-        for delta, pol in _TRANSITIONS:
-            for lo, l_lo, mag_l, off_l in lower_by_mj.get(mj - delta, ()):
-                if abs(l - l_lo) != 1:
-                    continue
-                shift, offset = mag_u - mag_l, off_u - off_l
-                if not (isfinite(shift) and isfinite(offset)):
-                    raise ValidationError("shift", f"line mj {mj!r} -> {lo.mj!r} "
-                                                   "is outside double precision")
-                append(_new(ZeemanLine, (u, lo, delta, pol, shift, offset)))
-    lines.sort(key=_LINE_ORDER)
+    for l, run, grid, shifts, offset in uppers:
+        for u, mj, mag in zip(run, grid, shifts):
+            for delta, pol in _TRANSITIONS:
+                for lo, l_lo, mag_lo, offset_lo in lower_by_mj.get(mj - delta, ()):
+                    if abs(l - l_lo) == 1:
+                        shift, level_offset = mag - mag_lo, offset - offset_lo
+                        if not (isfinite(shift) and isfinite(level_offset)):
+                            raise ValidationError("shift", f"line mj {mj!r} -> {lo.mj!r} "
+                                                           "is outside double precision")
+                        append(_new(ZeemanLine, (u, lo, delta, pol, shift, level_offset)))
+    mjs = [u.mj for u in upper]
+    if not all(map(operator.lt, mjs, mjs[1:])):  # else the scan gave the lines in order
+        lines.sort(key=_LINE_ORDER)
     return tuple(lines)
 
 

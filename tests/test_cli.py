@@ -37,6 +37,8 @@ def run_cli(*argv, env_extra=None):
     ("sweep_b_lande.csv", ("sweep", "--param", "B", "--from", "0", "--to", "2",
                            "--steps", "3", "--l", "1", "--branch", "plus",
                            "--mj", "0.5", "--regime", "lande")),
+    ("lines_rgup.json", ("lines", "--upper-n", "3", "--upper-l", "2", "--upper-branch", "minus",
+                         "--lower-l", "1", "--regime", "rgup", "--json")),
 ])
 def test_golden_byte_equality(name, argv):
     proc = run_cli(*argv)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import types
 
 import pytest
@@ -831,23 +832,80 @@ def _interleaved(*levels):
     return [s for group in itertools.zip_longest(*levels) for s in group if s is not None]
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("first, second", [
-    ((3, 2, Branch.PLUS), (4, 2, Branch.MINUS)),   # same l, the other branch
-    ((4, 2, Branch.PLUS), (4, 3, Branch.PLUS)),    # same branch, another l
-], ids=("branch", "l"))
-def test_lines_over_interleaved_levels_match_a_per_state_reference(first, second,
-                                                                   regime, mode):
+def _interleaved_sets(first, second):
     upper = _interleaved(level_states(*first), level_states(*second))
     upper.append(upper[0])                          # a repeated state
     lower = _interleaved(level_states(5, 1, Branch.PLUS), level_states(5, 2, Branch.MINUS),
                          level_states(5, 3, Branch.PLUS))
     lower.append(upper[1])                          # a state in both sets
+    return upper, lower
+
+
+def _without(states, k):
+    """The states but the k-th: one level with a gap in its m_j."""
+    return states[:k] + states[k + 1:]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("upper, lower", [
+    _interleaved_sets((3, 2, Branch.PLUS), (4, 2, Branch.MINUS)),  # same l, the other branch
+    _interleaved_sets((4, 2, Branch.PLUS), (4, 3, Branch.PLUS)),   # same branch, another l
+    # one upper level in descending m_j, so the lines are sorted
+    (level_states(4, 2, Branch.PLUS)[::-1],
+     level_states(5, 1, Branch.PLUS) + level_states(5, 3, Branch.MINUS)),
+    # upper m_j still rising, so unsorted; the upper level and one lower
+    # level each miss one m_j
+    (_without(level_states(4, 2, Branch.MINUS), 2),
+     _without(level_states(5, 1, Branch.PLUS), 1) + level_states(5, 3, Branch.MINUS)),
+    # upper m_j rising, so unsorted; one lower run out of m_j order, which
+    # holds one m_j at n = 5 and then at n = 6
+    (level_states(4, 2, Branch.PLUS),
+     [*level_states(5, 1, Branch.PLUS)[2::-2], *level_states(6, 1, Branch.PLUS)[:2],
+      level_states(5, 1, Branch.PLUS)[1]]),
+    # upper m_j rising but not strictly: each m_j at n = 4 and then n = 5,
+    # so the lines are sorted
+    (sorted(level_states(4, 2, Branch.PLUS) + level_states(5, 2, Branch.PLUS),
+            key=lambda s: s.mj),
+     level_states(5, 1, Branch.PLUS)),
+], ids=("branch", "l", "descending", "gap", "lower-order", "equal-mj"))
+def test_lines_over_interleaved_levels_match_a_per_state_reference(upper, lower, regime, mode):
     params = params_with_scale(1e-3)
     lines = zeeman_lines(upper, lower, params, regime, mode)
     assert lines == _reference_lines(upper, lower, params, regime, mode)
     assert all(type(ln) is ZeemanLine for ln in lines)
+
+
+def _executed_lines(call) -> int:
+    """How many source lines call() executes, in every Python frame."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_lines_over_alternating_lower_levels_cost_in_proportion_to_the_lines():
+    """Lower states whose levels alternate state by state (both branches of
+    l - 1 in m_j order) cost no more per line at l = 40 than at l = 10, so
+    the cost does not grow with the number of lower runs."""
+    per_line = []
+    for l in (10, 40):
+        upper = level_states(l + 2, l, Branch.PLUS)
+        lower = sorted(level_states(l + 1, l - 1, Branch.PLUS)
+                       + level_states(l + 1, l - 1, Branch.MINUS), key=lambda s: s.mj)
+        lines = zeeman_lines(upper, lower, PLANCK, Regime.RGUP)
+        executed = _executed_lines(lambda: zeeman_lines(upper, lower, PLANCK, Regime.RGUP))
+        per_line.append(executed / len(lines))
+    assert per_line[1] < 1.25 * per_line[0]
 
 
 # -- discrepancy catalogue ------------------------------------------------------
