@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import NamedTuple
 
 from .units import DEFAULT_CONSTANTS as C, ValidationError, check_Z, check_n_l
 
@@ -125,20 +124,9 @@ def _integrate(nodes: Sequence[float], weights: Sequence[float],
         return math.nan
 
 
-class RadialGrid(NamedTuple):
-    """Gauss-Laguerre nodes/weights plus the radial scale s = 2Z/(n r0)."""
-
-    n_nodes: int
-    scale: float
-    nodes: tuple[float, ...]     # abscissas x of the e^{-x} rule
-    weights: tuple[float, ...]   # positive weights
-
-
-def make_grid(n: int, Z: int = 1, n_nodes: int = DEFAULT_NODES) -> RadialGrid:
-    _check_qn(n, 0, Z)
-    x, w = _laguerre_rule(n_nodes)
-    return RadialGrid(n_nodes=n_nodes, scale=2.0 * Z / (n * C.r0),
-                      nodes=x, weights=w)
+def _scale(n: int, Z: int) -> float:
+    """The radial scale s = 2Z/(n r0) of x = s r."""
+    return 2.0 * Z / (n * C.r0)
 
 
 def _norm_constant(n: int, l: int, scale: float) -> float:
@@ -174,15 +162,14 @@ def radial_expectation(n: int, l: int, Z: int, k: int,
     """<r^k> by quadrature, k in -3..2 (k = -3 requires l >= 1)."""
     _check_qn(n, l, Z)
     _check_moment(l, k)
-    grid = make_grid(n, Z, n_nodes)
-    s = grid.scale
+    s = _scale(n, Z)
 
     def integrand(x: float) -> float:
         G, _, _ = _stripped_parts(n, l, x, s)
         return G * G * x**(2 + k)
 
     # <r^k> = sum_i w_i G^2 x^{2+k} / s^{3+k}
-    return _integrate(grid.nodes, grid.weights, integrand) / s**(3 + k)
+    return _integrate(*_laguerre_rule(n_nodes), integrand) / s**(3 + k)
 
 
 def closed_form_r_expectation(n: int, l: int, Z: int, k: int) -> float:
@@ -233,15 +220,14 @@ def p2_expectation_exact(n: int, l: int, Z: int = 1,
     disagreement (NaN included) signals a broken grid and raises.
     """
     _check_qn(n, l, Z)
-    grid = make_grid(n, Z, n_nodes)
-    s = grid.scale
+    s = _scale(n, Z)
 
     def integrand(x: float) -> float:
         G, lap_x2 = _laplacian_times_x2(n, l, x, s)
         return G * lap_x2
 
     # R Lap(R) r^2 dr = e^{-x} G * (s^2 Q) * (x^2/s^2) * dx/s with Q x^2 = lap_x2
-    value = -C.hbar**2 * _integrate(grid.nodes, grid.weights, integrand) / s
+    value = -C.hbar**2 * _integrate(*_laguerre_rule(n_nodes), integrand) / s
     virial = p2_closed_form(n, Z)
     if not abs(value - virial) <= 1e-8 * virial:
         raise RuntimeError(
@@ -253,8 +239,7 @@ def p4_expectation_exact(n: int, l: int, Z: int = 1,
                          n_nodes: int = DEFAULT_NODES) -> float:
     """<p^4> = ||p^2 psi||^2 = hbar^4 int (Lap R)^2 r^2 dr by quadrature."""
     _check_qn(n, l, Z)
-    grid = make_grid(n, Z, n_nodes)
-    s = grid.scale
+    s = _scale(n, Z)
 
     # (Lap R)^2 r^2 dr = e^{-x} s^4 (lap_x2 / x^2)^2 (x^2/s^2) dx/s
     #                  = e^{-x} s (lap_x2 / x)^2 dx
@@ -262,7 +247,7 @@ def p4_expectation_exact(n: int, l: int, Z: int = 1,
         _, lap_x2 = _laplacian_times_x2(n, l, x, s)
         return (lap_x2 / x) ** 2
 
-    return C.hbar**4 * s * _integrate(grid.nodes, grid.weights, integrand)
+    return C.hbar**4 * s * _integrate(*_laguerre_rule(n_nodes), integrand)
 
 
 def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
@@ -274,8 +259,8 @@ def radial_overlap(n1: int, n2: int, l: int, Z: int = 1,
     """
     _check_qn(n1, l, Z)
     _check_qn(n2, l, Z)
-    s1 = 2.0 * Z / (n1 * C.r0)
-    s2 = 2.0 * Z / (n2 * C.r0)
+    s1 = _scale(n1, Z)
+    s2 = _scale(n2, Z)
     sbar = 0.5 * (s1 + s2)
 
     def integrand(u: float) -> float:

@@ -39,6 +39,7 @@ def run_cli(*argv, env_extra=None):
                            "--mj", "0.5", "--regime", "lande")),
     ("lines_rgup.json", ("lines", "--upper-n", "3", "--upper-l", "2", "--upper-branch", "minus",
                          "--lower-l", "1", "--regime", "rgup", "--json")),
+    ("oracle_n2_l1.json", ("oracle", "--n", "2", "--l", "1")),
 ])
 def test_golden_byte_equality(name, argv):
     proc = run_cli(*argv)
@@ -672,9 +673,16 @@ def main(monkeypatch, capsys):
     # NaN does not sort, so it can sit between valid ends of the sorted grid
     (("--param", "B", "--values", "2,nan,1", "--l", "1", "--mj", "0.5"), 3),
     (("--param", "epsilon", "--values", "2,nan,-1", "--l", "1", "--mj", "0.5"), 3),
+    (("--param", "B", "--values", "a,b", "--l", "1", "--mj", "0.5"), 2),
+    (("--param", "B", "--values", ",", "--l", "1", "--mj", "0.5"), 2),
+    (("--param", "B", "--from", "0", "--l", "1", "--mj", "0.5"), 2),
+    (("--param", "B", "--from", "0", "--to", "1", "--steps", "0", "--l", "1",
+      "--mj", "0.5"), 2),
+    (("--param", "B", "--values", "0,1", "--l", "1"), 2),
 ], ids=("bad-last-row", "bad-gamma", "infinite-l", "nan-mj", "overflowing-field",
         "overflowing-epsilon", "overflowing-display-unit", "unsorted-nan-field",
-        "unsorted-nan-epsilon"))
+        "unsorted-nan-epsilon", "non-numeric-values", "empty-values", "from-without-to",
+        "zero-steps", "missing-mj"))
 def test_sweep_prints_all_or_nothing(main, argv, code):
     status, out, err = main("sweep", *argv)
     assert status == code

@@ -5,10 +5,10 @@ import math
 import pytest
 
 from rgupzeeman.oracle import (
+    DEFAULT_NODES,
     _laguerre_rule,
     closed_form_r_expectation,
     energy_level,
-    make_grid,
     p2_closed_form,
     p2_expectation_exact,
     p4_expectation_exact,
@@ -31,9 +31,9 @@ def test_normalization_via_quadrature():
 
 
 def test_grid_weights_positive():
-    grid = make_grid(3, 1)
-    assert all(w > 0.0 for w in grid.weights)
-    assert grid.n_nodes == 120
+    _, weights = _laguerre_rule(DEFAULT_NODES)
+    assert all(w > 0.0 for w in weights)
+    assert len(weights) == 120
 
 
 def test_rule_integrates_monomials_exactly():
