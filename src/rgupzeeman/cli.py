@@ -23,7 +23,6 @@ import types
 from typing import NamedTuple
 
 from . import __version__
-from .dispersion import solve_mass_shell
 from .units import (
     _MAX_EXACT_INT,
     DEFAULT_CONSTANTS,
@@ -46,12 +45,14 @@ from .units import (
 ENV_PREFIX = "RGUPZ_"
 
 #: module -> the names cli takes from it.  Each command runs only the
-#: modules it reads: verify-algebra runs opalg, oracle runs oracle, and
-#: shift, sweep, lines and discrepancy run spectrum (_READS).  So each module
-#: is registered as an import would register it, and its code runs when one
-#: of its attributes is first read; its names are bound into the globals by
-#: the first command that reads them, and until then __getattr__ serves them
+#: modules it reads: dispersion runs dispersion, verify-algebra runs opalg,
+#: oracle runs oracle, and shift, sweep, lines and discrepancy run spectrum
+#: (_READS).  So each module is registered as an import would register it,
+#: and its code runs when one of its attributes is first read; its names are
+#: bound into the globals by the first command that reads them, and until
+#: then __getattr__ serves them
 _DEFERRED = {
+    "dispersion": ("solve_mass_shell",),
     "opalg": (),
     "oracle": ("_check_qn", "p2_closed_form", "p2_expectation_exact",
                "p4_expectation_exact", "radial_expectation"),
@@ -60,7 +61,7 @@ _DEFERRED = {
 }
 #: command -> the deferred module whose names it reads
 _READS = {"shift": "spectrum", "sweep": "spectrum", "lines": "spectrum",
-          "discrepancy": "spectrum", "oracle": "oracle"}
+          "discrepancy": "spectrum", "oracle": "oracle", "dispersion": "dispersion"}
 
 
 def _register(name: str) -> types.ModuleType:
@@ -76,7 +77,7 @@ def _register(name: str) -> types.ModuleType:
     return module
 
 
-opalg, oracle, spectrum = map(_register, _DEFERRED)
+dispersion, opalg, oracle, spectrum = map(_register, _DEFERRED)
 
 
 def _bind(module: str | None) -> None:

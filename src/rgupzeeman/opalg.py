@@ -17,11 +17,13 @@ Two metrics are supported: euclidean with spatial indices 1..D
 (eta = delta), and minkowski with spacetime indices 0..3 and signature
 (-+++).
 
-Each verification case is its deformed operators, its truncation caps and
-its bracket targets: every [x_i, p_j] against
-i hbar (delta_ij eta_ii (1 + d p0.p0) + c d p0_i p0_j), with d the
-deformation parameters and c the cross coefficient, and every [a_i, a_j]
-that vanishes against zero.
+One builder, deformed_ops, gives the first-order deformed operators on
+either metric, for deformation parameters a1 and a2 given as monomials in
+the formal parameters.  Each verification case is its metric, its a1 and a2
+(a2 = 2 a1 on euclidean; the covariant map on minkowski), its truncation
+caps and its bracket targets: every [x_i, p_j] against
+i hbar (delta_ij eta_ii (1 + a1 p0.p0) + a2 p0_i p0_j), and every [a_i, a_j]
+that vanishes against zero, all computed from the builder's operators.
 """
 
 from __future__ import annotations
@@ -102,8 +104,7 @@ class OperatorPoly:
     """Normal-ordered operator polynomial with exact coefficients.
 
     Supports +, -, * (operator product with re-normal-ordering), scaling
-    by rationals, multiplication by formal parameters, substitution of one
-    parameter by a rational multiple of another, and order truncation.
+    by rationals, multiplication by formal parameters, and order truncation.
     Instances are immutable; all operations return new polynomials.
     """
 
@@ -174,43 +175,15 @@ class OperatorPoly:
 
     def times(self, name: str, power: int = 1) -> "OperatorPoly":
         """Multiply by a formal parameter power (central, commutes with all)."""
-        idx = _pidx(name)
+        _pidx(name)
         if power < 0:
             raise ValueError("parameter powers must be non-negative")
-        raw = []
-        for key, coeff in self._terms.items():
-            params, xs, ps = key
-            new = list(params)
-            new[idx] += power
-            raw.append((coeff, tuple(new), xs, ps))
-        return OperatorPoly.from_raw_terms(self.metric, raw)
+        return _times(self, (1, (name,) * power))
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         return normal_product(self, other)
 
     # -- rewriting ---------------------------------------------------------
-
-    def substitute(self, name: str, factor,
-                   target: str | None = None) -> "OperatorPoly":
-        """Replace a parameter by factor (times target, if given).
-
-        substitute("a2", 2, "a1") maps every a2^k to (2^k) a1^k, which is
-        how the special-case deformed variables are obtained.
-        substitute("eps", 0) kills every term carrying eps.
-        """
-        src = _pidx(name)
-        dst = None if target is None else _pidx(target)
-        factor = Fraction(factor)
-        raw = []
-        for key, coeff in self._terms.items():
-            params, xs, ps = key
-            k = params[src]
-            new = list(params)
-            new[src] = 0
-            if dst is not None:
-                new[dst] += k
-            raw.append((coeff * factor**k, tuple(new), xs, ps))
-        return OperatorPoly.from_raw_terms(self.metric, raw)
 
     def truncate(self, caps: Mapping[str, int]) -> "OperatorPoly":
         """Drop every term whose parameter powers exceed the given caps."""
@@ -355,49 +328,54 @@ def commutator(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
 
 # -- deformed operator representations ---------------------------------------
 
-def deformed_ops_nonrel(dim: int = 3) -> tuple[tuple[OperatorPoly, ...],
-                                               tuple[OperatorPoly, ...]]:
-    """First-order deformed position/momentum in D euclidean dimensions.
+#: The covariant map of the linearized relativistic algebra (Quesne and
+#: Tkachuk): a1 = eps gamma2 and a2 = 2 eps gamma2, each deformation
+#: parameter as a (rational, parameter names) monomial.
+COVARIANT_MAP = {"a1": (1, ("eps", "gamma2")), "a2": (2, ("eps", "gamma2"))}
+#: the nonrelativistic special case a2 = 2 a1, in which the positions commute
+_SPECIAL_MAP = {"a1": (1, ("a1",)), "a2": (2, ("a1",))}
 
-        x^i = x0^i + ((2 a1 - a2)/4) (p0^2 x0^i + x0^i p0^2)
-        p^i = p0^i (1 + (a2/2) p0^2)
 
-    The special case a2 = 2 a1 (commuting positions) follows from
-    substitute("a2", 2, "a1"), which makes the x deformation vanish.
+def _times(poly: OperatorPoly, monomial: tuple) -> OperatorPoly:
+    """poly times a (rational, parameter names) monomial, in one pass."""
+    coeff, names = monomial
+    powers = [0] * len(PARAMS)
+    for name in names:
+        powers[_pidx(name)] += 1
+    return OperatorPoly.from_raw_terms(poly.metric, (
+        (c * coeff, [p + k for p, k in zip(params, powers)], xs, ps)
+        for (params, xs, ps), c in poly._terms.items()))
+
+
+def deformed_ops(metric: Metric, a1: tuple = (1, ("a1",)),
+                 a2: tuple = (1, ("a2",))) -> tuple[tuple[OperatorPoly, ...],
+                                                    tuple[OperatorPoly, ...]]:
+    """First-order deformed position and momentum (Stetsko and Tkachuk) on
+    either metric:
+
+        x^mu = x0^mu + ((2 a1 - a2)/4) (p0.p0 x0^mu + x0^mu p0.p0)
+        p^mu = p0^mu (1 + (a2/2) p0.p0)
+
+    a1 and a2 are (rational, parameter names) monomials; the defaults give
+    the general algebra.  Where the position coefficient cancels, as at
+    a2 = 2 a1, the position term is never built.
     """
-    metric = euclidean(dim)
+    # (2 a1 - a2)/4 as one coefficient per distinct product of parameters
+    position = {}
+    for (coeff, names), weight in ((a1, Fraction(1, 2)), (a2, Fraction(-1, 4))):
+        position[names] = position.get(names, 0) + weight * coeff
+    position = [(coeff, names) for names, coeff in position.items() if coeff]
     ps2 = p0_squared(metric)
-    positions = []
-    momenta = []
-    for i in metric.indices():
-        xi = x0(i, metric)
-        pi = p0(i, metric)
-        sym = normal_product(ps2, xi) + normal_product(xi, ps2)
-        positions.append(xi
-                         + sym.scale(Fraction(1, 2)).times("a1")
-                         + sym.scale(Fraction(-1, 4)).times("a2"))
-        momenta.append(pi + normal_product(pi, ps2).scale(Fraction(1, 2)).times("a2"))
+    positions, momenta = [], []
+    for mu in metric.indices():
+        xmu, pmu = x0(mu, metric), p0(mu, metric)
+        if position:
+            sym = normal_product(ps2, xmu) + normal_product(xmu, ps2)
+            for monomial in position:
+                xmu = xmu + _times(sym, monomial)
+        positions.append(xmu)
+        momenta.append(pmu + _times(normal_product(pmu, ps2), (Fraction(a2[0], 2), a2[1])))
     return tuple(positions), tuple(momenta)
-
-
-def _rel_positions() -> tuple[OperatorPoly, ...]:
-    """The linearized covariant positions on minkowski: x^mu = x0^mu."""
-    return tuple(x0(mu, MINKOWSKI) for mu in MINKOWSKI.indices())
-
-
-def deformed_ops_rel() -> tuple[tuple[OperatorPoly, ...],
-                                tuple[OperatorPoly, ...]]:
-    """Linearized covariant deformed variables on minkowski (-+++): the
-    positions of _rel_positions and
-
-        p^mu = p0^mu (1 + eps gamma2 p0.p0)
-    """
-    metric = MINKOWSKI
-    ps2 = p0_squared(metric)
-    momenta = tuple(p0(mu, metric)
-                    + normal_product(p0(mu, metric), ps2).times("eps").times("gamma2")
-                    for mu in metric.indices())
-    return _rel_positions(), momenta
 
 
 # -- algebra verification -----------------------------------------------------
@@ -452,21 +430,21 @@ def verify_algebra(case: str, target: str = "derived") -> VerificationReport:
 
     if case == "nonrel-special":
         metric, caps = euclidean(3), {"a1": 1}
-        xs, ps = ([op.substitute("a2", 2, "a1") for op in ops]
-                  for ops in deformed_ops_nonrel(3))
-        cross = 2 if target == "derived" else 1
-        checks = (_position_momentum_checks(metric, xs, ps, caps, ("a1",), cross)
+        xs, ps = deformed_ops(metric, **_SPECIAL_MAP)
+        # the quoted algebra prints a1 where the cross term's a2 = 2 a1 belongs
+        cross = _SPECIAL_MAP["a2" if target == "derived" else "a1"]
+        checks = (_position_momentum_checks(metric, xs, ps, caps, _SPECIAL_MAP["a1"], cross)
                   + _vanishing_checks(metric, "x", xs, caps)
                   + _vanishing_checks(metric, "p", ps, caps))
         notes = (_DISCREPANCY_NOTE,) if target == "derived" else (
             _DISCREPANCY_NOTE, "target=quoted: checking the printed coefficient a1")
         return VerificationReport(case, tuple(checks), notes)
     metric, caps = MINKOWSKI, {"eps": 1}
+    xs, ps = deformed_ops(metric, **COVARIANT_MAP)
     if case == "rel-linear":
-        checks = _position_momentum_checks(metric, *deformed_ops_rel(), caps,
-                                           ("eps", "gamma2"), 2)
+        checks = _position_momentum_checks(metric, xs, ps, caps, **COVARIANT_MAP)
     else:
-        checks = _vanishing_checks(metric, "x", _rel_positions(), caps)
+        checks = _vanishing_checks(metric, "x", xs, caps)
     notes = () if target == "derived" else (_QUOTED_REL_NOTE,)
     return VerificationReport(case, tuple(checks), notes)
 
@@ -478,22 +456,19 @@ def _check(bracket: str, a: OperatorPoly, b: OperatorPoly, caps: Mapping[str, in
 
 
 def _position_momentum_checks(metric: Metric, xs, ps, caps: Mapping[str, int],
-                              deformation: tuple[str, ...],
-                              cross: int) -> list[AlgebraCheck]:
-    """Each [x_i, p_j], truncated to caps, against
-    i hbar (delta_ij eta_ii (1 + d p0.p0) + cross d p0_i p0_j), where d is
-    the product of the deformation parameters."""
+                              a1: tuple, a2: tuple) -> list[AlgebraCheck]:
+    """Each [x_i, p_j], truncated to caps, against the first-order
+    i hbar (delta_ij eta_ii (1 + a1 p0.p0) + a2 p0_i p0_j), with a1 and a2
+    (rational, parameter names) monomials."""
     ps2 = p0_squared(metric)
     checks = []
     for i, xi in zip(metric.indices(), xs):
         for j, pj in zip(metric.indices(), ps):
             delta = metric.eta(i) if i == j else 0
-            target = (normal_product(p0(i, metric), p0(j, metric)).scale(cross)
-                      + ps2.scale(delta))
-            for name in deformation:
-                target = target.times(name)
-            target = (target + unit(metric).scale(delta)).times("i").times("hbar")
-            checks.append(_check(f"[x{i}, p{j}]", xi, pj, caps, target))
+            target = (_times(normal_product(p0(i, metric), p0(j, metric)), a2)
+                      + _times(ps2.scale(delta), a1) + unit(metric).scale(delta))
+            checks.append(_check(f"[x{i}, p{j}]", xi, pj, caps,
+                                 target.times("i").times("hbar")))
     return checks
 
 

@@ -1,15 +1,16 @@
 """Example-based checks of the exact operator algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from rgupzeeman import opalg
 from rgupzeeman.opalg import (
+    COVARIANT_MAP,
     MINKOWSKI,
     commutator,
-    deformed_ops_nonrel,
-    deformed_ops_rel,
+    deformed_ops,
     euclidean,
     normal_product,
     p0,
@@ -19,6 +20,7 @@ from rgupzeeman.opalg import (
     x0,
     zero,
 )
+from rgupzeeman.units import VERIFICATION_CASES
 
 E3 = euclidean(3)
 
@@ -102,21 +104,22 @@ def test_truncate_commutes_with_addition():
 
 
 def test_nonrel_special_case_position_is_undeformed():
-    xs, _ = deformed_ops_nonrel(3)
+    xs, _ = deformed_ops(E3, a2=(2, ("a1",)))
     for i, xi in zip(E3.indices(), xs):
-        assert xi.substitute("a2", 2, "a1") == x0(i, E3)
+        assert xi == x0(i, E3)
 
 
-def test_nonrel_undeformed_limit():
-    xs, ps = deformed_ops_nonrel(3)
-    for i, (xi, pi) in enumerate(zip(xs, ps), start=1):
-        assert xi.substitute("a1", 0).substitute("a2", 0) == x0(i, E3)
-        assert pi.substitute("a1", 0).substitute("a2", 0) == p0(i, E3)
+@pytest.mark.parametrize("metric", [E3, MINKOWSKI], ids=["euclidean", "minkowski"])
+def test_undeformed_limit(metric):
+    xs, ps = deformed_ops(metric, a1=(0, ()), a2=(0, ()))
+    for mu, xmu, pmu in zip(metric.indices(), xs, ps):
+        assert xmu == x0(mu, metric)
+        assert pmu == p0(mu, metric)
 
 
 def test_nonrel_momentum_term_count():
     # p^i = p0^i + (a2/2) p0^i p0^j p0^j summed over j: 1 + D monomials
-    _, ps = deformed_ops_nonrel(3)
+    _, ps = deformed_ops(E3)
     for pi in ps:
         assert len(pi) == 1 + 3
         deformed = [t for t in pi.terms() if t[1][opalg.PARAMS.index("a2")] == 1]
@@ -124,14 +127,9 @@ def test_nonrel_momentum_term_count():
         assert all(coeff == Fraction(1, 2) for coeff, *_ in deformed)
 
 
-def test_rel_undeformed_limit():
-    _, ps = deformed_ops_rel()
-    for mu, pmu in zip(MINKOWSKI.indices(), ps):
-        assert pmu.substitute("eps", 0) == p0(mu, MINKOWSKI)
-
-
 def test_rel_position_has_one_term():
-    xs, _ = deformed_ops_rel()
+    # the covariant map a2 = 2 a1 cancels the position deformation
+    xs, _ = deformed_ops(MINKOWSKI, **COVARIANT_MAP)
     for mu, xmu in zip(MINKOWSKI.indices(), xs):
         assert xmu == x0(mu, MINKOWSKI)
         assert len(xmu) == 1
@@ -139,7 +137,7 @@ def test_rel_position_has_one_term():
 
 def test_rel_momentum_metric_contraction_signs():
     # p^0 deformation: eps gamma2 * p0^0 * (-p0^0 p0^0 + sum_i p0^i p0^i)
-    _, ps = deformed_ops_rel()
+    _, ps = deformed_ops(MINKOWSKI, **COVARIANT_MAP)
     want = p0(0, MINKOWSKI) + normal_product(
         p0(0, MINKOWSKI), p0_squared(MINKOWSKI)).times("eps").times("gamma2")
     assert ps[0] == want
@@ -148,26 +146,62 @@ def test_rel_momentum_metric_contraction_signs():
     assert time_cubed[0][0] == Fraction(-1)
 
 
-def test_general_position_commutator_first_order():
-    # without the a2 = 2 a1 restriction the positions stop commuting:
-    # [x^i, x^j] = i hbar (2 a1 - a2)(x0^j p0^i - x0^i p0^j) + higher order
-    import itertools
-
-    xs, _ = deformed_ops_nonrel(3)
+def _first_order_residual(got, want):
+    """got - want, asserting each of its terms has total (a1, a2) order >= 2."""
     a1_idx = opalg.PARAMS.index("a1")
     a2_idx = opalg.PARAMS.index("a2")
-    for (i, xi), (j, xj) in itertools.combinations(zip(E3.indices(), xs), 2):
-        got = commutator(xi, xj)
-        base = normal_product(x0(j, E3), p0(i, E3)) \
-            - normal_product(x0(i, E3), p0(j, E3))
-        want = (base.scale(2).times("a1") - base.times("a2")) \
-            .times("i").times("hbar")
-        residual = got - want
-        assert not residual.is_zero()  # genuine second-order remainder exists
-        for _, params, _, _ in residual.terms():
-            assert params[a1_idx] + params[a2_idx] >= 2
-        # and the special case wipes the first-order part entirely
-        assert want.substitute("a2", 2, "a1").is_zero()
+    residual = got - want
+    for _, params, _, _ in residual.terms():
+        assert params[a1_idx] + params[a2_idx] >= 2
+    return residual
+
+
+@pytest.mark.parametrize("metric", [E3, MINKOWSKI], ids=["euclidean", "minkowski"])
+def test_general_position_commutator_first_order(metric):
+    # without the a2 = 2 a1 restriction the positions stop commuting:
+    # [x^i, x^j] = i hbar (2 a1 - a2)(x0^j p0^i - x0^i p0^j) + higher order
+    xs, _ = deformed_ops(metric)
+    for (i, xi), (j, xj) in itertools.combinations(zip(metric.indices(), xs), 2):
+        base = normal_product(x0(j, metric), p0(i, metric)) \
+            - normal_product(x0(i, metric), p0(j, metric))
+        want = (base.scale(2).times("a1") - base.times("a2")).times("i").times("hbar")
+        # a genuine second-order remainder exists
+        assert not _first_order_residual(commutator(xi, xj), want).is_zero()
+    # and the special case a2 = 2 a1 leaves the positions commuting exactly
+    special, _ = deformed_ops(metric, a2=(2, ("a1",)))
+    for xi, xj in itertools.combinations(special, 2):
+        assert commutator(xi, xj).is_zero()
+
+
+@pytest.mark.parametrize("metric", [E3, MINKOWSKI], ids=["euclidean", "minkowski"])
+def test_general_position_momentum_commutator_first_order(metric):
+    # [x^mu, p^nu] = i hbar (eta^{mu nu} (1 + a1 p0.p0) + a2 p0^mu p0^nu)
+    # + higher order, and [p^mu, p^nu] = 0
+    xs, ps = deformed_ops(metric)
+    ps2 = p0_squared(metric)
+    for (mu, xmu), (nu, pnu) in itertools.product(zip(metric.indices(), xs),
+                                                  zip(metric.indices(), ps)):
+        eta = metric.eta(mu) if mu == nu else 0
+        want = ((unit(metric) + ps2.times("a1")).scale(eta)
+                + normal_product(p0(mu, metric), p0(nu, metric)).times("a2"))
+        _first_order_residual(commutator(xmu, pnu), want.times("i").times("hbar"))
+    for pmu, pnu in itertools.combinations(ps, 2):
+        assert commutator(pmu, pnu).is_zero()
+
+
+def test_a_wrong_position_coefficient_fails_every_case(monkeypatch):
+    # the builder called with a1 halved turns the position coefficient
+    # 2 a1 - a2 into a1 - a2: each case checks the builder's operators, so
+    # each fails, the rel-position-position case included
+    builder = opalg.deformed_ops
+
+    def halved(metric, a1, a2):
+        coeff, names = a1
+        return builder(metric, (Fraction(coeff, 2), names), a2)
+
+    monkeypatch.setattr(opalg, "deformed_ops", halved)
+    for case in VERIFICATION_CASES:
+        assert not verify_algebra(case).passed, case
 
 
 def test_verify_rel_position_position_passes():
@@ -220,8 +254,8 @@ def test_verify_nonrel_special_quoted_target_fails():
 
 
 @pytest.mark.parametrize("case, target, calls", [
-    ("nonrel-special", "derived", 48), ("nonrel-special", "quoted", 48),
-    ("rel-linear", "derived", 52), ("rel-position-position", "derived", 12),
+    ("nonrel-special", "derived", 42), ("nonrel-special", "quoted", 42),
+    ("rel-linear", "derived", 52), ("rel-position-position", "derived", 16),
 ])
 def test_normal_product_calls_per_case(case, target, calls, monkeypatch):
     # counted through the module attribute, which is what a tracer patches

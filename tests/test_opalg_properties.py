@@ -5,9 +5,10 @@ import random
 import pytest
 
 from rgupzeeman.opalg import (
+    COVARIANT_MAP,
     MINKOWSKI,
     commutator,
-    deformed_ops_rel,
+    deformed_ops,
     euclidean,
     normal_product,
 )
@@ -80,7 +81,7 @@ def test_product_associativity(metric):
 
 
 def test_deformed_rel_momenta_commute_exactly():
-    _, ps = deformed_ops_rel()
+    _, ps = deformed_ops(MINKOWSKI, **COVARIANT_MAP)
     for i, pmu in enumerate(ps):
         for pnu in ps[i:]:
             assert commutator(pmu, pnu).is_zero()

@@ -6,8 +6,10 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -698,6 +700,25 @@ def test_no_warm_part_computes_a_constant_at_run_time():
                 for a, op in zip(ops, ops[1:]):
                     assert not (op.opname in _UNARY and a.opname in _LITERAL_LOADS), \
                         (plan.name, part, a.argval, op.opname)
+
+
+def test_each_folded_constant_power_is_correctly_rounded():
+    # the compiler folds a table field's power with the host's pow, which is
+    # not correctly rounded in general; each power the forms and halves read
+    # must equal the exactly rounded one, or a libm can move a printed bit
+    halves = (*spectrum._LEVEL_HALF, *spectrum._MJ_HALF, *spectrum._PARAMS_HALF,
+              *spectrum._GUP_PARAMS_HALF)
+    sources = [statement for _, statement in halves] + [
+        form for t in spectrum._TERMS for form in (t.derived, t.published) if form is not None]
+    power = r"\b(" + "|".join(spectrum.ConstantsTable._fields) + r")\*\*(\d+)"
+    powers = {(name, int(k)) for source in sources for name, k in re.findall(power, source)}
+    assert powers == {("hbar", 2), ("hbar", 4), ("r0", 2), ("r0", 4), ("m_e", 3),
+                      ("c", 2), ("c", 3)}
+    for name, k in sorted(powers):
+        x = getattr(C, name)
+        code = compile(f"{x!r}**{k}", "<fold>", "eval")
+        folded = [const for const in code.co_consts if isinstance(const, float)]
+        assert folded == [float(Fraction(x) ** k)], (name, k)
 
 
 def test_a_gated_addend_follows_its_gate_through_a_sweep():
