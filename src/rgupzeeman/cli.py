@@ -298,11 +298,12 @@ def _sweep_grid(args) -> list[float]:
             raise CLIUsageError("--steps must be >= 1")
         if steps > MAX_SWEEP_STEPS:
             raise CLIUsageError(f"--steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
+        start = args.start
         if steps == 1:
-            values = [args.start]
+            values = [start]
         else:
-            span = (args.stop - args.start) / (steps - 1)
-            values = [args.start + k * span for k in range(steps)]
+            span = (args.stop - start) / (steps - 1)
+            values = [start + k * span for k in range(steps)]
     values.sort()  # in place: a sorted copy would hold a second 10**6-slot list
     return values
 
@@ -357,7 +358,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # for it.  The record's two rules, first 8q <= 1 for q = epsilon * (gmc * gmc),
     # a correctly rounded product, and then a finite eps gamma^2, are each
     # monotone in epsilon, so intervals too.  l, n and mj are checked row by row
-    checked = [v for v in values if math.isnan(v)] + [values[0], values[-1]] \
+    checked = list(filter(math.isnan, values)) + [values[0], values[-1]] \
         if args.param in ("B", "epsilon") else values
     # every field the sweep part does not rebind
     params, state = _sweep_records(checked, args, param_values)

@@ -327,17 +327,19 @@ _HEAD = ("def {part}(state, params, {arguments}):\n    n, l, branch, mj, ml, ms 
 _PARTS = {
     "shift": _HEAD + "{check}{terms}"
                      "    return new(ShiftBreakdown, (state, REGIME, mode, scale, {records}))\n",
-    **dict.fromkeys(_SWEPT, _HEAD + "{ends}    for value in grid:\n{loop}        {emit}\n{after}"),
+    **dict.fromkeys(_SWEPT, _HEAD + "{ends}    for value in grid:\n{loop}{emit}{after}"),
 }
 #: what _Plan._assign writes per addend i: its value, and its ShiftTerm record
 _VALUE = "v{i} = ({form}) + 0.0"
 _RECORD = "t{i} = new(ShiftTerm, ({term[0]!r}, {term[1]!r}, v{i}, {term[2]!r}))"
-_CHECK = """\
-    values = {values}
+#: the fsum of some values, or nan for a sum outside double precision
+_SUM = """\
     try:
-        total = fsum(values)
+        {total} = fsum({values})
     except (OverflowError, ValueError):  # overflow, or inf - inf
-        total = nan
+        {total} = nan
+"""
+_CHECK = "    values = {values}\n" + _SUM.format(total="total", values="values") + """\
     if not isfinite(total):
         name_failure({labels}, values, total)
 """
@@ -408,6 +410,10 @@ class _Plan:
     rows run that same text.  Such a statement or form runs whole per grid
     value: its subexpressions that read no swept field are not moved out of
     the loop.
+    A row's nonzero total that equals a float whose text the part already
+    holds takes that text: the first cell's, or where every ungated addend
+    is fixed, the text of their sum; a zero total is always formatted, since
+    -0.0 == 0.0.
 
     Each value is its form + 0.0 (which drops -0.0), and the deformation
     addends are gated as energy_shift_B describes.  No part checks its
@@ -496,10 +502,10 @@ class _Plan:
                         terms=self._assign(_RECORD, every), records=self._gather(every, "t{i}"))
         if part == "multiplet":
             return dict(arguments="grid, out", before=before, ends="", loop=loop,
-                        emit=f"out({self._gather(moving)})",
+                        emit=f"        out({self._gather(moving)})\n",
                         after=f"    return {self._gather(fixed)}\n")
         # c<i> holds the text of a cell that reads no swept value
-        cells, fixed_cells = [self.regime.value], ""
+        cells, fixed_cells, row = [self.regime.value], "", ""
         for i, gated in enumerate(self.deformation):
             text = f"repr(v{i} * per)" + (" if deformed else '0.0'" if gated else "")
             if i in moving:
@@ -516,13 +522,27 @@ class _Plan:
         check = _deeper(check)
         if moving:
             loop += check
-            cells.append("{total * per!r}")
+            # a nonzero total equal to a float whose text the part holds takes
+            # that text (a zero is formatted: -0.0 == 0.0): that of the ungated
+            # addends' sum where none of them moves, else the first cell's
+            ungated = [i for i in every if not self.deformation[i]]
+            if not set(ungated).intersection(moving):
+                # a nan sum equals no total
+                fixed_cells += (_SUM.format(total="tf", values=self._gather(ungated))
+                                + "    cf = repr(tf * per)\n")
+                same = "cf if total == tf and total"
+            else:
+                if 0 in moving:
+                    row = "        c0 = repr(v0 * per)\n"
+                    cells[1] = "{c0}"
+                same = "c0 if total == v0 and total"
+            cells.append(f"{{{same} else repr(total * per)}}")
         else:
             fixed_cells += "    ct = repr(total * per)\n"
             cells.append("{ct}")
         return dict(arguments="grid, per, unit, header, write", before=before,
                     ends=ends + fixed_cells + "    write(header)\n", loop=loop,
-                    emit=f'write(f"{{value!r}},{",".join(cells)}\\n")', after="")
+                    emit=row + f'        write(f"{{value!r}},{",".join(cells)}\\n")\n', after="")
 
 
 def _plan_pair(regime: Regime) -> tuple[_Plan, _Plan]:

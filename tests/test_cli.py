@@ -1238,7 +1238,7 @@ def test_sweep_rows_match_the_library_byte_for_byte(main, param):
     from rgupzeeman.spectrum import Mode, Regime
     units = ("eV", "erg", "cm-1", "Hz")
     for k, (regime, mode, gamma) in enumerate(
-            (r, m, g) for r in Regime for m in Mode for g in ("planck", "1e16")):
+            (r, m, g) for r in Regime for m in Mode for g in ("planck", "1e16", "0")):
         unit = units[k % len(units)]
         fixed = {"B": 0.8, "epsilon": 1.5, "gamma": gamma, "l": 1, "n": None,
                  "branch": "plus", "mj": 0.5}
@@ -1300,6 +1300,61 @@ def test_other_sweep_fields_are_pinned(main, regime, param, digest):
     # sha256 of the same command's stdout before each sweep was compiled into one loop
     status, out, _ = main("sweep", *_OTHER_SWEEPS[param], "--regime", regime,
                           "--gamma", "1e16")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: B and epsilon sweeps from 0: B = 0 gives zero totals (every row's, at
+#: gamma = 0), and epsilon = 0 gates the deformation off in the first row
+_GATED_SWEEPS = {
+    "B": ("--param", "B", "--from", "0", "--to", "4", "--steps", "41", "--l", "2",
+          "--branch", "minus", "--mj", "1.5", "--epsilon", "1.5", "--unit", "Hz"),
+    "epsilon": ("--param", "epsilon", "--from", "0", "--to", "2", "--steps", "41",
+                "--l", "1", "--branch", "plus", "--mj", "0.5", "--B-tesla", "3",
+                "--unit", "cm-1"),
+}
+
+
+@pytest.mark.parametrize("param, regime, mode, gamma, digest", [
+    ("B", "gup", "derived", "planck",
+     "4d8b6dc058e86bc04852cd017ae28a935c558aa351f819373b521fbd7be27088"),
+    ("B", "gup", "derived", "0",
+     "455fa91849ae607d7f0fa78b41161c4d62d1de259ad35d2b722c8ccb861db8a2"),
+    ("B", "gup", "as-published", "planck",
+     "b3602193a110c69e913980b3f9331cd345317e3d4eebd557ba201384d7e26180"),
+    ("B", "gup", "as-published", "0",
+     "455fa91849ae607d7f0fa78b41161c4d62d1de259ad35d2b722c8ccb861db8a2"),
+    ("B", "rgup", "derived", "planck",
+     "ddcf642b205f987544e1ddd3ce4f87eaab5737083773f4212e8ba6e4102a78d6"),
+    ("B", "rgup", "derived", "0",
+     "642bc2c6a0909955fb27a9ec06740a19ac95d60740d46c9b06d65d7905d7f477"),
+    ("B", "rgup", "as-published", "planck",
+     "71ab292d99d813036b5b2cacff1d132cebd853527188a92f67e986661577e074"),
+    ("B", "rgup", "as-published", "0",
+     "88a078c4419dc3372a59648d13e9b4b974d739d3b54bce7a19dd2a332571a915"),
+    ("epsilon", "gup", "derived", "planck",
+     "0ebbdad17807f04d0c917c63c11f2c63f16581e377710c78191082431e6a33e4"),
+    ("epsilon", "gup", "derived", "0",
+     "9dc90678edc15c82917f6652f23df8655db9e07d0263a0c85adcb69291a1f88a"),
+    ("epsilon", "gup", "as-published", "planck",
+     "09d4c41694b53155bb83e9d5cbbeb884515498d6932b49b149589db303ef094b"),
+    ("epsilon", "gup", "as-published", "0",
+     "9dc90678edc15c82917f6652f23df8655db9e07d0263a0c85adcb69291a1f88a"),
+    ("epsilon", "rgup", "derived", "planck",
+     "fcd641029c67aba8717f5c78f18daced44de62b0c4d2fa37b7b82afdf79e4e92"),
+    ("epsilon", "rgup", "derived", "0",
+     "dd9a2400b3abe2159532c7a3292b8eb1d93721be1c91dd7bc3668040f4f12055"),
+    ("epsilon", "rgup", "as-published", "planck",
+     "db8ea054ab26dfb170cc750e11f44db037dfaa421717adc0afb729c97303445d"),
+    ("epsilon", "rgup", "as-published", "0",
+     "b2a0ecc7c4c855d95e02623a19cfa7c119f2abc646f4407d06f9d5a25f454dad"),
+])
+def test_gated_sweeps_from_zero_are_pinned(main, param, regime, mode, gamma, digest):
+    # sha256 of the same command's stdout before a row's total reused a cell's text;
+    # at the Planck gamma and at gamma = 0 a GUP total is its jz_plus_sz cell
+    # and an RGUP epsilon row's total the sum of its ungated cells
+    status, out, _ = main("sweep", *_GATED_SWEEPS[param], "--regime", regime,
+                          "--mode", mode, "--gamma", gamma)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -653,6 +653,49 @@ def test_every_name_a_part_assigns_is_read_later():
                                for name, line in reads), (plan.name, part, target.id)
 
 
+def _row_formats(plan, part):
+    """(source, the repr calls and !r conversions a row of the sweep part
+    runs, the row's total cell)."""
+    source = spectrum._PARTS[part].format(part=part, **plan._fields(part))
+    [rows] = [node for node in ast.parse(source).body[0].body
+              if isinstance(node, ast.For) and ast.unparse(node.iter) == "grid"]
+    formats = [node for node in ast.walk(rows)
+               if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+               or isinstance(node, ast.Call) and ast.unparse(node.func) == "repr"]
+    [write] = [node for node in ast.walk(rows)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "write"]
+    # the last cell, before the newline
+    return source, formats, write.args[0].values[-2].value
+
+
+def test_a_row_formats_its_total_only_behind_an_equality_test():
+    # a nonzero total equal to the float of a text the part already formatted
+    # takes that text; a zero is always formatted, since -0.0 == 0.0
+    for plan in _plans():
+        ungated = [i for i, gated in enumerate(plan.deformation) if not gated]
+        for part in spectrum._SWEPT:
+            if part == "multiplet":
+                continue
+            source, formats, total = _row_formats(plan, part)
+            reading = [node for node in formats if "total" in ast.unparse(node)]
+            if isinstance(total, ast.Name):  # no row reads the grid value: one text
+                assert (total.id, reading) == ("ct", []), (plan.name, part)
+                continue
+            assert isinstance(total, ast.IfExp), (plan.name, part)
+            same = re.fullmatch(r"total == (v0|tf) and total", ast.unparse(total.test))
+            assert same, (plan.name, part)
+            text = {"v0": "c0", "tf": "cf"}[same[1]]
+            assert ast.unparse(total.body) == text, (plan.name, part)
+            assert f"{text} = repr({same[1]} * per)\n" in source, (plan.name, part)
+            if same[1] == "tf":  # the ungated addends' sum, fixed before the loop
+                assert f"tf = fsum({plan._gather(ungated)})\n" in source, (plan.name, part)
+            assert reading == [total.orelse], (plan.name, part)
+            assert ast.unparse(total.orelse) == "repr(total * per)", (plan.name, part)
+    # a lande B row formats its value and its one cell, not its total again
+    _, formats, total = _row_formats(spectrum._PLANS["lande"][0], "sweep_B")
+    assert len([node for node in formats if node is not total.orelse]) == 2
+
+
 def test_words_reads_exactly_the_names_of_each_statement_and_form():
     # the backward pass finds what a statement reads by _words, so a word
     # that is no name, such as one of a comment, would be read as one
